@@ -411,7 +411,7 @@ def _cmd_golden_suite(args) -> int:
     idents = None
     if args.criteria:
         idents = [token.strip() for token in args.criteria.split(",") if token.strip()]
-    results = run_suite(idents, threads=args.threads)
+    results = run_suite(idents)
     for res in results:
         print(
             "%s %s (%.1fs): %s"
@@ -527,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("golden-suite", help="run the acceptance battery")
     _add_common(sub, model=False)
     sub.add_argument("--criteria", help="comma-separated criterion ids (default: all)")
-    sub.add_argument("--threads", type=int, help="worker threads (or COUPLEX_THREADS)")
 
     sub = subs.add_parser("zoo", help="list built-in models")
     _add_common(sub, model=False)

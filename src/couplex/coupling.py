@@ -29,19 +29,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .lattice import (
-    CoupledState,
-    apply_jump,
-    discrepancy_count,
-    is_ordered,
-    join,
-    leq,
-    signed_offset,
-)
-from .models import RateSpec, rate
+from .lattice import CoupledState, apply_jump, is_active, join, leq
+from .models import RateSpec, active_jumps, rate
 
 KINDS = ("increasing", "attractive", "strict")
 
+#: in float arithmetic, residuals within this distance of 0 count as 0 and
+#: residuals further below 0 raise
 _RESIDUAL_TOL = 1e-9
 
 
@@ -129,10 +123,6 @@ def _jumps(spec: RateSpec, size: int):
     return [
         (x, (x + d) % size, d) for x in range(size) for d in spec.jump_offsets
     ]
-
-
-def _active(eta, x: int, y: int) -> bool:
-    return eta[x] == 1 and eta[y] == 0
 
 
 def build_sets(spec: RateSpec, xi, zeta, site: int, role: str) -> DiscrepancySets:
@@ -313,13 +303,9 @@ def _composed_coupled(spec: RateSpec, xi, zeta, flavor: str) -> dict:
     mid = join(xi, zeta)
     coupled = {}
     exact = spec.exact
-    for x, y, _ in _jumps(spec, size):
-        if not (mid[x] == 1 and mid[y] == 0):
-            continue
-        norm = rate(spec, mid, x, y)
-        if not norm > 0:
-            # all factors through a zero-rate join jump vanish
-            continue
+    # factors through a zero-rate join jump vanish; active_jumps skips those
+    for x, d, norm in active_jumps(spec, mid):
+        y = (x + d) % size
         left = _left_factors(spec, xi, mid, x, y, flavor)
         if not left:
             continue
@@ -336,33 +322,64 @@ def _transposed(coupled: dict) -> dict:
     return {(x2, y2, x1, y1): g for (x1, y1, x2, y2), g in coupled.items()}
 
 
-def _finish(spec: RateSpec, xi, zeta, kind: str, coupled: dict) -> CouplingTable:
-    """Attach residual (uncoupled) rates: each marginal's full rate minus the
-    coupled rate mass whose partner move is active."""
-    size = len(xi)
+def coupled_mass(coupled: dict, xi, zeta):
+    """Coupled rate mass per jump of each copy: ``(phi1, phi2)`` map a jump
+    (x, y) of xi (of zeta) to the summed coupled rates it takes part in,
+    counting only entries whose partner move is active."""
     phi1 = {}
     phi2 = {}
     for (x1, y1, x2, y2), g in coupled.items():
-        if _active(zeta, x2, y2):
+        if is_active(zeta, x2, y2):
             k = (x1, y1)
             phi1[k] = phi1.get(k, 0) + g
-        if _active(xi, x1, y1):
+        if is_active(xi, x1, y1):
             k = (x2, y2)
             phi2[k] = phi2.get(k, 0) + g
-    table = CouplingTable(kind, size, coupled)
-    for eta, sums, residuals in (
-        (xi, phi1, table.residual_first),
-        (zeta, phi2, table.residual_second),
+    return phi1, phi2
+
+
+def residual_rates(spec: RateSpec, eta, mass: dict, jumps, exact: bool) -> list:
+    """Residual (one-copy) rates: each jump's marginal rate minus its coupled
+    mass.
+
+    ``jumps`` lists ``(x, y, r)`` with r the marginal rate of x -> y in eta;
+    the result lists ``(x, y, residual)`` in the same order.  Jumps that
+    carry mass but are not listed are checked at their rate as well.  In
+    exact arithmetic any negative residual raises; in float arithmetic a
+    residual below ``-_RESIDUAL_TOL`` raises and one within
+    ``_RESIDUAL_TOL`` of 0 counts as 0.
+    """
+    out = []
+    for x, y, r in jumps:
+        out.append((x, y, _residual(r - mass.get((x, y), 0), exact, x, y)))
+    listed = {(x, y) for x, y, _ in out}
+    for (x, y), m in mass.items():
+        if (x, y) not in listed:
+            _residual(rate(spec, eta, x, y) - m, exact, x, y)
+    return out
+
+
+def _residual(r, exact: bool, x: int, y: int):
+    if exact:
+        if r >= 0:
+            return r
+    elif r > _RESIDUAL_TOL:
+        return r
+    elif r >= -_RESIDUAL_TOL:
+        return 0
+    raise ValueError(
+        "coupled rates exceed the marginal rate at jump (%d, %d): residual %r" % (x, y, r)
+    )
+
+
+def _finish(spec: RateSpec, xi, zeta, kind: str, coupled: dict) -> CouplingTable:
+    """Attach residual (uncoupled) rates for every jump of the ring."""
+    table = CouplingTable(kind, len(xi), coupled)
+    for eta, mass, residuals in zip(
+        (xi, zeta), coupled_mass(coupled, xi, zeta), (table.residual_first, table.residual_second)
     ):
-        for x, y, _ in _jumps(spec, size):
-            r = rate(spec, eta, x, y) - sums.get((x, y), 0)
-            if r < 0:
-                if spec.exact or r < -_RESIDUAL_TOL:
-                    raise ValueError(
-                        "coupled rates exceed the marginal rate at jump (%d, %d): %r"
-                        % (x, y, r)
-                    )
-                r = 0
+        jumps = [(x, y, rate(spec, eta, x, y)) for x, y, _ in _jumps(spec, len(eta))]
+        for x, y, r in residual_rates(spec, eta, mass, jumps, spec.exact):
             residuals[(x, y)] = r
     return table
 
@@ -412,26 +429,6 @@ def coupling_table(spec: RateSpec, xi, zeta, kind: str) -> CouplingTable:
     raise ValueError("kind must be one of %s, got %r" % (", ".join(KINDS), kind))
 
 
-def phi(table: CouplingTable, xi, zeta, x: int, y: int):
-    """Coupled rate mass attached to the first-copy jump (x,y), counting only
-    entries whose second-copy move is active in zeta."""
-    total = 0
-    for (x1, y1, x2, y2), g in table.coupled.items():
-        if x1 == x and y1 == y and _active(zeta, x2, y2):
-            total = total + g
-    return total
-
-
-def phibar(table: CouplingTable, xi, zeta, x: int, y: int):
-    """Coupled rate mass attached to the second-copy jump (x,y), counting
-    only entries whose first-copy move is active in xi."""
-    total = 0
-    for (x1, y1, x2, y2), g in table.coupled.items():
-        if x2 == x and y2 == y and _active(xi, x1, y1):
-            total = total + g
-    return total
-
-
 def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTable | None = None):
     """All positive-rate moves of the coupled chain out of (xi, zeta).
 
@@ -460,7 +457,7 @@ def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTabl
         )
 
     for (x1, y1, x2, y2), g in table.coupled.items():
-        if g > 0 and _active(xi, x1, y1) and _active(zeta, x2, y2):
+        if g > 0 and is_active(xi, x1, y1) and is_active(zeta, x2, y2):
             push(
                 "coupled",
                 (x1, y1),
@@ -470,10 +467,10 @@ def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTabl
                 apply_jump(zeta, x2, y2),
             )
     for (x, y), r in table.residual_first.items():
-        if r > 0 and _active(xi, x, y):
+        if r > 0 and is_active(xi, x, y):
             push("first", (x, y), None, r, apply_jump(xi, x, y), tuple(zeta))
     for (x, y), r in table.residual_second.items():
-        if r > 0 and _active(zeta, x, y):
+        if r > 0 and is_active(zeta, x, y):
             push("second", None, (x, y), r, tuple(xi), apply_jump(zeta, x, y))
     return table, audits
 

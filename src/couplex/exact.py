@@ -9,18 +9,23 @@ numpy arrays are materialized only for linear solves.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .lattice import CoupledState, apply_jump, is_ordered, leq
-from .models import RateSpec, rate, span_rate, _all_patterns
-from .coupling import coupled_transitions, coupling_table
+from .lattice import CoupledState, apply_jump, is_ordered
+from .models import RateSpec, active_jumps, _all_patterns
+from .coupling import coupled_transitions
 
-SINGLE_SIZE_CAP = 14
+#: largest single-chain state space enumerated: it admits every sector of a
+#: 14-site ring (at most C(14, 7) = 3432 states, a 94 MB dense matrix)
+SINGLE_STATE_CAP = 3432
 COUPLED_SIZE_CAP = 6
+#: largest Poisson mean of one uniformization step, far from exp underflow
+_POISSON_STEP = 64.0
 
 
 @dataclass
@@ -78,33 +83,20 @@ def ring_configs(size: int, count: Optional[int] = None):
             yield tuple(bits)
 
 
-def single_transitions(spec: RateSpec, eta):
-    """Positive-rate moves of one copy out of eta."""
-    size = len(eta)
-    out = []
-    for x in range(size):
-        if not eta[x]:
-            continue
-        for d in spec.jump_offsets:
-            y = (x + d) % size
-            if eta[y]:
-                continue
-            r = rate(spec, eta, x, y)
-            if r > 0:
-                out.append((apply_jump(eta, x, y), r))
-    return out
-
-
 def single_generator(spec: RateSpec, size: int, count: Optional[int] = None) -> GeneratorMatrix:
-    if size > SINGLE_SIZE_CAP:
-        raise ValueError("exact single-chain enumeration capped at L=%d" % SINGLE_SIZE_CAP)
+    n = 2**size if count is None else math.comb(size, count)
+    if n > SINGLE_STATE_CAP:
+        raise ValueError(
+            "exact single-chain enumeration of %d states exceeds the cap of %d states"
+            % (n, SINGLE_STATE_CAP)
+        )
     states = list(ring_configs(size, count))
     index = {s: i for i, s in enumerate(states)}
     rows = []
     for eta in states:
         row = {}
-        for target, r in single_transitions(spec, eta):
-            j = index[target]
+        for x, d, r in active_jumps(spec, eta):
+            j = index[apply_jump(eta, x, (x + d) % size)]
             row[j] = row.get(j, 0) + r
         rows.append(row)
     return GeneratorMatrix(states, rows, index)
@@ -251,10 +243,20 @@ def stationary_distributions(gen: GeneratorMatrix) -> list:
         weights = np.zeros(gen.dimension)
         for k, i in enumerate(members):
             weights[i] = local[k]
-        q = gen.to_dense()
-        residual = float(np.max(np.abs(weights @ q)))
-        out.append(StationaryDistribution(gen.states, weights, residual))
+        out.append(StationaryDistribution(gen.states, weights, _balance_residual(gen, weights)))
     return out
+
+
+def _balance_residual(gen: GeneratorMatrix, weights: np.ndarray) -> float:
+    """max |weights @ Q|, from the sparse rows."""
+    flow = np.zeros(gen.dimension)
+    for i, row in enumerate(gen.rows):
+        w = weights[i]
+        if w:
+            for j, r in row.items():
+                flow[j] += w * float(r)
+            flow[i] -= w * float(sum(row.values()))
+    return float(np.max(np.abs(flow)))
 
 
 def stationary_distribution(gen: GeneratorMatrix) -> StationaryDistribution:
@@ -275,38 +277,35 @@ def uniformized_kernel(gen: GeneratorMatrix, margin: float = 1.05):
     return p, lam
 
 
-def power_stationary(
-    gen: GeneratorMatrix, tol: float = 1e-13, max_iter: int = 200000
-) -> StationaryDistribution:
-    """Stationary distribution by power iteration on the uniformized kernel;
-    an independent route to the null-space solve."""
-    p, _ = uniformized_kernel(gen)
-    pi = np.full(gen.dimension, 1.0 / gen.dimension)
-    for _ in range(max_iter):
-        nxt = pi @ p
-        if np.max(np.abs(nxt - pi)) < tol:
-            pi = nxt
-            break
-        pi = nxt
-    residual = float(np.max(np.abs(pi @ gen.to_dense())))
-    return StationaryDistribution(gen.states, pi, residual)
-
-
 def transient_distribution(gen: GeneratorMatrix, start: np.ndarray, t: float) -> np.ndarray:
-    """start @ exp(tQ) through uniformization with adaptive Poisson truncation."""
+    """start @ exp(tQ) through uniformization with adaptive Poisson truncation.
+
+    The horizon is cut into steps whose Poisson mean is at most
+    ``_POISSON_STEP``, so exp(-mean) never underflows.  Each step sums terms
+    until their Poisson mass reaches 1 - 1e-14, and raises if it does not.
+    """
     p, lam = uniformized_kernel(gen)
-    mean = lam * t
-    weight = np.exp(-mean)
-    term = start.astype(float)
-    out = weight * term
-    k = 0
-    accumulated = weight
-    while accumulated < 1.0 - 1e-14 and k < 100000:
-        k += 1
-        term = term @ p
-        weight = weight * mean / k
-        out = out + weight * term
-        accumulated += weight
+    steps = max(1, math.ceil(lam * t / _POISSON_STEP))
+    mean = lam * t / steps
+    limit = int(mean + 20 * math.sqrt(mean)) + 30
+    out = start.astype(float)
+    for _ in range(steps):
+        term = out
+        weight = np.exp(-mean)
+        out = weight * term
+        accumulated = weight
+        k = 0
+        while accumulated < 1.0 - 1e-14:
+            if k == limit:
+                raise ValueError(
+                    "Poisson mass %r short of 1 after %d terms of mean %r"
+                    % (accumulated, k, mean)
+                )
+            k += 1
+            term = term @ p
+            weight = weight * mean / k
+            out = out + weight * term
+            accumulated += weight
     return out
 
 
@@ -404,17 +403,7 @@ def marginal_errors(spec: RateSpec, size: int, kind: str):
             if a.second_jump is not None:
                 second[a.second_jump] = second.get(a.second_jump, 0) + a.rate
         for eta, got in ((xi, first), (zeta, second)):
-            want = {}
-            for x in range(size):
-                if not eta[x]:
-                    continue
-                for d in spec.jump_offsets:
-                    y = (x + d) % size
-                    if eta[y]:
-                        continue
-                    r = rate(spec, eta, x, y)
-                    if r > 0:
-                        want[(x, y)] = r
+            want = {(x, (x + d) % size): r for x, d, r in active_jumps(spec, eta)}
             for key in set(want) | set(got):
                 gap = abs(want.get(key, 0) - got.get(key, 0))
                 worst = max(worst, gap)

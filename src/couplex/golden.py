@@ -28,9 +28,7 @@ test suite and the ``golden-suite`` CLI command both run it through
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import product
@@ -40,7 +38,6 @@ import numpy as np
 from .coupling import (
     CouplingTable,
     attractive_rates,
-    coupled_transitions,
     coupling_table,
     increasing_rates,
     oneD_cross_check,
@@ -56,7 +53,7 @@ from .exact import (
     single_generator,
     stationary_distribution,
 )
-from .lattice import apply_jump, is_ordered, leq
+from .lattice import apply_jump, is_active, is_ordered, leq
 from .models import (
     custom_table,
     gg_symmetrized,
@@ -75,7 +72,6 @@ __all__ = [
     "CRITERIA",
     "MONOTONE_ZOO",
     "both_active_entries",
-    "default_threads",
     "gg_expected_attractive",
     "gg_reference_attractive",
     "gg_reference_increasing",
@@ -90,10 +86,6 @@ __all__ = [
 ]
 
 
-def _act(eta, x: int, y: int) -> bool:
-    return eta[x] == 1 and eta[y] == 0
-
-
 def both_active_entries(table: CouplingTable, xi, zeta) -> dict:
     """Coupled entries whose first jump is active in xi and second in zeta.
 
@@ -104,7 +96,7 @@ def both_active_entries(table: CouplingTable, xi, zeta) -> dict:
     return {
         (x1, y1, x2, y2): g
         for (x1, y1, x2, y2), g in table.coupled.items()
-        if _act(xi, x1, y1) and _act(zeta, x2, y2)
+        if is_active(xi, x1, y1) and is_active(zeta, x2, y2)
     }
 
 
@@ -152,7 +144,7 @@ def traffic2_reference_table(alpha, beta, xi, zeta) -> dict:
     for x in range(size):
         for d in (1, 2):
             y = (x + d) % size
-            if _act(xi, x, y) and _act(zeta, x, y):
+            if is_active(xi, x, y) and is_active(zeta, x, y):
                 g = min(
                     _traffic2_rate(alpha, beta, xi, x, d),
                     _traffic2_rate(alpha, beta, zeta, x, d),
@@ -336,7 +328,7 @@ def gg_reference_increasing(params, xi, zeta) -> dict:
     for x in range(size):
         for d in (1, -1):
             y = (x + d) % size
-            if _act(xi, x, y) and _act(zeta, x, y):
+            if is_active(xi, x, y) and is_active(zeta, x, y):
                 g = min(_gg_rate(params, xi, x, d), _gg_rate(params, zeta, x, d))
                 if g > 0:
                     out[(x, y, x, y)] = g
@@ -380,7 +372,7 @@ def gg_reference_attractive(params, xi, zeta, corrected: bool = True) -> dict:
         xp1, xp2, xp3 = (x + 1) % size, (x + 2) % size, (x + 3) % size
         # diagonal: both copies make the same jump
         for d, y in ((1, xp1), (-1, xm1)):
-            if _act(xi, x, y) and _act(zeta, x, y):
+            if is_active(xi, x, y) and is_active(zeta, x, y):
                 add(
                     (x, y, x, y),
                     min(_gg_rate(params, xi, x, d), _gg_rate(params, zeta, x, d)),
@@ -501,8 +493,8 @@ def sep_basic_rows(law: dict, size: int, states: list, index: dict) -> list:
                 if pr <= 0:
                     continue
                 y = (x + d) % size
-                m1 = _act(xi, x, y)
-                m2 = _act(zeta, x, y)
+                m1 = is_active(xi, x, y)
+                m2 = is_active(zeta, x, y)
                 if not (m1 or m2):
                     continue
                 target = (
@@ -883,28 +875,10 @@ def run_criterion(ident: str) -> CriterionResult:
     return CriterionResult(ident, bool(passed), detail, time.perf_counter() - start)
 
 
-def default_threads(explicit=None) -> int:
-    """Worker count: explicit argument, else COUPLEX_THREADS, else 1."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("COUPLEX_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError("COUPLEX_THREADS must be an integer, got %r" % env) from None
-    return 1
-
-
-def run_suite(idents=None, threads=None) -> list:
-    """Run the requested criteria (all by default) and return their results
-    in registry order regardless of the worker count."""
+def run_suite(idents=None) -> list:
+    """Run the requested criteria (all by default), in registry order."""
     chosen = list(idents) if idents is not None else list(CRITERIA)
     for ident in chosen:
         if ident not in CRITERIA:
             raise ValueError("unknown criterion %r (known: %s)" % (ident, ", ".join(CRITERIA)))
-    workers = default_threads(threads)
-    if workers <= 1 or len(chosen) <= 1:
-        return [run_criterion(ident) for ident in chosen]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_criterion, chosen))
+    return [run_criterion(ident) for ident in chosen]

@@ -60,6 +60,11 @@ def apply_jump(eta: Config, x: int, y: int) -> Config:
     return tuple(out)
 
 
+def is_active(eta: Config, x: int, y: int) -> bool:
+    """True iff the jump x -> y is allowed by exclusion: x occupied, y empty."""
+    return eta[x] == 1 and eta[y] == 0
+
+
 def _check_sizes(xi: Config, zeta: Config) -> None:
     if len(xi) != len(zeta):
         raise ValueError("size mismatch: %d vs %d" % (len(xi), len(zeta)))
@@ -101,16 +106,3 @@ def signed_offset(x: int, y: int, size: int) -> int:
     if d > size // 2:
         d -= size
     return d
-
-
-def config_to_int(eta: Config) -> int:
-    """Pack occupancies into an integer (site k -> bit k)."""
-    out = 0
-    for k, b in enumerate(eta):
-        if b:
-            out |= 1 << k
-    return out
-
-
-def int_to_config(bits: int, size: int) -> Config:
-    return tuple((bits >> k) & 1 for k in range(size))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .lattice import Config
+from .lattice import Config, signed_offset
 
 Number = object  # int | float | Fraction
 
@@ -140,16 +140,46 @@ def rate(spec: RateSpec, eta: Config, x: int, y: int):
     wrap onto itself.
     """
     size = len(eta)
-    d = (y - x) % size
-    if d > size // 2:
-        d -= size
+    d = signed_offset(x, y, size)
     if d not in spec.jump_offsets:
         return 0
+    _check_ring(spec, size)
+    return _window_rate(spec, eta, x, d)
+
+
+def active_jumps(spec: RateSpec, eta: Config, sites=None) -> list:
+    """Positive-rate jumps ``(x, d, r)`` out of eta, in site order, then in
+    offset order.
+
+    A jump is active when its departure site is occupied and its target
+    empty; ``r`` is the raw rate, so exact parameters stay exact.  ``sites``
+    restricts the departure sites (default: the whole ring, in order).
+    """
+    size = len(eta)
+    _check_ring(spec, size)
+    out = []
+    for x in range(size) if sites is None else sites:
+        if not eta[x]:
+            continue
+        for d in spec.jump_offsets:
+            if eta[(x + d) % size]:
+                continue
+            r = _window_rate(spec, eta, x, d)
+            if r > 0:
+                out.append((x, d, r))
+    return out
+
+
+def _check_ring(spec: RateSpec, size: int) -> None:
     if size < spec.min_ring_size:
         raise ValueError(
             "ring of %d sites is too small for %s (needs >= %d)"
             % (size, spec.name, spec.min_ring_size)
         )
+
+
+def _window_rate(spec: RateSpec, eta: Config, x: int, d: int):
+    size = len(eta)
     w = spec.window_halfwidth(d)
     window = tuple(eta[(x + k) % size] for k in range(-w, w + 1))
     return spec.evaluate(window, d)

@@ -5,8 +5,8 @@ Waiting times and event choices come from a counter-based RNG
 an independent, exactly reproducible stream: rerunning with the same key
 gives a bit-identical event sequence.
 
-The single-chain engine caches per-jump rates and refreshes only the
-neighbourhood of the sites touched by an event.  The coupled engine keeps
+The single-chain engine caches each site's active jumps and refreshes only
+the neighbourhood of the sites touched by an event.  The coupled engine keeps
 three regimes: identical copies move in lockstep; ordered pairs use the
 plain ordered coupling table (for these the composed coupling generates
 exactly the same moves); unordered pairs compose coupling factors through
@@ -21,14 +21,20 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
 
-from .lattice import CoupledState, is_ordered, leq
-from .models import RateSpec, rate
-from .coupling import _left_factors, increasing_rates, strict_rates
+from .lattice import CoupledState, is_active, is_ordered, leq, signed_offset
+from .models import RateSpec, active_jumps, rate
+from .coupling import (
+    _left_factors,
+    coupled_mass,
+    increasing_rates,
+    residual_rates,
+    strict_rates,
+)
 
 
 @dataclass
@@ -81,24 +87,14 @@ def discrepancy_pair(size: int, count: int, rng: np.random.Generator) -> Coupled
 
 
 class _SingleEngine:
-    """Mutable configuration with cached active-jump rates."""
+    """Mutable configuration with cached active-jump events per site."""
 
     def __init__(self, spec: RateSpec, eta):
         self.spec = spec
         self.eta = list(eta)
         self.size = len(eta)
-        self.offsets = spec.jump_offsets
         self.reach = spec.dep_radius + spec.max_offset
-        self.rates = [
-            [self._jump_rate(x, d) for d in self.offsets] for x in range(self.size)
-        ]
-
-    def _jump_rate(self, x: int, d: int) -> float:
-        eta = self.eta
-        y = (x + d) % self.size
-        if eta[x] == 0 or eta[y] == 1:
-            return 0.0
-        return float(rate(self.spec, eta, x, y))
+        self.jumps = [_float_jumps(spec, self.eta, (x,)) for x in range(self.size)]
 
     def apply(self, x: int, d: int):
         y = (x + d) % self.size
@@ -107,16 +103,10 @@ class _SingleEngine:
         for s in (x, y):
             for k in range(-self.reach, self.reach + 1):
                 z = (s + k) % self.size
-                self.rates[z] = [self._jump_rate(z, dd) for dd in self.offsets]
+                self.jumps[z] = _float_jumps(self.spec, eta, (z,))
 
     def events(self):
-        out = []
-        for x in range(self.size):
-            for k, d in enumerate(self.offsets):
-                r = self.rates[x][k]
-                if r > 0.0:
-                    out.append((r, x, d))
-        return out
+        return list(chain.from_iterable(self.jumps))
 
     def state(self):
         return tuple(self.eta)
@@ -253,7 +243,7 @@ class _CoupledEngine:
         if xi == zeta:
             return [
                 (r, (x, d), (x, d))
-                for r, x, d in _active_jumps(self.spec, xi)
+                for r, x, d in _float_jumps(self.spec, xi)
             ]
         txi, tzeta = tuple(xi), tuple(zeta)
         if self.kind == "increasing":
@@ -267,24 +257,24 @@ class _CoupledEngine:
         return self._composed_events()
 
     def _independent_events(self):
-        out = [(r, (x, d), None) for r, x, d in _active_jumps(self.spec, self.xi)]
-        out += [(r, None, (x, d)) for r, x, d in _active_jumps(self.spec, self.zeta)]
+        out = [(r, (x, d), None) for r, x, d in _float_jumps(self.spec, self.xi)]
+        out += [(r, None, (x, d)) for r, x, d in _float_jumps(self.spec, self.zeta)]
         return out
 
     def _table_events(self, table):
         xi, zeta, size = self.xi, self.zeta, self.size
         out = []
         for (x1, y1, x2, y2), g in table.coupled.items():
-            if xi[x1] and not xi[y1] and zeta[x2] and not zeta[y2] and g > 0:
-                d1 = _offset(x1, y1, size)
-                d2 = _offset(x2, y2, size)
+            if g > 0 and is_active(xi, x1, y1) and is_active(zeta, x2, y2):
+                d1 = signed_offset(x1, y1, size)
+                d2 = signed_offset(x2, y2, size)
                 out.append((float(g), (x1, d1), (x2, d2)))
         for (x, y), r in table.residual_first.items():
-            if r > 0 and xi[x] and not xi[y]:
-                out.append((float(r), (x, _offset(x, y, size)), None))
+            if r > 0 and is_active(xi, x, y):
+                out.append((float(r), (x, signed_offset(x, y, size)), None))
         for (x, y), r in table.residual_second.items():
-            if r > 0 and zeta[x] and not zeta[y]:
-                out.append((float(r), None, (x, _offset(x, y, size))))
+            if r > 0 and is_active(zeta, x, y):
+                out.append((float(r), None, (x, signed_offset(x, y, size))))
         return out
 
     def _composed_events(self):
@@ -311,28 +301,18 @@ class _CoupledEngine:
                         (x + dy2) % size,
                     )
                     coupled[key] = coupled.get(key, 0.0) + g
-        out = []
-        phi1 = {}
-        phi2 = {}
-        for (x1, y1, x2, y2), g in coupled.items():
-            if zeta[x2] and not zeta[y2]:
-                k = (x1, y1)
-                phi1[k] = phi1.get(k, 0.0) + g
-            if xi[x1] and not xi[y1]:
-                k = (x2, y2)
-                phi2[k] = phi2.get(k, 0.0) + g
-            if xi[x1] and not xi[y1] and zeta[x2] and not zeta[y2] and g > 0:
-                out.append(
-                    (g, (x1, _offset(x1, y1, size)), (x2, _offset(x2, y2, size)))
-                )
-        for r, x, d in _active_jumps(spec, xi):
-            rr = r - phi1.get((x, (x + d) % size), 0.0)
-            if rr > 1e-14:
-                out.append((rr, (x, d), None))
-        for r, x, d in _active_jumps(spec, zeta):
-            rr = r - phi2.get((x, (x + d) % size), 0.0)
-            if rr > 1e-14:
-                out.append((rr, None, (x, d)))
+        out = [
+            (g, (x1, signed_offset(x1, y1, size)), (x2, signed_offset(x2, y2, size)))
+            for (x1, y1, x2, y2), g in coupled.items()
+            if g > 0 and is_active(xi, x1, y1) and is_active(zeta, x2, y2)
+        ]
+        phi1, phi2 = coupled_mass(coupled, xi, zeta)
+        for eta, mass, first in ((xi, phi1, True), (zeta, phi2, False)):
+            jumps = [(x, (x + d) % size, float(r)) for x, d, r in active_jumps(spec, eta)]
+            for x, y, r in residual_rates(spec, eta, mass, jumps, exact=False):
+                if r > 0:
+                    move = (x, signed_offset(x, y, size))
+                    out.append((r, move, None) if first else (r, None, move))
         return out
 
     def apply(self, first, second):
@@ -346,25 +326,9 @@ class _CoupledEngine:
             self.zeta[x], self.zeta[y] = self.zeta[y], self.zeta[x]
 
 
-def _offset(x: int, y: int, size: int) -> int:
-    d = (y - x) % size
-    return d - size if d > size // 2 else d
-
-
-def _active_jumps(spec: RateSpec, eta):
-    size = len(eta)
-    out = []
-    for x in range(size):
-        if not eta[x]:
-            continue
-        for d in spec.jump_offsets:
-            y = (x + d) % size
-            if eta[y]:
-                continue
-            r = float(rate(spec, eta, x, y))
-            if r > 0.0:
-                out.append((r, x, d))
-    return out
+def _float_jumps(spec: RateSpec, eta, sites=None):
+    """Active jumps as events ``(rate, x, d)`` with float rates."""
+    return [(float(r), x, d) for x, d, r in active_jumps(spec, eta, sites)]
 
 
 def simulate_coupled(
@@ -432,14 +396,6 @@ def simulate_coupled(
         engine.state(),
         discrepancy_curve=curve,
     )
-
-
-def state_counts(traj: Trajectory) -> dict:
-    """Multiplicity of each sampled state (occupation frequencies)."""
-    counts = {}
-    for s in traj.snapshots:
-        counts[s] = counts.get(s, 0) + 1
-    return counts
 
 
 OBSERVABLES = ("density_profile", "discrepancy_curve", "order_time")

@@ -331,3 +331,27 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "monotone" in proc.stdout
+
+
+def test_simulate_refuses_pair_the_coupling_cannot_serve(capsys):
+    code, out, err = run(
+        capsys,
+        "simulate",
+        "traffic2",
+        "0",
+        "2",
+        "--coupled",
+        "--kind",
+        "strict",
+        "--first",
+        "000111010110",
+        "--second",
+        "101100101100",
+        "--t-end",
+        "5",
+        "--seed",
+        "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert "exceed the marginal rate at jump" in err

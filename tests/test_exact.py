@@ -94,12 +94,21 @@ def test_irreducible_chain_yields_one_distribution():
 
 
 def test_transient_distribution_converges_to_stationary():
-    gen = single_generator(traffic2(F(7, 10), F(1, 5)), 5, 2)
-    dist = stationary_distribution(gen)
-    start = np.zeros(gen.dimension)
-    start[0] = 1.0
-    evolved = transient_distribution(gen, start, 200.0)
-    assert np.allclose(evolved, dist.weights, atol=1e-8)
+    # at L=8, t=300 the Poisson mean is far beyond exp's underflow at ~745
+    for size, count, t in ((5, 2, 200.0), (8, 4, 300.0)):
+        gen = single_generator(traffic2(F(7, 10), F(1, 5)), size, count)
+        dist = stationary_distribution(gen)
+        start = np.zeros(gen.dimension)
+        start[0] = 1.0
+        evolved = transient_distribution(gen, start, t)
+        assert abs(evolved.sum() - 1.0) < 1e-10
+        assert np.allclose(evolved, dist.weights, atol=1e-8)
+
+
+def test_single_generator_caps_the_state_count():
+    assert single_generator(sep(), 14, 7).dimension == 3432
+    with pytest.raises(ValueError, match="16384 states exceeds the cap of 3432"):
+        single_generator(sep(), 14)
 
 
 def test_audit_order_preservation_oracles():

@@ -9,7 +9,6 @@ from couplex.golden import (
     CRITERIA,
     MONOTONE_ZOO,
     both_active_entries,
-    default_threads,
     gg_expected_attractive,
     gg_reference_attractive,
     gg_reference_increasing,
@@ -171,19 +170,7 @@ def test_run_criterion_unknown_id():
         run_suite(["bogus"])
 
 
-def test_run_suite_subset_order_and_threads():
-    results = run_suite(["marginal-consistency", "speed-models"], threads=2)
+def test_run_suite_subset_order():
+    results = run_suite(["marginal-consistency", "speed-models"])
     assert [r.ident for r in results] == ["marginal-consistency", "speed-models"]
     assert all(r.passed for r in results)
-
-
-def test_default_threads(monkeypatch):
-    monkeypatch.delenv("COUPLEX_THREADS", raising=False)
-    assert default_threads() == 1
-    assert default_threads(4) == 4
-    monkeypatch.setenv("COUPLEX_THREADS", "3")
-    assert default_threads() == 3
-    assert default_threads(2) == 2
-    monkeypatch.setenv("COUPLEX_THREADS", "zero")
-    with pytest.raises(ValueError):
-        default_threads()

@@ -14,7 +14,7 @@ from couplex import (
     parse_configuration,
     ring_configs,
 )
-from couplex.lattice import config_to_int, int_to_config, signed_offset
+from couplex.lattice import is_active, signed_offset
 
 bits = st.lists(st.integers(0, 1), min_size=1, max_size=10).map(tuple)
 pairs = st.integers(1, 8).flatmap(
@@ -113,12 +113,9 @@ def test_ring_configs_enumeration():
     assert len(twos) == 6 and all(sum(c) == 2 for c in twos)
 
 
-@given(st.integers(1, 10), st.data())
-def test_int_config_round_trip(size, data):
-    code = data.draw(st.integers(0, 2**size - 1))
-    assert config_to_int(int_to_config(code, size)) == code
-
-
-def test_config_int_is_little_endian():
-    assert config_to_int((1, 0, 0)) == 1
-    assert int_to_config(4, 3) == (0, 0, 1)
+def test_is_active_needs_occupied_source_and_empty_target():
+    eta = (1, 0, 1)
+    assert is_active(eta, 0, 1)
+    assert is_active(eta, 2, 1)
+    assert not is_active(eta, 0, 2)
+    assert not is_active(eta, 1, 0)

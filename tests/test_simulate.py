@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from couplex import (
+    CoupledState,
+    coupled_transitions,
     discrepancy_pair,
     gg_symmetrized,
     observable_report,
@@ -13,6 +16,8 @@ from couplex import (
     simulate_single,
     traffic2,
 )
+from couplex.golden import MONOTONE_ZOO
+from couplex.simulate import _CoupledEngine
 
 
 def _rng(seed=0):
@@ -143,3 +148,69 @@ def test_sampling_grid():
     assert traj.times == [1.0, 2.0, 3.0]
     lone = simulate_single(sep(), (1, 0, 0, 0), t_end=3.0, seed=4)
     assert lone.times == [3.0]
+
+
+def _engine_rates(spec, xi, zeta, kind):
+    """The coupled engine's event rates, keyed like coupled_transitions rows."""
+    size = len(xi)
+    out = {}
+    for r, first, second in _CoupledEngine(spec, CoupledState(xi, zeta), kind).events():
+        key = tuple(None if j is None else (j[0], (j[0] + j[1]) % size) for j in (first, second))
+        out[key] = out.get(key, 0.0) + r
+    return out
+
+
+def _exact_rates(spec, xi, zeta, kind):
+    out = {}
+    for a in coupled_transitions(spec, xi, zeta, kind)[1]:
+        key = (a.first_jump, a.second_jump)
+        out[key] = out.get(key, 0) + a.rate
+    return out
+
+
+def _random_pairs(rng, size, rounds=3):
+    """Arbitrary, ordered and identical pairs: one per engine regime."""
+    out = []
+    for _ in range(rounds):
+        xi = tuple(rng.randint(0, 1) for _ in range(size))
+        zeta = tuple(rng.randint(0, 1) for _ in range(size))
+        lower = tuple(a & b for a, b in zip(xi, zeta))
+        upper = tuple(a | b for a, b in zip(xi, zeta))
+        out += [(xi, zeta), (upper, lower), (xi, xi)]
+    return out
+
+
+# the monotone zoo plus one non-monotone control whose strict coupling
+# cannot serve every pair
+DIFFERENTIAL_ZOO = MONOTONE_ZOO + (("traffic2 0 2", traffic2(0, 2)),)
+DIFFERENTIAL_CASES = [
+    pytest.param(spec, size, id="%s L=%d" % (label, size))
+    for label, spec in DIFFERENTIAL_ZOO
+    for size in sorted({spec.min_ring_size, 12, 13})
+]
+
+
+@pytest.mark.parametrize("spec,size", DIFFERENTIAL_CASES)
+def test_coupled_engine_matches_exact_transitions(spec, size):
+    # the simulator's event rates, in every regime, equal the exact coupled
+    # generator rows; a pair the coupling cannot serve raises in both
+    rng = random.Random("%r:%d" % (spec, size))
+    for kind in ("increasing", "attractive", "strict"):
+        for xi, zeta in _random_pairs(rng, size):
+            try:
+                want = _exact_rates(spec, xi, zeta, kind)
+            except ValueError:
+                with pytest.raises(ValueError, match="exceed the marginal rate"):
+                    _engine_rates(spec, xi, zeta, kind)
+                continue
+            got = _engine_rates(spec, xi, zeta, kind)
+            assert set(got) == set(want), (kind, xi, zeta)
+            for key, r in want.items():
+                assert abs(got[key] - float(r)) <= 1e-12, (kind, xi, zeta, key)
+
+
+def test_strict_coupling_refuses_pair_it_cannot_serve():
+    first = tuple(int(c) for c in "000111010110")
+    second = tuple(int(c) for c in "101100101100")
+    with pytest.raises(ValueError, match="exceed the marginal rate"):
+        simulate_coupled(traffic2(0, 2), first, second, "strict", t_end=5.0, seed=3)

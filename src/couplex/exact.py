@@ -287,6 +287,8 @@ def transient_distribution(gen: GeneratorMatrix, start: np.ndarray, t: float) ->
     p, lam = uniformized_kernel(gen)
     steps = max(1, math.ceil(lam * t / _POISSON_STEP))
     mean = lam * t / steps
+    # 20 standard deviations past the mean: only rounding can keep the
+    # summed Poisson mass short of the target there
     limit = int(mean + 20 * math.sqrt(mean)) + 30
     out = start.astype(float)
     for _ in range(steps):

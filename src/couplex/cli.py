@@ -39,15 +39,18 @@ import tempfile
 import numpy as np
 
 from .config import (
+    FORMATS,
+    TASKS,
     ConfigError,
     Diagnostic,
     RunConfig,
     build_spec,
+    check_value,
     format_number,
     load_config,
     parse_param_value,
 )
-from .coupling import coupling_table
+from .coupling import KINDS, coupling_table
 from .exact import (
     audit_discrepancy_monotone,
     audit_order_preservation,
@@ -59,7 +62,13 @@ from .golden import run_suite
 from .lattice import format_configuration, parse_configuration
 from .models import model_ids, model_parameter_names, model_signature
 from .monotone import is_monotone, strictness_report
-from .simulate import observable_report, random_configuration, simulate_coupled, simulate_single
+from .simulate import (
+    OBSERVABLES,
+    observable_report,
+    random_configuration,
+    simulate_coupled,
+    simulate_single,
+)
 
 OK, NEGATIVE, ERROR = 0, 1, 2
 
@@ -177,10 +186,16 @@ def _merged(args, command: str) -> RunConfig:
         cfg.model = model
     if tokens:
         cfg.params = _parse_params(cfg.model, tokens, cfg.params)
+    problems = []
     for name in ("size", "density", "seed", "replicas", "t_end", "sample_dt", "kind", "task", "format"):
         value = getattr(args, name, None)
         if value is not None:
+            problem = check_value(name, value)
+            if problem is not None:
+                problems.append(problem)
             setattr(cfg, name, value)
+    if problems:
+        raise ConfigError(problems)
     output = getattr(args, "output", None)
     if output is not None:
         cfg.path = output
@@ -466,7 +481,7 @@ _HANDLERS = {
 def _add_common(sub, model: bool = True) -> None:
     sub.add_argument("--config", metavar="FILE", default=argparse.SUPPRESS, help="INI file with defaults")
     sub.add_argument("--output", metavar="FILE", help="write the report here (atomic)")
-    sub.add_argument("--format", choices=("csv", "json"), help="report format")
+    sub.add_argument("--format", choices=FORMATS, help="report format")
     if model:
         sub.add_argument("model", nargs="?", help="built-in model id (see `couplex zoo`)")
         sub.add_argument(
@@ -493,15 +508,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.add_argument("--first", help="first configuration, e.g. 10100")
     sub.add_argument("--second", help="second configuration")
-    sub.add_argument("--kind", choices=("increasing", "attractive", "strict"))
+    sub.add_argument("--kind", choices=KINDS)
 
     sub = subs.add_parser("exact", help="finite-ring checks")
     _add_common(sub)
-    sub.add_argument("--task", choices=("stationary", "audit-order", "audit-discrepancy", "extinction"))
+    sub.add_argument("--task", choices=TASKS)
     sub.add_argument("--size", type=int, help="ring size")
     sub.add_argument("--count", type=int, help="particle count (stationary: one sector)")
     sub.add_argument("--density", type=float, help="particle density (alternative to --count)")
-    sub.add_argument("--kind", choices=("increasing", "attractive", "strict"))
+    sub.add_argument("--kind", choices=KINDS)
     sub.add_argument("--tol", type=float, default=1e-8, help="extinction tolerance (default 1e-8)")
 
     sub = subs.add_parser("simulate", help="sample trajectories")
@@ -512,15 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--count", type=int, help="particles for a random start")
     sub.add_argument("--density", type=float, help="density for a random start")
     sub.add_argument("--coupled", action=argparse.BooleanOptionalAction, help="run a coupled pair")
-    sub.add_argument("--kind", choices=("increasing", "attractive", "strict"))
+    sub.add_argument("--kind", choices=KINDS)
     sub.add_argument("--t-end", type=float, dest="t_end", help="time horizon (default 1.0)")
     sub.add_argument("--sample-dt", type=float, dest="sample_dt", help="sampling interval")
     sub.add_argument("--seed", type=int, help="master seed (default 0)")
     sub.add_argument("--replicas", type=int, help="independent replicas (default 1)")
     sub.add_argument(
-        "--observable",
-        choices=("density_profile", "discrepancy_curve", "order_time"),
-        help="tabulate one observable instead of raw samples",
+        "--observable", choices=OBSERVABLES, help="tabulate one observable instead of raw samples"
     )
     sub.add_argument("--sites", action="store_true", help="include per-site columns in coupled output")
 

@@ -155,12 +155,54 @@ _KNOWN = {
     "output": ("path", "format"),
 }
 
+_SECTION = {option: section for section, options in _KNOWN.items() for option in options}
+
 
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low not in ("true", "false"):
         raise ValueError("expected 'true' or 'false', got %r" % text)
     return low == "true"
+
+
+#: per-key reader of the INI text; keys without one are read as stripped text
+_CONVERT = {
+    "size": int,
+    "density": float,
+    "first": parse_configuration,
+    "second": parse_configuration,
+    "seed": int,
+    "replicas": int,
+    "t_end": float,
+    "sample_dt": float,
+    "coupled": _parse_bool,
+}
+
+
+def _one_of(option, choices):
+    return (lambda v: v in choices, "unknown %s %%r; expected one of %s" % (option, ", ".join(choices)))
+
+
+#: per-key test and message of a value, the same for INI files and flags
+_CHECKS = {
+    "size": (lambda n: n >= 1, "size must be at least 1, got %r"),
+    "density": (lambda r: 0.0 <= r <= 1.0, "density must lie in [0, 1], got %r"),
+    "replicas": (lambda n: n >= 1, "replicas must be at least 1, got %r"),
+    "t_end": (lambda t: t > 0, "t_end must be positive, got %r"),
+    "sample_dt": (lambda t: t > 0, "sample_dt must be positive, got %r"),
+    "kind": _one_of("kind", KINDS),
+    "task": _one_of("task", TASKS),
+    "format": _one_of("format", FORMATS),
+}
+
+
+def check_value(option: str, value) -> Optional[Diagnostic]:
+    """Check one run setting; a Diagnostic naming its section if it is
+    invalid, else None."""
+    ok, message = _CHECKS.get(option, (None, None))
+    if ok is None or ok(value):
+        return None
+    return Diagnostic(_SECTION[option], option, message % (value,))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -178,16 +220,17 @@ def parse_config(text: str) -> RunConfig:
         if section not in _KNOWN and section != "model":
             problems.append(Diagnostic(section, None, "unknown section"))
 
-    def grab(section, option, convert, check=None):
-        raw = parser.get(section, option)
+    def grab(section, option):
         try:
-            value = convert(raw)
-            if check is not None:
-                check(value)
-            return value
+            value = _CONVERT.get(option, str.strip)(parser.get(section, option))
         except (ValueError, ZeroDivisionError) as err:
             problems.append(Diagnostic(section, option, str(err)))
             return None
+        problem = check_value(option, value)
+        if problem is not None:
+            problems.append(problem)
+            return None
+        return value
 
     if parser.has_section("run"):
         for option in parser.options("run"):
@@ -230,69 +273,15 @@ def parse_config(text: str) -> RunConfig:
             except ValueError as err:
                 problems.append(Diagnostic("model", None, str(err)))
 
-    if parser.has_section("lattice"):
-        for option in parser.options("lattice"):
-            if option not in _KNOWN["lattice"]:
-                problems.append(Diagnostic("lattice", option, "unknown key"))
-        if parser.has_option("lattice", "size"):
-            def _positive(n):
-                if n < 1:
-                    raise ValueError("size must be at least 1, got %d" % n)
-            cfg.size = grab("lattice", "size", int, _positive)
-        if parser.has_option("lattice", "density"):
-            def _unit(r):
-                if not 0.0 <= r <= 1.0:
-                    raise ValueError("density must lie in [0, 1], got %r" % r)
-            cfg.density = grab("lattice", "density", float, _unit)
-        for option in ("first", "second"):
-            if parser.has_option("lattice", option):
-                setattr(cfg, option, grab("lattice", option, parse_configuration))
-
-    if parser.has_section("execution"):
-        for option in parser.options("execution"):
-            if option not in _KNOWN["execution"]:
-                problems.append(Diagnostic("execution", option, "unknown key"))
-        if parser.has_option("execution", "seed"):
-            cfg.seed = grab("execution", "seed", int)
-        if parser.has_option("execution", "replicas"):
-            def _at_least_one(n):
-                if n < 1:
-                    raise ValueError("replicas must be at least 1, got %d" % n)
-            cfg.replicas = grab("execution", "replicas", int, _at_least_one)
-        if parser.has_option("execution", "t_end"):
-            def _pos(t):
-                if not t > 0:
-                    raise ValueError("t_end must be positive, got %r" % t)
-            cfg.t_end = grab("execution", "t_end", float, _pos)
-        if parser.has_option("execution", "sample_dt"):
-            def _pos_dt(t):
-                if not t > 0:
-                    raise ValueError("sample_dt must be positive, got %r" % t)
-            cfg.sample_dt = grab("execution", "sample_dt", float, _pos_dt)
-        if parser.has_option("execution", "kind"):
-            def _known_kind(k):
-                if k not in KINDS:
-                    raise ValueError("unknown kind %r; expected one of %s" % (k, ", ".join(KINDS)))
-            cfg.kind = grab("execution", "kind", str.strip, _known_kind)
-        if parser.has_option("execution", "task"):
-            def _known_task(k):
-                if k not in TASKS:
-                    raise ValueError("unknown task %r; expected one of %s" % (k, ", ".join(TASKS)))
-            cfg.task = grab("execution", "task", str.strip, _known_task)
-        if parser.has_option("execution", "coupled"):
-            cfg.coupled = grab("execution", "coupled", _parse_bool)
-
-    if parser.has_section("output"):
-        for option in parser.options("output"):
-            if option not in _KNOWN["output"]:
-                problems.append(Diagnostic("output", option, "unknown key"))
-        if parser.has_option("output", "path"):
-            cfg.path = parser.get("output", "path").strip()
-        if parser.has_option("output", "format"):
-            def _known_format(f):
-                if f not in FORMATS:
-                    raise ValueError("unknown format %r; expected one of %s" % (f, ", ".join(FORMATS)))
-            cfg.format = grab("output", "format", str.strip, _known_format)
+    for section in ("lattice", "execution", "output"):
+        if not parser.has_section(section):
+            continue
+        for option in parser.options(section):
+            if option not in _KNOWN[section]:
+                problems.append(Diagnostic(section, option, "unknown key"))
+        for option in _KNOWN[section]:
+            if parser.has_option(section, option):
+                setattr(cfg, option, grab(section, option))
 
     if problems:
         raise ConfigError(problems)

@@ -8,14 +8,15 @@ moves performed by one copy alone:
   together as much as possible; built from an overlap function of partial
   rate sums over the discrepancy sets of each departure/arrival site.  It
   preserves the sitewise order whenever the rate rule passes the order
-  conditions of :mod:`couplex.monotone`.
-* ``strict`` — the proportional-allocation variant for ordered pairs, which
-  spreads each copy's surplus rate over the partner's discrepancy sites in
-  proportion to their rates.
+  conditions of :mod:`couplex.monotone`.  Unordered pairs move independently.
 * ``attractive`` — defined for arbitrary pairs by composing a coupling of
-  (lower, join) with one of (join, upper) through the join configuration;
-  under it the number of discrepancies never increases.  ``kind="attractive"``
-  composes increasing tables, ``kind="strict"`` composes strict tables.
+  (xi, join) with one of (join, zeta) through the join configuration;
+  under it the number of discrepancies never increases.  It composes the
+  overlap factors of the increasing coupling; on an ordered pair the join is
+  the upper copy and the composition gives back the increasing table.
+* ``strict`` — the same composition with proportional factors, which spread
+  each copy's surplus rate over the partner's discrepancy sites in
+  proportion to their rates.
 
 Tables store *raw* coupled rates: occupancy indicator prefactors (departure
 occupied, target empty, in each copy) are applied when transitions are
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .lattice import CoupledState, apply_jump, is_active, join, leq
+from .lattice import CoupledState, apply_jump, format_configuration, is_active, join, leq
 from .models import RateSpec, active_jumps, rate
 
 KINDS = ("increasing", "attractive", "strict")
@@ -205,12 +206,9 @@ def _pair_key(role: str, site: int, a: int, b: int):
     return (a, site, b, site)
 
 
-def _ordered_coupled(spec: RateSpec, xi, zeta, flavor: str) -> dict:
-    """Raw coupled map for an ordered pair xi <= zeta.
-
-    flavor "overlap" gives the increasing coupling; "proportional" the strict
-    one.  Only the positive entries are stored.
-    """
+def _ordered_coupled(spec: RateSpec, xi, zeta) -> dict:
+    """Raw coupled map of the increasing coupling for an ordered pair
+    xi <= zeta.  Only the positive entries are stored."""
     size = len(xi)
     coupled = {}
     for x, y, _ in _jumps(spec, size):
@@ -223,17 +221,9 @@ def _ordered_coupled(spec: RateSpec, xi, zeta, flavor: str) -> dict:
             if not sets.main or not sets.bar:
                 continue
             main, bar = partial_sums(spec, xi, zeta, sets)
-            if flavor == "proportional":
-                norm = main.limit if role == "departure" else bar.limit
-                if not norm > 0:
-                    norm = 1
             for m, a in enumerate(sets.main, 1):
                 for n, b in enumerate(sets.bar, 1):
-                    if flavor == "overlap":
-                        g = h_term(m, n, main, bar)
-                    else:
-                        g = main.increment(m) * bar.increment(n)
-                        g = Fraction(g) / norm if spec.exact else g / norm
+                    g = h_term(m, n, main, bar)
                     if g > 0:
                         coupled[_pair_key(role, site, a, b)] = g
     return coupled
@@ -293,6 +283,24 @@ def _left_factors(spec: RateSpec, lower, upper, x: int, y: int, flavor: str):
     return out
 
 
+def _join_contributions(spec: RateSpec, xi, zeta, mid, x: int, y: int, norm, flavor: str):
+    """Composed coupled entries through the join jump (x, y) of rate norm > 0.
+
+    Each entry is ``((x1, y1, x2, y2), g)`` with
+    g = G_{xi,mid}((x1,y1); (x,y)) * G_{mid,zeta}((x,y); (x2,y2)) / norm.
+    """
+    left = _left_factors(spec, xi, mid, x, y, flavor)
+    if not left:
+        return []
+    right = _left_factors(spec, zeta, mid, x, y, flavor)
+    exact = spec.exact
+    return [
+        (j1 + j2, Fraction(g1 * g2) / norm if exact else g1 * g2 / norm)
+        for j1, g1 in left
+        for j2, g2 in right
+    ]
+
+
 def _composed_coupled(spec: RateSpec, xi, zeta, flavor: str) -> dict:
     """Raw coupled map of the discrepancy-reducing coupling, for any pair.
 
@@ -302,19 +310,10 @@ def _composed_coupled(spec: RateSpec, xi, zeta, flavor: str) -> dict:
     size = len(xi)
     mid = join(xi, zeta)
     coupled = {}
-    exact = spec.exact
     # factors through a zero-rate join jump vanish; active_jumps skips those
     for x, d, norm in active_jumps(spec, mid):
-        y = (x + d) % size
-        left = _left_factors(spec, xi, mid, x, y, flavor)
-        if not left:
-            continue
-        right = _left_factors(spec, zeta, mid, x, y, flavor)
-        for j1, g1 in left:
-            for j2, g2 in right:
-                g = Fraction(g1 * g2) / norm if exact else g1 * g2 / norm
-                key = j1 + j2
-                coupled[key] = coupled.get(key, 0) + g
+        for key, g in _join_contributions(spec, xi, zeta, mid, x, (x + d) % size, norm, flavor):
+            coupled[key] = coupled.get(key, 0) + g
     return coupled
 
 
@@ -338,49 +337,46 @@ def coupled_mass(coupled: dict, xi, zeta):
     return phi1, phi2
 
 
-def residual_rates(spec: RateSpec, eta, mass: dict, jumps, exact: bool) -> list:
-    """Residual (one-copy) rates: each jump's marginal rate minus its coupled
-    mass.
+def residual_rates(spec: RateSpec, xi, zeta, coupled: dict, jumps, exact: bool) -> tuple:
+    """Residual (one-copy) rates of both copies of the pair: each jump's
+    marginal rate minus its coupled mass.
 
-    ``jumps`` lists ``(x, y, r)`` with r the marginal rate of x -> y in eta;
-    the result lists ``(x, y, residual)`` in the same order.  Jumps that
-    carry mass but are not listed are checked at their rate as well.  In
-    exact arithmetic any negative residual raises; in float arithmetic a
-    residual below ``-_RESIDUAL_TOL`` raises and one within
-    ``_RESIDUAL_TOL`` of 0 counts as 0.
+    ``jumps(eta)`` lists ``(x, y, r)`` with r the marginal rate of x -> y in
+    eta; the result holds one list ``(x, y, residual)`` per copy, in the same
+    order.  Jumps that carry mass but are not listed are checked at their
+    rate as well.  In exact arithmetic any negative residual raises; in float
+    arithmetic a residual below ``-_RESIDUAL_TOL`` raises and one within
+    ``_RESIDUAL_TOL`` of 0 counts as 0.  The error names the jump, the copy
+    and the pair.
     """
     out = []
-    for x, y, r in jumps:
-        out.append((x, y, _residual(r - mass.get((x, y), 0), exact, x, y)))
-    listed = {(x, y) for x, y, _ in out}
-    for (x, y), m in mass.items():
-        if (x, y) not in listed:
-            _residual(rate(spec, eta, x, y) - m, exact, x, y)
-    return out
-
-
-def _residual(r, exact: bool, x: int, y: int):
-    if exact:
-        if r >= 0:
-            return r
-    elif r > _RESIDUAL_TOL:
-        return r
-    elif r >= -_RESIDUAL_TOL:
-        return 0
-    raise ValueError(
-        "coupled rates exceed the marginal rate at jump (%d, %d): residual %r" % (x, y, r)
-    )
+    for copy, eta, mass in zip(("first", "second"), (xi, zeta), coupled_mass(coupled, xi, zeta)):
+        listed = [(x, y, r - mass.get((x, y), 0)) for x, y, r in jumps(eta)]
+        seen = {(x, y) for x, y, _ in listed}
+        unlisted = [
+            (x, y, rate(spec, eta, x, y) - m) for (x, y), m in mass.items() if (x, y) not in seen
+        ]
+        for x, y, r in listed + unlisted:
+            if r < (0 if exact else -_RESIDUAL_TOL):
+                raise ValueError(
+                    "coupled rates exceed the marginal rate at jump (%d, %d) of the %s copy "
+                    "(residual %s) in the pair %s / %s"
+                    % (x, y, copy, r, format_configuration(xi), format_configuration(zeta))
+                )
+        out.append([(x, y, r if exact or r > _RESIDUAL_TOL else 0) for x, y, r in listed])
+    return tuple(out)
 
 
 def _finish(spec: RateSpec, xi, zeta, kind: str, coupled: dict) -> CouplingTable:
     """Attach residual (uncoupled) rates for every jump of the ring."""
     table = CouplingTable(kind, len(xi), coupled)
-    for eta, mass, residuals in zip(
-        (xi, zeta), coupled_mass(coupled, xi, zeta), (table.residual_first, table.residual_second)
-    ):
-        jumps = [(x, y, rate(spec, eta, x, y)) for x, y, _ in _jumps(spec, len(eta))]
-        for x, y, r in residual_rates(spec, eta, mass, jumps, spec.exact):
-            residuals[(x, y)] = r
+
+    def jumps(eta):
+        return [(x, y, rate(spec, eta, x, y)) for x, y, _ in _jumps(spec, len(eta))]
+
+    first, second = residual_rates(spec, xi, zeta, coupled, jumps, spec.exact)
+    table.residual_first = {(x, y): r for x, y, r in first}
+    table.residual_second = {(x, y): r for x, y, r in second}
     return table
 
 
@@ -388,23 +384,12 @@ def increasing_rates(spec: RateSpec, xi, zeta) -> CouplingTable:
     """Order-preserving coupling table.  For unordered pairs the coupled map
     is empty and each copy moves independently."""
     if leq(xi, zeta):
-        coupled = _ordered_coupled(spec, xi, zeta, "overlap")
+        coupled = _ordered_coupled(spec, xi, zeta)
     elif leq(zeta, xi):
-        coupled = _transposed(_ordered_coupled(spec, zeta, xi, "overlap"))
+        coupled = _transposed(_ordered_coupled(spec, zeta, xi))
     else:
         coupled = {}
     return _finish(spec, xi, zeta, "increasing", coupled)
-
-
-def strict_rates(spec: RateSpec, xi, zeta) -> CouplingTable:
-    """Proportional-allocation coupling table (ordered pairs)."""
-    if leq(xi, zeta):
-        coupled = _ordered_coupled(spec, xi, zeta, "proportional")
-    elif leq(zeta, xi):
-        coupled = _transposed(_ordered_coupled(spec, zeta, xi, "proportional"))
-    else:
-        coupled = {}
-    return _finish(spec, xi, zeta, "strict", coupled)
 
 
 def attractive_rates(spec: RateSpec, xi, zeta, flavor: str = "overlap") -> CouplingTable:

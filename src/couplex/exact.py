@@ -26,6 +26,9 @@ SINGLE_STATE_CAP = 3432
 COUPLED_SIZE_CAP = 6
 #: largest Poisson mean of one uniformization step, far from exp underflow
 _POISSON_STEP = 64.0
+#: uniformization rate over the largest exit rate, so P keeps a positive
+#: diagonal
+_UNIFORM_MARGIN = 1.05
 
 
 @dataclass
@@ -268,10 +271,11 @@ def stationary_distribution(gen: GeneratorMatrix) -> StationaryDistribution:
     return dists[0]
 
 
-def uniformized_kernel(gen: GeneratorMatrix, margin: float = 1.05):
-    """Discrete kernel P = I + Q/lam with lam above the largest exit rate."""
+def uniformized_kernel(gen: GeneratorMatrix):
+    """Discrete kernel P = I + Q/lam with lam = _UNIFORM_MARGIN times the
+    largest exit rate."""
     lam = max((float(gen.total_rate(i)) for i in range(gen.dimension)), default=1.0)
-    lam = lam * margin if lam > 0 else 1.0
+    lam = lam * _UNIFORM_MARGIN if lam > 0 else 1.0
     q = gen.to_dense()
     p = np.eye(gen.dimension) + q / lam
     return p, lam

@@ -26,10 +26,6 @@ from .lattice import Config, signed_offset
 Number = object  # int | float | Fraction
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-
-
 def _check_nonnegative(name: str, value) -> None:
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError("parameter %s must be finite, got %r" % (name, value))

@@ -7,11 +7,13 @@ gives a bit-identical event sequence.
 
 The single-chain engine caches each site's active jumps and refreshes only
 the neighbourhood of the sites touched by an event.  The coupled engine keeps
-three regimes: identical copies move in lockstep; ordered pairs use the
-plain ordered coupling table (for these the composed coupling generates
-exactly the same moves); unordered pairs compose coupling factors through
-the join configuration, memoising the composition per local occupancy
-pattern, which keeps long runs on large rings affordable.
+two regimes: identical copies move in lockstep; every other pair composes
+coupling factors through the join configuration, as
+:func:`couplex.coupling.coupling_table` does, memoising the composition per
+local occupancy pattern, which keeps long runs on large rings affordable.
+Ordered pairs need no path of their own: their join is the upper copy, and
+the composition gives back the ordered table.  Under ``increasing`` an
+unordered pair has no coupled moves, so each copy moves alone.
 
 Sampling records the state at fixed grid times (the state just before each
 grid time, i.e. the left limit).
@@ -26,15 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import CoupledState, is_active, is_ordered, leq, signed_offset
+from .lattice import CoupledState, is_active, is_ordered, signed_offset
 from .models import RateSpec, active_jumps, rate
-from .coupling import (
-    _left_factors,
-    coupled_mass,
-    increasing_rates,
-    residual_rates,
-    strict_rates,
-)
+from .coupling import _join_contributions, residual_rates
 
 
 @dataclass
@@ -200,18 +196,15 @@ class _MiddleCache:
         vzeta = tuple(p & 1 for p in pattern)
         vmid = tuple(a | b for a, b in zip(vxi, vzeta))
         x, y = c, c + d0
-        norm = float(rate(self.spec, vmid, x, y))
-        if norm <= 0.0:
+        norm = rate(self.spec, vmid, x, y)
+        if norm <= 0:
             return ()
-        left = _left_factors(self.spec, vxi, vmid, x, y, self.flavor)
-        right = _left_factors(self.spec, vzeta, vmid, x, y, self.flavor)
-        out = []
-        for (x1, y1), g1 in left:
-            for (x2, y2), g2 in right:
-                out.append(
-                    (x1 - c, y1 - c, x2 - c, y2 - c, float(g1) * float(g2) / norm)
-                )
-        return tuple(out)
+        return tuple(
+            (x1 - c, y1 - c, x2 - c, y2 - c, float(g))
+            for (x1, y1, x2, y2), g in _join_contributions(
+                self.spec, vxi, vzeta, vmid, x, y, norm, self.flavor
+            )
+        )
 
 
 _FLAVOR = {"increasing": "overlap", "attractive": "overlap", "strict": "proportional"}
@@ -239,47 +232,16 @@ class _CoupledEngine:
     # each event is (rate, first_jump | None, second_jump | None)
 
     def events(self):
-        xi, zeta = self.xi, self.zeta
-        if xi == zeta:
-            return [
-                (r, (x, d), (x, d))
-                for r, x, d in _float_jumps(self.spec, xi)
-            ]
-        txi, tzeta = tuple(xi), tuple(zeta)
-        if self.kind == "increasing":
-            if leq(txi, tzeta) or leq(tzeta, txi):
-                table = increasing_rates(self.spec, txi, tzeta)
-                return self._table_events(table)
-            return self._independent_events()
-        if leq(txi, tzeta) or leq(tzeta, txi):
-            builder = increasing_rates if self.kind == "attractive" else strict_rates
-            return self._table_events(builder(self.spec, txi, tzeta))
+        if self.xi == self.zeta:
+            return [(r, (x, d), (x, d)) for r, x, d in _float_jumps(self.spec, self.xi)]
         return self._composed_events()
 
-    def _independent_events(self):
-        out = [(r, (x, d), None) for r, x, d in _float_jumps(self.spec, self.xi)]
-        out += [(r, None, (x, d)) for r, x, d in _float_jumps(self.spec, self.zeta)]
-        return out
-
-    def _table_events(self, table):
-        xi, zeta, size = self.xi, self.zeta, self.size
-        out = []
-        for (x1, y1, x2, y2), g in table.coupled.items():
-            if g > 0 and is_active(xi, x1, y1) and is_active(zeta, x2, y2):
-                d1 = signed_offset(x1, y1, size)
-                d2 = signed_offset(x2, y2, size)
-                out.append((float(g), (x1, d1), (x2, d2)))
-        for (x, y), r in table.residual_first.items():
-            if r > 0 and is_active(xi, x, y):
-                out.append((float(r), (x, signed_offset(x, y, size)), None))
-        for (x, y), r in table.residual_second.items():
-            if r > 0 and is_active(zeta, x, y):
-                out.append((float(r), None, (x, signed_offset(x, y, size))))
-        return out
-
-    def _composed_events(self):
+    def _coupled_map(self):
+        """Composed coupled rates of the current pair, keyed (x1, y1, x2, y2)."""
         spec, size = self.spec, self.size
         xi, zeta = self.xi, self.zeta
+        if self.kind == "increasing" and not is_ordered(xi, zeta):
+            return {}  # the increasing coupling leaves an unordered pair uncoupled
         reach = self.cache.reach
         coupled = {}
         for x in range(size):
@@ -301,18 +263,24 @@ class _CoupledEngine:
                         (x + dy2) % size,
                     )
                     coupled[key] = coupled.get(key, 0.0) + g
+        return coupled
+
+    def _composed_events(self):
+        spec, size = self.spec, self.size
+        xi, zeta = self.xi, self.zeta
+        coupled = self._coupled_map()
         out = [
             (g, (x1, signed_offset(x1, y1, size)), (x2, signed_offset(x2, y2, size)))
             for (x1, y1, x2, y2), g in coupled.items()
             if g > 0 and is_active(xi, x1, y1) and is_active(zeta, x2, y2)
         ]
-        phi1, phi2 = coupled_mass(coupled, xi, zeta)
-        for eta, mass, first in ((xi, phi1, True), (zeta, phi2, False)):
-            jumps = [(x, (x + d) % size, float(r)) for x, d, r in active_jumps(spec, eta)]
-            for x, y, r in residual_rates(spec, eta, mass, jumps, exact=False):
-                if r > 0:
-                    move = (x, signed_offset(x, y, size))
-                    out.append((r, move, None) if first else (r, None, move))
+
+        def jumps(eta):
+            return [(x, (x + d) % size, float(r)) for x, d, r in active_jumps(spec, eta)]
+
+        first, second = residual_rates(spec, xi, zeta, coupled, jumps, exact=False)
+        out += [(r, (x, signed_offset(x, y, size)), None) for x, y, r in first if r > 0]
+        out += [(r, None, (x, signed_offset(x, y, size))) for x, y, r in second if r > 0]
         return out
 
     def apply(self, first, second):
@@ -347,6 +315,8 @@ def simulate_coupled(
     With assert_pathwise, every event is checked on the fly: under the
     attractive and strict couplings the discrepancy count must never grow,
     and under the increasing coupling an ordered start must stay ordered.
+    A pair the coupling cannot serve raises ValueError naming the pair and
+    the time at which the run reached it.
     """
     pair = CoupledState(tuple(first), tuple(second))
     rng = _rng(seed, replica)
@@ -360,7 +330,10 @@ def simulate_coupled(
     absorbed = False
     next_idx = 0
     while True:
-        step = _advance(engine.events(), rng)
+        try:
+            step = _advance(engine.events(), rng)
+        except ValueError as err:
+            raise ValueError("%s at time %r" % (err, t)) from err
         t_next = t + step[0] if step else float("inf")
         while next_idx < len(grid) and grid[next_idx] <= min(t_next, t_end):
             times.append(grid[next_idx])

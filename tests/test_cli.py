@@ -286,6 +286,38 @@ def test_broken_config_is_diagnosed(tmp_path, capsys):
     assert "[run.command]" in err
 
 
+INVALID_FLAGS = [
+    (("--t-end", "-5"), "t_end = -5", "[execution.t_end] t_end must be positive"),
+    (("--sample-dt", "-1"), "sample_dt = -1", "[execution.sample_dt] sample_dt must be positive"),
+    (("--replicas", "0"), "replicas = 0", "[execution.replicas] replicas must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("flags,line,diagnostic", INVALID_FLAGS)
+def test_invalid_flags_are_diagnosed_like_config_keys(tmp_path, capsys, flags, line, diagnostic):
+    base = ("simulate", "sep", "--size", "8", "--density", "0.5")
+    code, out, err = run(capsys, *base, *flags)
+    assert code == 2
+    assert out == ""
+    assert diagnostic in err
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "[run]\ncommand = simulate\n\n[model]\nid = sep\n\n"
+        "[lattice]\nsize = 8\ndensity = 0.5\n\n[execution]\n%s\n" % line,
+        encoding="utf-8",
+    )
+    code, _, from_file = run(capsys, "--config", str(path))
+    assert code == 2
+    assert from_file == err
+
+
+def test_invalid_lattice_flags_are_diagnosed(capsys):
+    code, _, err = run(capsys, "simulate", "sep", "--size", "0", "--density", "1.5")
+    assert code == 2
+    assert "[lattice.size] size must be at least 1" in err
+    assert "[lattice.density] density must lie in [0, 1]" in err
+
+
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, "--config", "/nonexistent/run.ini")
     assert code == 2
@@ -355,3 +387,5 @@ def test_simulate_refuses_pair_the_coupling_cannot_serve(capsys):
     assert code == 2
     assert out == ""
     assert "exceed the marginal rate at jump" in err
+    assert "000111010110" in err and "101100101100" in err
+    assert "at time 0.0" in err

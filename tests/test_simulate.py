@@ -7,6 +7,7 @@ import pytest
 from couplex import (
     CoupledState,
     coupled_transitions,
+    coupling_table,
     discrepancy_pair,
     gg_symmetrized,
     observable_report,
@@ -169,7 +170,7 @@ def _exact_rates(spec, xi, zeta, kind):
 
 
 def _random_pairs(rng, size, rounds=3):
-    """Arbitrary, ordered and identical pairs: one per engine regime."""
+    """Arbitrary, ordered and identical pairs."""
     out = []
     for _ in range(rounds):
         xi = tuple(rng.randint(0, 1) for _ in range(size))
@@ -210,7 +211,14 @@ def test_coupled_engine_matches_exact_transitions(spec, size):
 
 
 def test_strict_coupling_refuses_pair_it_cannot_serve():
+    # both the table builder and the simulator name the pair; the simulator
+    # also names the time at which the run reached it
     first = tuple(int(c) for c in "000111010110")
     second = tuple(int(c) for c in "101100101100")
-    with pytest.raises(ValueError, match="exceed the marginal rate"):
+    with pytest.raises(ValueError, match="exceed the marginal rate") as table_err:
+        coupling_table(traffic2(0, 2), first, second, "strict")
+    with pytest.raises(ValueError, match="exceed the marginal rate") as run_err:
         simulate_coupled(traffic2(0, 2), first, second, "strict", t_end=5.0, seed=3)
+    for err in (table_err, run_err):
+        assert "000111010110" in str(err.value) and "101100101100" in str(err.value)
+    assert str(run_err.value).endswith("at time 0.0")

@@ -178,6 +178,16 @@ _CONVERT = {
     "coupled": _parse_bool,
 }
 
+#: per-key writer of the INI text; keys without one are written with str
+_WRITE = {
+    "density": repr,
+    "first": format_configuration,
+    "second": format_configuration,
+    "t_end": repr,
+    "sample_dt": repr,
+    "coupled": lambda _: "true",
+}
+
 
 def _one_of(option, choices):
     return (lambda v: v in choices, "unknown %s %%r; expected one of %s" % (option, ", ".join(choices)))
@@ -303,47 +313,16 @@ def serialize_config(cfg: RunConfig) -> str:
         parser.set("model", "id", cfg.model)
         for key in sorted(cfg.params):
             parser.set("model", key, format_param_value(cfg.params[key]))
-    lattice = {}
-    if cfg.size is not None:
-        lattice["size"] = str(cfg.size)
-    if cfg.density is not None:
-        lattice["density"] = repr(cfg.density)
-    if cfg.first is not None:
-        lattice["first"] = format_configuration(cfg.first)
-    if cfg.second is not None:
-        lattice["second"] = format_configuration(cfg.second)
-    if lattice:
-        parser.add_section("lattice")
-        for key, value in lattice.items():
-            parser.set("lattice", key, value)
-    execution = {}
-    if cfg.seed != _DEFAULTS.seed:
-        execution["seed"] = str(cfg.seed)
-    if cfg.replicas != _DEFAULTS.replicas:
-        execution["replicas"] = str(cfg.replicas)
-    if cfg.t_end != _DEFAULTS.t_end:
-        execution["t_end"] = repr(cfg.t_end)
-    if cfg.sample_dt is not None:
-        execution["sample_dt"] = repr(cfg.sample_dt)
-    if cfg.kind is not None:
-        execution["kind"] = cfg.kind
-    if cfg.task is not None:
-        execution["task"] = cfg.task
-    if cfg.coupled:
-        execution["coupled"] = "true"
-    if execution:
-        parser.add_section("execution")
-        for key, value in execution.items():
-            parser.set("execution", key, value)
-    output = {}
-    if cfg.path is not None:
-        output["path"] = cfg.path
-    if cfg.format != _DEFAULTS.format:
-        output["format"] = cfg.format
-    if output:
-        parser.add_section("output")
-        for key, value in output.items():
-            parser.set("output", key, value)
+    for section in ("lattice", "execution", "output"):
+        values = {
+            option: _WRITE.get(option, str)(getattr(cfg, option))
+            for option in _KNOWN[section]
+            if getattr(cfg, option) != getattr(_DEFAULTS, option)
+        }
+        if values:
+            parser.add_section(section)
+            for option, text in values.items():
+                parser.set(section, option, text)
     buffer = io.StringIO()
     parser.write(buffer)
     return buffer.getvalue()

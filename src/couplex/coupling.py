@@ -337,21 +337,23 @@ def coupled_mass(coupled: dict, xi, zeta):
     return phi1, phi2
 
 
-def residual_rates(spec: RateSpec, xi, zeta, coupled: dict, jumps, exact: bool) -> tuple:
+def residual_rates(spec: RateSpec, xi, zeta, coupled: dict, marginals, exact: bool) -> tuple:
     """Residual (one-copy) rates of both copies of the pair: each jump's
     marginal rate minus its coupled mass.
 
-    ``jumps(eta)`` lists ``(x, y, r)`` with r the marginal rate of x -> y in
-    eta; the result holds one list ``(x, y, residual)`` per copy, in the same
-    order.  Jumps that carry mass but are not listed are checked at their
-    rate as well.  In exact arithmetic any negative residual raises; in float
-    arithmetic a residual below ``-_RESIDUAL_TOL`` raises and one within
-    ``_RESIDUAL_TOL`` of 0 counts as 0.  The error names the jump, the copy
-    and the pair.
+    ``marginals`` holds one list ``(x, y, r)`` per copy, r the marginal rate
+    of x -> y in that copy; the result holds one list ``(x, y, residual)``
+    per copy, in the same order.  Jumps that carry mass but are not listed
+    are checked at their rate as well.  In exact arithmetic any negative
+    residual raises; in float arithmetic a residual below ``-_RESIDUAL_TOL``
+    raises and one within ``_RESIDUAL_TOL`` of 0 counts as 0.  The error
+    names the jump, the copy and the pair.
     """
     out = []
-    for copy, eta, mass in zip(("first", "second"), (xi, zeta), coupled_mass(coupled, xi, zeta)):
-        listed = [(x, y, r - mass.get((x, y), 0)) for x, y, r in jumps(eta)]
+    for copy, eta, jumps, mass in zip(
+        ("first", "second"), (xi, zeta), marginals, coupled_mass(coupled, xi, zeta)
+    ):
+        listed = [(x, y, r - mass.get((x, y), 0)) for x, y, r in jumps]
         seen = {(x, y) for x, y, _ in listed}
         unlisted = [
             (x, y, rate(spec, eta, x, y) - m) for (x, y), m in mass.items() if (x, y) not in seen
@@ -370,11 +372,9 @@ def residual_rates(spec: RateSpec, xi, zeta, coupled: dict, jumps, exact: bool) 
 def _finish(spec: RateSpec, xi, zeta, kind: str, coupled: dict) -> CouplingTable:
     """Attach residual (uncoupled) rates for every jump of the ring."""
     table = CouplingTable(kind, len(xi), coupled)
-
-    def jumps(eta):
-        return [(x, y, rate(spec, eta, x, y)) for x, y, _ in _jumps(spec, len(eta))]
-
-    first, second = residual_rates(spec, xi, zeta, coupled, jumps, spec.exact)
+    ring = _jumps(spec, len(xi))
+    marginals = [[(x, y, rate(spec, eta, x, y)) for x, y, _ in ring] for eta in (xi, zeta)]
+    first, second = residual_rates(spec, xi, zeta, coupled, marginals, spec.exact)
     table.residual_first = {(x, y): r for x, y, r in first}
     table.residual_second = {(x, y): r for x, y, r in second}
     return table

@@ -55,13 +55,17 @@ class GeneratorMatrix:
     def total_rate(self, i: int):
         return sum(self.rows[i].values())
 
-    def to_dense(self) -> np.ndarray:
-        n = self.dimension
-        q = np.zeros((n, n))
-        for i, row in enumerate(self.rows):
+    def to_dense(self, members=None) -> np.ndarray:
+        """Dense generator, or its block on the state indices ``members`` in
+        that order; the diagonal is always minus the full exit rate."""
+        pos = {i: k for k, i in enumerate(range(self.dimension) if members is None else members)}
+        q = np.zeros((len(pos), len(pos)))
+        for i, k in pos.items():
+            row = self.rows[i]
             for j, r in row.items():
-                q[i, j] = float(r)
-            q[i, i] = -float(sum(row.values()))
+                if j in pos:
+                    q[k, pos[j]] = float(r)
+            q[k, k] = -float(sum(row.values()))
         return q
 
 
@@ -215,15 +219,8 @@ def closed_classes(gen: GeneratorMatrix) -> list:
 
 
 def _solve_on_class(gen: GeneratorMatrix, members: list) -> np.ndarray:
-    pos = {i: k for k, i in enumerate(members)}
     n = len(members)
-    q = np.zeros((n, n))
-    for i in members:
-        for j, r in gen.rows[i].items():
-            if j in pos:
-                q[pos[i], pos[j]] = float(r)
-        q[pos[i], pos[i]] = -float(sum(gen.rows[i].values()))
-    a = np.vstack([q.T, np.ones(n)])
+    a = np.vstack([gen.to_dense(members).T, np.ones(n)])
     b = np.zeros(n + 1)
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -483,20 +480,14 @@ def discrepancy_extinction(spec: RateSpec, size: int, kind: str = "strict") -> E
             if not unordered:
                 continue
             gen = coupled_generator(spec, size, kind, states=states)
-            t_index = {gen.state_index[s]: k for k, s in enumerate(unordered)}
-            n = len(unordered)
-            a = np.zeros((n, n))
+            members = [gen.state_index[s] for s in unordered]
+            inside = set(members)
+            n = len(members)
+            a = gen.to_dense(members)
             b = np.zeros(n)
-            for s in unordered:
-                i = gen.state_index[s]
-                k = t_index[i]
-                row = gen.rows[i]
-                total = float(sum(row.values()))
-                a[k, k] = -total
-                for j, r in row.items():
-                    if j in t_index:
-                        a[k, t_index[j]] += float(r)
-                    else:
+            for k, i in enumerate(members):
+                for j, r in gen.rows[i].items():
+                    if j not in inside:
                         b[k] -= float(r)  # flow into comparable pairs
             # zero-outflow unordered states can never be absorbed
             live = [k for k in range(n) if a[k, k] != 0.0]

@@ -6,8 +6,11 @@ an independent, exactly reproducible stream: rerunning with the same key
 gives a bit-identical event sequence.
 
 The single-chain engine caches each site's active jumps and refreshes only
-the neighbourhood of the sites touched by an event.  The coupled engine keeps
-two regimes: identical copies move in lockstep; every other pair composes
+the neighbourhood of the sites touched by an event.  The coupled engine is
+two single-chain engines, one per copy, plus the coupled map of the pair;
+each copy's marginal jumps come from its own engine's cache, and each copy's
+jump refreshes only that engine.  It keeps two regimes: identical copies move
+in lockstep, on the events of the first copy; every other pair composes
 coupling factors through the join configuration, as
 :func:`couplex.coupling.coupling_table` does, memoising the composition per
 local occupancy pattern, which keeps long runs on large rings affordable.
@@ -15,8 +18,9 @@ Ordered pairs need no path of their own: their join is the upper copy, and
 the composition gives back the ordered table.  Under ``increasing`` an
 unordered pair has no coupled moves, so each copy moves alone.
 
-Sampling records the state at fixed grid times (the state just before each
-grid time, i.e. the left limit).
+One Gillespie loop runs both engines.  Sampling records the state at fixed
+grid times (the state just before each grid time, i.e. the left limit); a
+horizon or a sampling step that is not positive raises ValueError.
 """
 
 from __future__ import annotations
@@ -83,14 +87,18 @@ def discrepancy_pair(size: int, count: int, rng: np.random.Generator) -> Coupled
 
 
 class _SingleEngine:
-    """Mutable configuration with cached active-jump events per site."""
+    """Mutable configuration with cached active-jump events ``(rate, x, d)``
+    per site; a jump refreshes only the sites within reach of its two ends."""
 
     def __init__(self, spec: RateSpec, eta):
         self.spec = spec
         self.eta = list(eta)
         self.size = len(eta)
         self.reach = spec.dep_radius + spec.max_offset
-        self.jumps = [_float_jumps(spec, self.eta, (x,)) for x in range(self.size)]
+        self.jumps = [self._site_jumps(x) for x in range(self.size)]
+
+    def _site_jumps(self, x: int):
+        return [(float(r), x, d) for x, d, r in active_jumps(self.spec, self.eta, (x,))]
 
     def apply(self, x: int, d: int):
         y = (x + d) % self.size
@@ -99,7 +107,7 @@ class _SingleEngine:
         for s in (x, y):
             for k in range(-self.reach, self.reach + 1):
                 z = (s + k) % self.size
-                self.jumps[z] = _float_jumps(self.spec, eta, (z,))
+                self.jumps[z] = self._site_jumps(z)
 
     def events(self):
         return list(chain.from_iterable(self.jumps))
@@ -121,17 +129,25 @@ def _advance(events, rng: np.random.Generator):
     return dt, events[min(pick, len(events) - 1)]
 
 
-def simulate_single(
-    spec: RateSpec,
-    init,
-    t_end: float,
-    sample_dt: Optional[float] = None,
-    seed: int = 0,
-    replica: int = 0,
-) -> Trajectory:
-    """Simulate one copy up to t_end, sampling every sample_dt."""
-    rng = _rng(seed, replica)
-    engine = _SingleEngine(spec, init)
+def _sample_grid(t_end: float, sample_dt: Optional[float]):
+    if not t_end > 0:
+        raise ValueError("t_end must be positive, got %r" % (t_end,))
+    if sample_dt is None:
+        return [t_end]
+    if not sample_dt > 0:
+        raise ValueError("sample_dt must be positive, got %r" % (sample_dt,))
+    n = int(np.floor(t_end / sample_dt + 1e-9))
+    return [k * sample_dt for k in range(1, n + 1)]
+
+
+def _run(engine, rng: np.random.Generator, t_end: float, sample_dt: Optional[float], after_event):
+    """Run an engine's Gillespie chain up to t_end.
+
+    An engine lists its events as ``(rate, *move)`` and performs one with
+    ``apply(*move)``; ``after_event(n)`` runs after the n-th event.  Returns
+    ``(times, snapshots, events, absorbed)``.  An engine that refuses the
+    state it reached raises ValueError naming the time.
+    """
     grid = _sample_grid(t_end, sample_dt)
     times, snapshots = [], []
     t = 0.0
@@ -139,7 +155,10 @@ def simulate_single(
     absorbed = False
     next_idx = 0
     while True:
-        step = _advance(engine.events(), rng)
+        try:
+            step = _advance(engine.events(), rng)
+        except ValueError as err:
+            raise ValueError("%s at time %r" % (err, t)) from err
         t_next = t + step[0] if step else float("inf")
         while next_idx < len(grid) and grid[next_idx] <= min(t_next, t_end):
             times.append(grid[next_idx])
@@ -151,17 +170,28 @@ def simulate_single(
         if t_next > t_end:
             break
         t = t_next
-        _, x, d = step[1]
-        engine.apply(x, d)
+        engine.apply(*step[1][1:])
         events += 1
+        after_event(events)
+    return times, snapshots, events, absorbed
+
+
+def simulate_single(
+    spec: RateSpec,
+    init,
+    t_end: float,
+    sample_dt: Optional[float] = None,
+    seed: int = 0,
+    replica: int = 0,
+) -> Trajectory:
+    """Simulate one copy up to t_end, sampling every sample_dt (at t_end
+    only when sample_dt is None).  A horizon or step that is not positive
+    raises ValueError."""
+    engine = _SingleEngine(spec, init)
+    times, snapshots, events, absorbed = _run(
+        engine, _rng(seed, replica), t_end, sample_dt, lambda n: None
+    )
     return Trajectory(times, snapshots, (seed, replica), events, absorbed, engine.state())
-
-
-def _sample_grid(t_end: float, sample_dt: Optional[float]):
-    if sample_dt is None or sample_dt <= 0:
-        return [t_end]
-    n = int(np.floor(t_end / sample_dt + 1e-9))
-    return [k * sample_dt for k in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,35 +241,38 @@ _FLAVOR = {"increasing": "overlap", "attractive": "overlap", "strict": "proporti
 
 
 class _CoupledEngine:
-    """Event generation for the coupled chain, with regime switching."""
+    """The coupled chain as two single-chain engines, one per copy, plus the
+    coupled map of the pair.
+
+    Each event is ``(rate, first_jump | None, second_jump | None)`` with a
+    jump written ``(x, d)``; each copy's jump goes to its own engine.
+    """
 
     def __init__(self, spec: RateSpec, pair: CoupledState, kind: str):
         if kind not in _FLAVOR:
             raise ValueError("unknown coupling kind %r" % (kind,))
         self.spec = spec
         self.kind = kind
-        self.xi = list(pair.first)
-        self.zeta = list(pair.second)
+        self.first = _SingleEngine(spec, pair.first)
+        self.second = _SingleEngine(spec, pair.second)
         self.size = len(pair.first)
         self.cache = _MiddleCache(spec, _FLAVOR[kind])
 
     def state(self) -> CoupledState:
-        return CoupledState(tuple(self.xi), tuple(self.zeta))
+        return CoupledState(self.first.state(), self.second.state())
 
     def discrepancies(self) -> int:
-        return sum(a != b for a, b in zip(self.xi, self.zeta))
-
-    # each event is (rate, first_jump | None, second_jump | None)
+        return sum(a != b for a, b in zip(self.first.eta, self.second.eta))
 
     def events(self):
-        if self.xi == self.zeta:
-            return [(r, (x, d), (x, d)) for r, x, d in _float_jumps(self.spec, self.xi)]
+        if self.first.eta == self.second.eta:
+            return [(r, (x, d), (x, d)) for r, x, d in self.first.events()]
         return self._composed_events()
 
     def _coupled_map(self):
         """Composed coupled rates of the current pair, keyed (x1, y1, x2, y2)."""
         spec, size = self.spec, self.size
-        xi, zeta = self.xi, self.zeta
+        xi, zeta = self.first.eta, self.second.eta
         if self.kind == "increasing" and not is_ordered(xi, zeta):
             return {}  # the increasing coupling leaves an unordered pair uncoupled
         reach = self.cache.reach
@@ -266,37 +299,28 @@ class _CoupledEngine:
         return coupled
 
     def _composed_events(self):
-        spec, size = self.spec, self.size
-        xi, zeta = self.xi, self.zeta
+        size = self.size
+        xi, zeta = self.first.eta, self.second.eta
         coupled = self._coupled_map()
         out = [
             (g, (x1, signed_offset(x1, y1, size)), (x2, signed_offset(x2, y2, size)))
             for (x1, y1, x2, y2), g in coupled.items()
             if g > 0 and is_active(xi, x1, y1) and is_active(zeta, x2, y2)
         ]
-
-        def jumps(eta):
-            return [(x, (x + d) % size, float(r)) for x, d, r in active_jumps(spec, eta)]
-
-        first, second = residual_rates(spec, xi, zeta, coupled, jumps, exact=False)
+        marginals = [
+            [(x, (x + d) % size, r) for r, x, d in engine.events()]
+            for engine in (self.first, self.second)
+        ]
+        first, second = residual_rates(self.spec, xi, zeta, coupled, marginals, exact=False)
         out += [(r, (x, signed_offset(x, y, size)), None) for x, y, r in first if r > 0]
         out += [(r, None, (x, signed_offset(x, y, size))) for x, y, r in second if r > 0]
         return out
 
     def apply(self, first, second):
         if first is not None:
-            x, d = first
-            y = (x + d) % self.size
-            self.xi[x], self.xi[y] = self.xi[y], self.xi[x]
+            self.first.apply(*first)
         if second is not None:
-            x, d = second
-            y = (x + d) % self.size
-            self.zeta[x], self.zeta[y] = self.zeta[y], self.zeta[x]
-
-
-def _float_jumps(spec: RateSpec, eta, sites=None):
-    """Active jumps as events ``(rate, x, d)`` with float rates."""
-    return [(float(r), x, d) for x, d, r in active_jumps(spec, eta, sites)]
+            self.second.apply(*second)
 
 
 def simulate_coupled(
@@ -308,58 +332,34 @@ def simulate_coupled(
     sample_dt: Optional[float] = None,
     seed: int = 0,
     replica: int = 0,
-    assert_pathwise: bool = True,
 ) -> Trajectory:
-    """Simulate the coupled pair chain up to t_end.
+    """Simulate the coupled pair chain up to t_end, sampling as
+    :func:`simulate_single` does.
 
-    With assert_pathwise, every event is checked on the fly: under the
-    attractive and strict couplings the discrepancy count must never grow,
-    and under the increasing coupling an ordered start must stay ordered.
-    A pair the coupling cannot serve raises ValueError naming the pair and
-    the time at which the run reached it.
+    Every event is checked on the fly: under the attractive and strict
+    couplings the discrepancy count must never grow, and under the
+    increasing coupling an ordered start must stay ordered; a breach raises
+    AssertionError.  A pair the coupling cannot serve raises ValueError
+    naming the pair and the time at which the run reached it.
     """
-    pair = CoupledState(tuple(first), tuple(second))
-    rng = _rng(seed, replica)
-    engine = _CoupledEngine(spec, pair, kind)
-    started_ordered = is_ordered(pair.first, pair.second)
-    grid = _sample_grid(t_end, sample_dt)
-    times, snapshots = [], []
+    engine = _CoupledEngine(spec, CoupledState(tuple(first), tuple(second)), kind)
+    started_ordered = is_ordered(engine.first.eta, engine.second.eta)
     curve = [engine.discrepancies()]
-    t = 0.0
-    events = 0
-    absorbed = False
-    next_idx = 0
-    while True:
-        try:
-            step = _advance(engine.events(), rng)
-        except ValueError as err:
-            raise ValueError("%s at time %r" % (err, t)) from err
-        t_next = t + step[0] if step else float("inf")
-        while next_idx < len(grid) and grid[next_idx] <= min(t_next, t_end):
-            times.append(grid[next_idx])
-            snapshots.append(engine.state())
-            next_idx += 1
-        if step is None:
-            absorbed = True
-            break
-        if t_next > t_end:
-            break
-        t = t_next
-        _, first, second = step[1]
-        before = curve[-1]
-        engine.apply(first, second)
-        events += 1
-        now = engine.discrepancies()
+
+    def after_event(events):
+        before, now = curve[-1], engine.discrepancies()
         curve.append(now)
-        if assert_pathwise:
-            if kind in ("attractive", "strict") and now > before:
-                raise AssertionError(
-                    "discrepancy count grew from %d to %d at event %d"
-                    % (before, now, events)
-                )
-            if kind == "increasing" and started_ordered:
-                if not is_ordered(tuple(engine.xi), tuple(engine.zeta)):
-                    raise AssertionError("order broken at event %d" % events)
+        if kind in ("attractive", "strict") and now > before:
+            raise AssertionError(
+                "discrepancy count grew from %d to %d at event %d" % (before, now, events)
+            )
+        if kind == "increasing" and started_ordered:
+            if not is_ordered(engine.first.eta, engine.second.eta):
+                raise AssertionError("order broken at event %d" % events)
+
+    times, snapshots, events, absorbed = _run(
+        engine, _rng(seed, replica), t_end, sample_dt, after_event
+    )
     return Trajectory(
         times,
         snapshots,

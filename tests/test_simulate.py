@@ -149,13 +149,25 @@ def test_sampling_grid():
     assert traj.times == [1.0, 2.0, 3.0]
     lone = simulate_single(sep(), (1, 0, 0, 0), t_end=3.0, seed=4)
     assert lone.times == [3.0]
+    # a horizon or a given step that is not positive is refused, not
+    # sampled at a negative time or silently dropped
+    eta = (1, 0, 1, 0, 1, 0, 1, 0)
+    runs = (
+        lambda t_end, dt: simulate_single(sep(), eta, t_end, sample_dt=dt),
+        lambda t_end, dt: simulate_coupled(sep(), eta, eta[::-1], "attractive", t_end, sample_dt=dt),
+    )
+    bad = ((-5.0, -1.0, "t_end"), (0.0, None, "t_end"), (2.0, -1.0, "sample_dt"), (2.0, 0.0, "sample_dt"))
+    for run in runs:
+        for t_end, dt, what in bad:
+            with pytest.raises(ValueError, match="%s must be positive" % what):
+                run(t_end, dt)
 
 
-def _engine_rates(spec, xi, zeta, kind):
+def _engine_rates(engine):
     """The coupled engine's event rates, keyed like coupled_transitions rows."""
-    size = len(xi)
+    size = engine.size
     out = {}
-    for r, first, second in _CoupledEngine(spec, CoupledState(xi, zeta), kind).events():
+    for r, first, second in engine.events():
         key = tuple(None if j is None else (j[0], (j[0] + j[1]) % size) for j in (first, second))
         out[key] = out.get(key, 0.0) + r
     return out
@@ -194,20 +206,29 @@ DIFFERENTIAL_CASES = [
 @pytest.mark.parametrize("spec,size", DIFFERENTIAL_CASES)
 def test_coupled_engine_matches_exact_transitions(spec, size):
     # the simulator's event rates, in every regime, equal the exact coupled
-    # generator rows; a pair the coupling cannot serve raises in both
+    # generator rows; a pair the coupling cannot serve raises in both.  The
+    # engine also fires some of its own events, so that the per-copy caches
+    # it refreshes after a jump are checked at every pair it reaches.
     rng = random.Random("%r:%d" % (spec, size))
     for kind in ("increasing", "attractive", "strict"):
         for xi, zeta in _random_pairs(rng, size):
-            try:
-                want = _exact_rates(spec, xi, zeta, kind)
-            except ValueError:
-                with pytest.raises(ValueError, match="exceed the marginal rate"):
-                    _engine_rates(spec, xi, zeta, kind)
-                continue
-            got = _engine_rates(spec, xi, zeta, kind)
-            assert set(got) == set(want), (kind, xi, zeta)
-            for key, r in want.items():
-                assert abs(got[key] - float(r)) <= 1e-12, (kind, xi, zeta, key)
+            engine = _CoupledEngine(spec, CoupledState(xi, zeta), kind)
+            for fired in range(4):
+                pair = engine.state()
+                try:
+                    want = _exact_rates(spec, pair.first, pair.second, kind)
+                except ValueError:
+                    with pytest.raises(ValueError, match="exceed the marginal rate"):
+                        engine.events()
+                    break
+                got = _engine_rates(engine)
+                assert set(got) == set(want), (kind, pair, fired)
+                for key, r in want.items():
+                    assert abs(got[key] - float(r)) <= 1e-12, (kind, pair, fired, key)
+                events = engine.events()
+                if fired == 3 or not events:
+                    break
+                engine.apply(*rng.choice(events)[1:])
 
 
 def test_strict_coupling_refuses_pair_it_cannot_serve():

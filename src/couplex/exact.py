@@ -220,7 +220,11 @@ def closed_classes(gen: GeneratorMatrix) -> list:
 
 def _solve_on_class(gen: GeneratorMatrix, members: list) -> np.ndarray:
     n = len(members)
-    a = np.vstack([gen.to_dense(members).T, np.ones(n)])
+    # q lives until the solve returns: freed before lstsq, its block leaves
+    # a hole in the malloc heap that later solves may or may not reuse, and
+    # the peak memory of repeated solves then varies by ~25 MB from run to run
+    q = gen.to_dense(members)
+    a = np.vstack([q.T, np.ones(n)])
     b = np.zeros(n + 1)
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(a, b, rcond=None)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -198,8 +199,8 @@ _CHECKS = {
     "size": (lambda n: n >= 1, "size must be at least 1, got %r"),
     "density": (lambda r: 0.0 <= r <= 1.0, "density must lie in [0, 1], got %r"),
     "replicas": (lambda n: n >= 1, "replicas must be at least 1, got %r"),
-    "t_end": (lambda t: t > 0, "t_end must be positive, got %r"),
-    "sample_dt": (lambda t: t > 0, "sample_dt must be positive, got %r"),
+    "t_end": (lambda t: 0 < t < math.inf, "t_end must be positive and finite, got %r"),
+    "sample_dt": (lambda t: 0 < t < math.inf, "sample_dt must be positive and finite, got %r"),
     "kind": _one_of("kind", KINDS),
     "task": _one_of("task", TASKS),
     "format": _one_of("format", FORMATS),

@@ -2,26 +2,29 @@
 
 Three couplings of two copies of the same finite-range dynamics are built
 here, each as a sparse table of coupled jump rates plus residual rates for
-moves performed by one copy alone:
+moves performed by one copy alone.  All three come from one construction:
+for each active jump of the join configuration (the sitewise maximum of the
+two copies), a coupling of (xi, join) is composed with one of (join, zeta),
+splitting in proportion to the join's rate.  The factors of an ordered pair
+lower <= upper are read off the discrepancy sets of each departure/arrival
+site and their partial rate sums; the kinds differ only in the factor flavor
+(``FLAVOR``) and in which pairs they couple:
 
-* ``increasing`` — for ordered pairs, a coupling that moves both copies
-  together as much as possible; built from an overlap function of partial
-  rate sums over the discrepancy sets of each departure/arrival site.  It
-  preserves the sitewise order whenever the rate rule passes the order
-  conditions of :mod:`couplex.monotone`.  Unordered pairs move independently.
-* ``attractive`` — defined for arbitrary pairs by composing a coupling of
-  (xi, join) with one of (join, zeta) through the join configuration;
-  under it the number of discrepancies never increases.  It composes the
-  overlap factors of the increasing coupling; on an ordered pair the join is
-  the upper copy and the composition gives back the increasing table.
-* ``strict`` — the same composition with proportional factors, which spread
-  each copy's surplus rate over the partner's discrepancy sites in
-  proportion to their rates.
+* ``attractive`` — overlap factors, for every pair; under it the number of
+  discrepancies never increases.
+* ``increasing`` — the same composition on an ordered pair, where the join is
+  the upper copy and the composition moves both copies together as much as
+  possible.  It preserves the sitewise order whenever the rate rule passes
+  the order conditions of :mod:`couplex.monotone`.  An unordered pair is left
+  uncoupled: each copy moves alone.
+* ``strict`` — proportional factors, which spread each copy's surplus rate
+  over the partner's discrepancy sites in proportion to their rates.
 
 Tables store *raw* coupled rates: occupancy indicator prefactors (departure
 occupied, target empty, in each copy) are applied when transitions are
-enumerated, not when the table is built.  Residuals are stored for every
-jump of the ring, including zero values.
+enumerated, not when the table is built.  A coupled entry exists only for a
+jump open in the join.  Residuals are stored for every jump of the ring,
+including zero values.
 """
 
 from __future__ import annotations
@@ -30,10 +33,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .lattice import CoupledState, apply_jump, format_configuration, is_active, join, leq
+from .lattice import (
+    CoupledState,
+    apply_jump,
+    format_configuration,
+    is_active,
+    is_ordered,
+    join,
+    leq,
+)
 from .models import RateSpec, active_jumps, rate
 
-KINDS = ("increasing", "attractive", "strict")
+#: the factor flavor each coupling kind composes through the join
+FLAVOR = {"increasing": "overlap", "attractive": "overlap", "strict": "proportional"}
+KINDS = tuple(FLAVOR)
 
 #: in float arithmetic, residuals within this distance of 0 count as 0 and
 #: residuals further below 0 raise
@@ -200,35 +213,6 @@ def h_term(m: int, n: int, s: PartialSumSeries, t: PartialSumSeries):
     )
 
 
-def _pair_key(role: str, site: int, a: int, b: int):
-    if role == "departure":
-        return (site, a, site, b)
-    return (a, site, b, site)
-
-
-def _ordered_coupled(spec: RateSpec, xi, zeta) -> dict:
-    """Raw coupled map of the increasing coupling for an ordered pair
-    xi <= zeta.  Only the positive entries are stored."""
-    size = len(xi)
-    coupled = {}
-    for x, y, _ in _jumps(spec, size):
-        g = min(rate(spec, xi, x, y), rate(spec, zeta, x, y))
-        if g > 0:
-            coupled[(x, y, x, y)] = g
-    for site in range(size):
-        for role in ("departure", "arrival"):
-            sets = build_sets(spec, xi, zeta, site, role)
-            if not sets.main or not sets.bar:
-                continue
-            main, bar = partial_sums(spec, xi, zeta, sets)
-            for m, a in enumerate(sets.main, 1):
-                for n, b in enumerate(sets.bar, 1):
-                    g = h_term(m, n, main, bar)
-                    if g > 0:
-                        coupled[_pair_key(role, site, a, b)] = g
-    return coupled
-
-
 def _left_factors(spec: RateSpec, lower, upper, x: int, y: int, flavor: str):
     """All pairs (jump, g) with g = G_{lower,upper}(jump; (x,y)) > 0, for an
     ordered pair lower <= upper and a jump (x,y) with upper(x)=1, upper(y)=0.
@@ -237,49 +221,34 @@ def _left_factors(spec: RateSpec, lower, upper, x: int, y: int, flavor: str):
     rates G_{upper,lower}((x,y); jump).
     """
     out = []
-    g = min(rate(spec, lower, x, y), rate(spec, upper, x, y))
+    low, high = rate(spec, lower, x, y), rate(spec, upper, x, y)
+    g = min(low, high)
     if g > 0:
         out.append(((x, y), g))
     if lower[x] == 1:
         # (x,y) can only be the doubly-empty slot of x's departure sets
-        if lower[y] == 0 and rate(spec, upper, x, y) > rate(spec, lower, x, y):
-            sets = build_sets(spec, lower, upper, x, "departure")
-            if sets.main:
-                n = sets.bar.index(y) + 1
-                main, bar = partial_sums(spec, lower, upper, sets)
-                if flavor == "overlap":
-                    for m, a in enumerate(sets.main, 1):
-                        h = h_term(m, n, main, bar)
-                        if h > 0:
-                            out.append(((x, a), h))
-                else:
-                    norm = main.limit if main.limit > 0 else 1
-                    db = bar.increment(n)
-                    for m, a in enumerate(sets.main, 1):
-                        g = main.increment(m) * db
-                        g = Fraction(g) / norm if spec.exact else g / norm
-                        if g > 0:
-                            out.append(((x, a), g))
+        if lower[y] == 1 or high <= low:
+            return out
+        site, slot, role = x, y, "departure"
     else:
         # (x,y) can only be the discrepancy slot of y's arrival sets
-        if rate(spec, upper, x, y) > 0:
-            sets = build_sets(spec, lower, upper, y, "arrival")
-            if sets.main:
-                n = sets.bar.index(x) + 1
-                main, bar = partial_sums(spec, lower, upper, sets)
-                if flavor == "overlap":
-                    for m, a in enumerate(sets.main, 1):
-                        h = h_term(m, n, main, bar)
-                        if h > 0:
-                            out.append(((a, y), h))
-                else:
-                    norm = bar.limit if bar.limit > 0 else 1
-                    db = bar.increment(n)
-                    for m, a in enumerate(sets.main, 1):
-                        g = main.increment(m) * db
-                        g = Fraction(g) / norm if spec.exact else g / norm
-                        if g > 0:
-                            out.append(((a, y), g))
+        if high <= 0:
+            return out
+        site, slot, role = y, x, "arrival"
+    sets = build_sets(spec, lower, upper, site, role)
+    if not sets.main:
+        return out
+    n = sets.bar.index(slot) + 1
+    main, bar = partial_sums(spec, lower, upper, sets)
+    norm = (main if role == "departure" else bar).limit or 1
+    for m, a in enumerate(sets.main, 1):
+        if flavor == "overlap":
+            g = h_term(m, n, main, bar)
+        else:
+            g = main.increment(m) * bar.increment(n)
+            g = Fraction(g) / norm if spec.exact else g / norm
+        if g > 0:
+            out.append(((site, a) if role == "departure" else (a, site), g))
     return out
 
 
@@ -380,38 +349,30 @@ def _finish(spec: RateSpec, xi, zeta, kind: str, coupled: dict) -> CouplingTable
     return table
 
 
-def increasing_rates(spec: RateSpec, xi, zeta) -> CouplingTable:
-    """Order-preserving coupling table.  For unordered pairs the coupled map
-    is empty and each copy moves independently."""
-    if leq(xi, zeta):
-        coupled = _ordered_coupled(spec, xi, zeta)
-    elif leq(zeta, xi):
-        coupled = _transposed(_ordered_coupled(spec, zeta, xi))
-    else:
-        coupled = {}
-    return _finish(spec, xi, zeta, "increasing", coupled)
+def _uncoupled(kind: str, xi, zeta) -> bool:
+    """True if the kind couples no move of the pair: the increasing coupling
+    leaves an unordered pair uncoupled."""
+    return kind == "increasing" and not is_ordered(xi, zeta)
 
 
-def attractive_rates(spec: RateSpec, xi, zeta, flavor: str = "overlap") -> CouplingTable:
-    """Discrepancy-non-increasing coupling table, defined for every pair."""
-    kind = "attractive" if flavor == "overlap" else "strict"
-    return _finish(spec, xi, zeta, kind, _composed_coupled(spec, xi, zeta, flavor))
+def _flavor(kind: str) -> str:
+    """The factor flavor of a coupling kind; ValueError for an unknown kind."""
+    if kind not in FLAVOR:
+        raise ValueError("kind must be one of %s, got %r" % (", ".join(KINDS), kind))
+    return FLAVOR[kind]
 
 
 def coupling_table(spec: RateSpec, xi, zeta, kind: str) -> CouplingTable:
     """Build the coupling table of the requested kind.
 
-    ``increasing`` couples only ordered pairs; ``attractive`` composes
-    increasing tables through the join and works for every pair; ``strict``
-    composes proportional tables through the join.
+    Every kind composes coupling factors through the join: ``attractive``
+    with overlap factors, for every pair; ``increasing`` likewise on an
+    ordered pair, where the join is the upper copy, and with an empty coupled
+    map on an unordered pair; ``strict`` with proportional factors.
     """
-    if kind == "increasing":
-        return increasing_rates(spec, xi, zeta)
-    if kind == "attractive":
-        return attractive_rates(spec, xi, zeta, "overlap")
-    if kind == "strict":
-        return attractive_rates(spec, xi, zeta, "proportional")
-    raise ValueError("kind must be one of %s, got %r" % (", ".join(KINDS), kind))
+    flavor = _flavor(kind)
+    coupled = {} if _uncoupled(kind, xi, zeta) else _composed_coupled(spec, xi, zeta, flavor)
+    return _finish(spec, xi, zeta, kind, coupled)
 
 
 def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTable | None = None):
@@ -461,7 +422,7 @@ def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTabl
 
 
 # ---------------------------------------------------------------------------
-# Independent prefix-sum construction of the increasing table
+# Oracle: an independent prefix-sum construction of the increasing table
 
 
 def _prefix_coupled(spec: RateSpec, xi, zeta) -> dict:
@@ -521,18 +482,22 @@ def _prefix_coupled(spec: RateSpec, xi, zeta) -> dict:
 
 
 def oneD_cross_check(spec: RateSpec, xi, zeta) -> CrossCheckReport:
-    """Rebuild the increasing coupling through prefix sums and compare entry
-    by entry with the set/series construction."""
+    """Rebuild the increasing coupling through prefix sums and compare it
+    with :func:`coupling_table` on every entry whose two jumps are open —
+    the only entries the coupled generator reads."""
     if leq(xi, zeta):
         prefix = _prefix_coupled(spec, xi, zeta)
     elif leq(zeta, xi):
         prefix = _transposed(_prefix_coupled(spec, zeta, xi))
     else:
         raise ValueError("oneD_cross_check requires an ordered pair")
-    table = increasing_rates(spec, xi, zeta)
+    table = coupling_table(spec, xi, zeta, "increasing")
     tol = 0 if spec.exact else 1e-12
     mismatches = []
     for key in sorted(set(prefix) | set(table.coupled)):
+        x1, y1, x2, y2 = key
+        if not (is_active(xi, x1, y1) and is_active(zeta, x2, y2)):
+            continue
         a = table.coupled.get(key, 0)
         b = prefix.get(key, 0)
         if abs(a - b) > tol:

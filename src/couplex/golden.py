@@ -35,13 +35,7 @@ from itertools import product
 
 import numpy as np
 
-from .coupling import (
-    CouplingTable,
-    attractive_rates,
-    coupling_table,
-    increasing_rates,
-    oneD_cross_check,
-)
+from .coupling import CouplingTable, coupling_table, oneD_cross_check
 from .exact import (
     audit_discrepancy_monotone,
     audit_order_preservation,
@@ -575,7 +569,6 @@ def _crit_sep_basic_coupling():
     for label, law in (("asymmetric", {1: F(1)}), ("symmetric", {1: F(1, 2), -1: F(1, 2)})):
         spec = sep(dict(law))
         jumps = [(x, (x + d) % size, pr) for x in range(size) for d, pr in law.items()]
-        diag = {(x, y, x, y): pr for x, y, pr in jumps}
         for xi, zeta in states:
             # attractive composition carries the diagonal of every jump that
             # is open in the sitewise maximum of the two copies
@@ -586,7 +579,8 @@ def _crit_sep_basic_coupling():
             }
             if coupling_table(spec, xi, zeta, "attractive").coupled != want:
                 issues.append((label, "attractive", xi, zeta))
-            want = diag if is_ordered(xi, zeta) else {}
+            # increasing is the same composition on an ordered pair
+            want = want if is_ordered(xi, zeta) else {}
             if coupling_table(spec, xi, zeta, "increasing").coupled != want:
                 issues.append((label, "increasing", xi, zeta))
         hand = sep_basic_rows(law, size, states, index)
@@ -798,7 +792,7 @@ def _crit_golden_tables():
         spec = traffic2(alpha, beta)
         for xi, zeta in ordered_pairs(7):
             t2_pairs += 1
-            engine = both_active_entries(increasing_rates(spec, xi, zeta), xi, zeta)
+            engine = both_active_entries(coupling_table(spec, xi, zeta, "increasing"), xi, zeta)
             reference = traffic2_reference_table(alpha, beta, xi, zeta)
             if engine != reference:
                 problems.append(("traffic2", (str(alpha), str(beta)), xi, zeta))
@@ -808,7 +802,7 @@ def _crit_golden_tables():
         spec = gg_symmetrized(*params)
         for xi, zeta in ordered_pairs(8):
             gg_pairs += 1
-            engine = both_active_entries(increasing_rates(spec, xi, zeta), xi, zeta)
+            engine = both_active_entries(coupling_table(spec, xi, zeta, "increasing"), xi, zeta)
             reference = gg_reference_increasing(params, xi, zeta)
             if table_mismatches(reference, engine, 1e-9):
                 problems.append(("gg increasing", params, xi, zeta))
@@ -823,7 +817,7 @@ def _crit_golden_tables():
         xi = tuple(b >> 1 for b in bits) + (0,) * (size - window)
         zeta = tuple(b & 1 for b in bits) + (0,) * (size - window)
         composed_pairs += 1
-        engine = both_active_entries(attractive_rates(spec, xi, zeta), xi, zeta)
+        engine = both_active_entries(coupling_table(spec, xi, zeta, "attractive"), xi, zeta)
         corrected = gg_reference_attractive(params, xi, zeta, corrected=True)
         if table_mismatches(corrected, engine, 1e-9):
             problems.append(("gg composed", params, xi, zeta))

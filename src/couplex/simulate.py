@@ -9,23 +9,25 @@ The single-chain engine caches each site's active jumps and refreshes only
 the neighbourhood of the sites touched by an event.  The coupled engine is
 two single-chain engines, one per copy, plus the coupled map of the pair;
 each copy's marginal jumps come from its own engine's cache, and each copy's
-jump refreshes only that engine.  It keeps two regimes: identical copies move
-in lockstep, on the events of the first copy; every other pair composes
-coupling factors through the join configuration, as
-:func:`couplex.coupling.coupling_table` does, memoising the composition per
-local occupancy pattern, which keeps long runs on large rings affordable.
-Ordered pairs need no path of their own: their join is the upper copy, and
-the composition gives back the ordered table.  Under ``increasing`` an
-unordered pair has no coupled moves, so each copy moves alone.
+jump refreshes only that engine.  It keeps two regimes: once the copies are
+identical they stay so for good, and share one engine that moves both in
+lockstep; every other pair composes coupling factors through the join
+configuration, as :func:`couplex.coupling.coupling_table` does, memoising
+the composition per local occupancy pattern, which keeps long runs on large
+rings affordable.  Ordered pairs need no path of their own: their join is the
+upper copy.  Under ``increasing`` an unordered pair has no coupled moves, so
+each copy moves alone.
 
 One Gillespie loop runs both engines.  Sampling records the state at fixed
 grid times (the state just before each grid time, i.e. the left limit); a
-horizon or a sampling step that is not positive raises ValueError.
+horizon or a sampling step that is not positive and finite, or a step that
+leaves no grid time up to the horizon, raises ValueError.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Optional
@@ -34,7 +36,7 @@ import numpy as np
 
 from .lattice import CoupledState, is_active, is_ordered, signed_offset
 from .models import RateSpec, active_jumps, rate
-from .coupling import _join_contributions, residual_rates
+from .coupling import _flavor, _join_contributions, _uncoupled, residual_rates
 
 
 @dataclass
@@ -130,13 +132,15 @@ def _advance(events, rng: np.random.Generator):
 
 
 def _sample_grid(t_end: float, sample_dt: Optional[float]):
-    if not t_end > 0:
-        raise ValueError("t_end must be positive, got %r" % (t_end,))
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite, got %r" % (t_end,))
     if sample_dt is None:
         return [t_end]
-    if not sample_dt > 0:
-        raise ValueError("sample_dt must be positive, got %r" % (sample_dt,))
+    if not 0 < sample_dt < math.inf:
+        raise ValueError("sample_dt must be positive and finite, got %r" % (sample_dt,))
     n = int(np.floor(t_end / sample_dt + 1e-9))
+    if n < 1:
+        raise ValueError("sample_dt %r leaves no sample time up to t_end %r" % (sample_dt, t_end))
     return [k * sample_dt for k in range(1, n + 1)]
 
 
@@ -186,7 +190,7 @@ def simulate_single(
 ) -> Trajectory:
     """Simulate one copy up to t_end, sampling every sample_dt (at t_end
     only when sample_dt is None).  A horizon or step that is not positive
-    raises ValueError."""
+    and finite, or a step longer than the horizon, raises ValueError."""
     engine = _SingleEngine(spec, init)
     times, snapshots, events, absorbed = _run(
         engine, _rng(seed, replica), t_end, sample_dt, lambda n: None
@@ -237,35 +241,33 @@ class _MiddleCache:
         )
 
 
-_FLAVOR = {"increasing": "overlap", "attractive": "overlap", "strict": "proportional"}
-
-
 class _CoupledEngine:
     """The coupled chain as two single-chain engines, one per copy, plus the
     coupled map of the pair.
 
     Each event is ``(rate, first_jump | None, second_jump | None)`` with a
-    jump written ``(x, d)``; each copy's jump goes to its own engine.
+    jump written ``(x, d)``; each copy's jump goes to its own engine.  Once
+    the copies are identical, ``second`` is ``first``: one engine serves both.
     """
 
     def __init__(self, spec: RateSpec, pair: CoupledState, kind: str):
-        if kind not in _FLAVOR:
-            raise ValueError("unknown coupling kind %r" % (kind,))
+        self.cache = _MiddleCache(spec, _flavor(kind))
         self.spec = spec
         self.kind = kind
         self.first = _SingleEngine(spec, pair.first)
-        self.second = _SingleEngine(spec, pair.second)
+        self.second = self.first if pair.first == pair.second else _SingleEngine(spec, pair.second)
         self.size = len(pair.first)
-        self.cache = _MiddleCache(spec, _FLAVOR[kind])
 
     def state(self) -> CoupledState:
         return CoupledState(self.first.state(), self.second.state())
 
     def discrepancies(self) -> int:
+        if self.first is self.second:
+            return 0
         return sum(a != b for a, b in zip(self.first.eta, self.second.eta))
 
     def events(self):
-        if self.first.eta == self.second.eta:
+        if self.first is self.second:
             return [(r, (x, d), (x, d)) for r, x, d in self.first.events()]
         return self._composed_events()
 
@@ -273,8 +275,8 @@ class _CoupledEngine:
         """Composed coupled rates of the current pair, keyed (x1, y1, x2, y2)."""
         spec, size = self.spec, self.size
         xi, zeta = self.first.eta, self.second.eta
-        if self.kind == "increasing" and not is_ordered(xi, zeta):
-            return {}  # the increasing coupling leaves an unordered pair uncoupled
+        if _uncoupled(self.kind, xi, zeta):
+            return {}
         reach = self.cache.reach
         coupled = {}
         for x in range(size):
@@ -317,10 +319,15 @@ class _CoupledEngine:
         return out
 
     def apply(self, first, second):
+        if self.first is self.second:
+            self.first.apply(*first)  # a lockstep event moves the shared engine once
+            return
         if first is not None:
             self.first.apply(*first)
         if second is not None:
             self.second.apply(*second)
+        if self.first.eta == self.second.eta:
+            self.second = self.first
 
 
 def simulate_coupled(

@@ -290,6 +290,17 @@ INVALID_FLAGS = [
     (("--t-end", "-5"), "t_end = -5", "[execution.t_end] t_end must be positive"),
     (("--sample-dt", "-1"), "sample_dt = -1", "[execution.sample_dt] sample_dt must be positive"),
     (("--replicas", "0"), "replicas = 0", "[execution.replicas] replicas must be at least 1"),
+    (("--t-end", "inf"), "t_end = inf", "[execution.t_end] t_end must be positive and finite"),
+    (
+        ("--t-end", "5", "--sample-dt", "inf"),
+        "t_end = 5\nsample_dt = inf",
+        "[execution.sample_dt] sample_dt must be positive and finite",
+    ),
+    (
+        ("--t-end", "1", "--sample-dt", "5"),
+        "t_end = 1\nsample_dt = 5",
+        "couplex: sample_dt 5.0 leaves no sample time up to t_end 1.0",
+    ),
 ]
 
 

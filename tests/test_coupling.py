@@ -8,7 +8,6 @@ from couplex import (
     coupled_transitions,
     coupling_table,
     gg_symmetrized,
-    increasing_rates,
     is_ordered,
     leq,
     marginal_errors,
@@ -81,7 +80,7 @@ def test_identical_copies_move_in_lockstep():
 
 
 def test_increasing_on_unordered_pairs_is_empty():
-    table = increasing_rates(sep(), (1, 0, 0, 1, 0), (0, 1, 0, 1, 0))
+    table = coupling_table(sep(), (1, 0, 0, 1, 0), (0, 1, 0, 1, 0), "increasing")
     assert table.coupled == {}
     # the residuals then carry the full marginal rates
     assert table.residual_first[(0, 1)] == 1
@@ -92,8 +91,8 @@ def test_increasing_transpose_symmetry():
     lo = (0, 1, 0, 0, 1, 0)
     hi = (0, 1, 1, 0, 1, 0)
     assert leq(lo, hi)
-    a = increasing_rates(spec, lo, hi)
-    b = increasing_rates(spec, hi, lo)
+    a = coupling_table(spec, lo, hi, "increasing")
+    b = coupling_table(spec, hi, lo, "increasing")
     assert b.coupled == {(x2, y2, x1, y1): g for (x1, y1, x2, y2), g in a.coupled.items()}
     assert b.residual_first == a.residual_second
     assert b.residual_second == a.residual_first
@@ -163,6 +162,34 @@ def test_cross_formulation_report():
         assert bool(report) and report.mismatches == []
         good += 1
     assert good == 120
+
+
+def test_cross_check_compares_every_open_entry(monkeypatch):
+    # the check reads only entries whose two jumps are open; a change to one
+    # of them must show, a change to an entry no move can use must not
+    from couplex import coupling
+    from couplex.lattice import is_active
+
+    spec = MODELS["traffic2"]
+    xi = (0, 1, 0, 0, 1, 0)
+    zeta = (0, 1, 1, 0, 1, 0)
+    assert leq(xi, zeta)
+    honest = coupling._prefix_coupled(spec, xi, zeta)
+
+    def open_in_both(key):
+        return is_active(xi, key[0], key[1]) and is_active(zeta, key[2], key[3])
+
+    for is_open in (True, False):
+        key = next(k for k in sorted(honest) if open_in_both(k) == is_open)
+        perturbed = dict(honest)
+        perturbed[key] += F(1, 7)
+        monkeypatch.setattr(coupling, "_prefix_coupled", lambda *_: perturbed)
+        report = oneD_cross_check(spec, xi, zeta)
+        if is_open:
+            assert not report.equal
+            assert [k for k, _, _ in report.mismatches] == [key]
+        else:
+            assert report.equal and report.mismatches == []
 
 
 def test_build_sets_frozen_example():

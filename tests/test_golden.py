@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from couplex import coupled_generator, gg_symmetrized, is_monotone, traffic2, validate_spec
-from couplex.coupling import attractive_rates, increasing_rates
+from couplex.coupling import coupling_table
 from couplex.golden import (
     CRITERIA,
     MONOTONE_ZOO,
@@ -57,7 +57,7 @@ def test_table_mismatches_handles_heterogeneous_keys():
 def test_traffic2_reference_matches_engine():
     spec = traffic2(F(7, 10), F(1, 5))
     for xi, zeta in ordered_pairs(6):
-        table = increasing_rates(spec, xi, zeta)
+        table = coupling_table(spec, xi, zeta, "increasing")
         expected = traffic2_reference_table(F(7, 10), F(1, 5), xi, zeta)
         got = both_active_entries(table, xi, zeta)
         assert table_mismatches(expected, got) == [], (xi, zeta)
@@ -68,7 +68,7 @@ def test_traffic2_reference_boundary_params():
     for alpha, beta in ((1, 2), (2, 1), (1, 0)):
         spec = traffic2(alpha, beta)
         for xi, zeta in list(ordered_pairs(5))[:150]:
-            table = increasing_rates(spec, xi, zeta)
+            table = coupling_table(spec, xi, zeta, "increasing")
             expected = traffic2_reference_table(alpha, beta, xi, zeta)
             got = both_active_entries(table, xi, zeta)
             assert table_mismatches(expected, got) == []
@@ -101,7 +101,7 @@ def test_gg_increasing_reference_matches_engine():
     params = (2, 1, 1, 2)
     spec = gg_symmetrized(*params)
     for xi, zeta in ordered_pairs(6):
-        table = increasing_rates(spec, xi, zeta)
+        table = coupling_table(spec, xi, zeta, "increasing")
         expected = gg_reference_increasing(params, xi, zeta)
         got = both_active_entries(table, xi, zeta)
         assert table_mismatches(expected, got, tol=1e-12) == [], (xi, zeta)
@@ -112,7 +112,7 @@ def test_gg_attractive_reference_frozen_example():
     spec = gg_symmetrized(*params)
     xi = (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)
     zeta = (0, 0, 0, 1, 0, 1, 1, 0, 0, 0)
-    table = attractive_rates(spec, xi, zeta)
+    table = coupling_table(spec, xi, zeta, "attractive")
     engine = both_active_entries(table, xi, zeta)
 
     def active_only(entries):

@@ -6,6 +6,7 @@ import pytest
 
 from couplex import (
     CoupledState,
+    apply_jump,
     coupled_transitions,
     coupling_table,
     discrepancy_pair,
@@ -149,17 +150,28 @@ def test_sampling_grid():
     assert traj.times == [1.0, 2.0, 3.0]
     lone = simulate_single(sep(), (1, 0, 0, 0), t_end=3.0, seed=4)
     assert lone.times == [3.0]
-    # a horizon or a given step that is not positive is refused, not
-    # sampled at a negative time or silently dropped
+    # a horizon or a given step that is not positive and finite is refused,
+    # not sampled at a negative time, silently dropped or run for ever; so is
+    # a step that leaves no sample time
     eta = (1, 0, 1, 0, 1, 0, 1, 0)
     runs = (
         lambda t_end, dt: simulate_single(sep(), eta, t_end, sample_dt=dt),
         lambda t_end, dt: simulate_coupled(sep(), eta, eta[::-1], "attractive", t_end, sample_dt=dt),
     )
-    bad = ((-5.0, -1.0, "t_end"), (0.0, None, "t_end"), (2.0, -1.0, "sample_dt"), (2.0, 0.0, "sample_dt"))
+    inf = float("inf")
+    bad = (
+        (-5.0, -1.0, "t_end must be positive"),
+        (0.0, None, "t_end must be positive"),
+        (inf, None, "t_end must be positive and finite"),
+        (inf, 1.0, "t_end must be positive and finite"),
+        (2.0, -1.0, "sample_dt must be positive"),
+        (2.0, 0.0, "sample_dt must be positive"),
+        (5.0, inf, "sample_dt must be positive and finite"),
+        (1.0, 5.0, "sample_dt 5.0 leaves no sample time up to t_end 1.0"),
+    )
     for run in runs:
-        for t_end, dt, what in bad:
-            with pytest.raises(ValueError, match="%s must be positive" % what):
+        for t_end, dt, message in bad:
+            with pytest.raises(ValueError, match=message):
                 run(t_end, dt)
 
 
@@ -229,6 +241,28 @@ def test_coupled_engine_matches_exact_transitions(spec, size):
                 if fired == 3 or not events:
                     break
                 engine.apply(*rng.choice(events)[1:])
+
+
+def test_copies_share_one_engine_once_they_meet():
+    # identical copies stay identical, so once they meet one engine moves
+    # both; a lockstep event must then move the shared engine exactly once
+    spec = sep()
+    engine = _CoupledEngine(spec, CoupledState((1, 1, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0)), "attractive")
+    assert engine.first is not engine.second and engine.discrepancies() == 2
+    meet = (1.0, (1, 1), None)  # the first copy's lone jump 1 -> 2
+    assert meet in engine.events()
+    engine.apply(*meet[1:])
+    assert engine.first is engine.second and engine.discrepancies() == 0
+    eta = engine.first.state()
+    assert _engine_rates(engine) == _exact_rates(spec, eta, eta, "attractive")
+    _, first, second = engine.events()[0]
+    assert first == second
+    engine.apply(first, second)
+    x, d = first
+    moved = apply_jump(eta, x, (x + d) % len(eta))
+    assert moved != eta
+    assert engine.state() == CoupledState(moved, moved)
+    assert _engine_rates(engine) == _exact_rates(spec, moved, moved, "attractive")
 
 
 def test_strict_coupling_refuses_pair_it_cannot_serve():

@@ -3,7 +3,10 @@
 Everything here enumerates states explicitly: single-copy chains over all
 configurations of a ring (or one particle-number sector), and coupled chains
 over configuration pairs.  Generators are kept sparse (dict of rows); dense
-numpy arrays are materialized only for linear solves.
+numpy arrays are materialized only for linear solves.  The stationary law of a
+closed class solves the replaced-row system: Q^T on the class with its last
+equation replaced by the normalisation sum(pi) = 1, by one LU factorisation.
+Transient laws step through the sparse rows.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ _POISSON_STEP = 64.0
 #: uniformization rate over the largest exit rate, so P keeps a positive
 #: diagonal
 _UNIFORM_MARGIN = 1.05
+#: a solved weight below -_NEGATIVE_TOL times the largest weight is an error,
+#: not rounding, and raises instead of being clipped
+_NEGATIVE_TOL = 1e-9
 
 
 @dataclass
@@ -51,9 +57,6 @@ class GeneratorMatrix:
     @property
     def dimension(self) -> int:
         return len(self.states)
-
-    def total_rate(self, i: int):
-        return sum(self.rows[i].values())
 
     def to_dense(self, members=None) -> np.ndarray:
         """Dense generator, or its block on the state indices ``members`` in
@@ -219,15 +222,38 @@ def closed_classes(gen: GeneratorMatrix) -> list:
 
 
 def _solve_on_class(gen: GeneratorMatrix, members: list) -> np.ndarray:
+    """Stationary law on one closed class, in the order of ``members``.
+
+    A closed class is irreducible, so Q^T restricted to it has rank n - 1.
+    Replacing its last equation by the normalisation sum(pi) = 1 gives a
+    nonsingular system, solved by one LU factorisation (Stewart,
+    *Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 2).
+    Rounding-sized negative weights are clipped to 0; a singular system, a
+    weight below -_NEGATIVE_TOL times the largest, or a sum that is not
+    positive raises ``ValueError``.
+    """
     n = len(members)
-    # q lives until the solve returns: freed before lstsq, its block leaves
-    # a hole in the malloc heap that later solves may or may not reuse, and
-    # the peak memory of repeated solves then varies by ~25 MB from run to run
-    q = gen.to_dense(members)
-    a = np.vstack([q.T, np.ones(n)])
-    b = np.zeros(n + 1)
+    a = gen.to_dense(members).T
+    a[-1] = 1.0
+    b = np.zeros(n)
     b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
+    try:
+        pi = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            "stationary solve on a closed class of %d states: %s" % (n, exc)
+        ) from exc
+    total = pi.sum()
+    if not total > 0:
+        raise ValueError(
+            "stationary solve on a closed class of %d states gave weights "
+            "summing to %r" % (n, float(total))
+        )
+    if pi.min() < -_NEGATIVE_TOL * pi.max():
+        raise ValueError(
+            "stationary solve on a closed class of %d states gave weight %r "
+            "against a largest weight of %r" % (n, float(pi.min()), float(pi.max()))
+        )
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     return pi
@@ -243,10 +269,8 @@ def stationary_distributions(gen: GeneratorMatrix) -> list:
         )
     out = []
     for members in classes:
-        local = _solve_on_class(gen, members)
         weights = np.zeros(gen.dimension)
-        for k, i in enumerate(members):
-            weights[i] = local[k]
+        weights[members] = _solve_on_class(gen, members)
         out.append(StationaryDistribution(gen.states, weights, _balance_residual(gen, weights)))
     return out
 
@@ -272,24 +296,24 @@ def stationary_distribution(gen: GeneratorMatrix) -> StationaryDistribution:
     return dists[0]
 
 
-def uniformized_kernel(gen: GeneratorMatrix):
-    """Discrete kernel P = I + Q/lam with lam = _UNIFORM_MARGIN times the
-    largest exit rate."""
-    lam = max((float(gen.total_rate(i)) for i in range(gen.dimension)), default=1.0)
-    lam = lam * _UNIFORM_MARGIN if lam > 0 else 1.0
-    q = gen.to_dense()
-    p = np.eye(gen.dimension) + q / lam
-    return p, lam
-
-
 def transient_distribution(gen: GeneratorMatrix, start: np.ndarray, t: float) -> np.ndarray:
     """start @ exp(tQ) through uniformization with adaptive Poisson truncation.
 
+    The kernel P = I + Q/lam, with lam = _UNIFORM_MARGIN times the largest
+    exit rate, is applied from the sparse rows, so a step costs O(nnz).
     The horizon is cut into steps whose Poisson mean is at most
     ``_POISSON_STEP``, so exp(-mean) never underflows.  Each step sums terms
     until their Poisson mass reaches 1 - 1e-14, and raises if it does not.
     """
-    p, lam = uniformized_kernel(gen)
+    n = gen.dimension
+    rows = np.array([i for i, row in enumerate(gen.rows) for _ in row], dtype=np.intp)
+    cols = np.array([j for row in gen.rows for j in row], dtype=np.intp)
+    vals = np.array([float(r) for row in gen.rows for r in row.values()])
+    exit_rates = np.bincount(rows, weights=vals, minlength=n)
+    lam = float(exit_rates.max(initial=0.0))
+    lam = lam * _UNIFORM_MARGIN if lam > 0 else 1.0
+    stay = 1.0 - exit_rates / lam
+    moves = vals / lam
     steps = max(1, math.ceil(lam * t / _POISSON_STEP))
     mean = lam * t / steps
     # 20 standard deviations past the mean: only rounding can keep the
@@ -309,7 +333,7 @@ def transient_distribution(gen: GeneratorMatrix, start: np.ndarray, t: float) ->
                     % (accumulated, k, mean)
                 )
             k += 1
-            term = term @ p
+            term = term * stay + np.bincount(cols, weights=term[rows] * moves, minlength=n)
             weight = weight * mean / k
             out = out + weight * term
             accumulated += weight

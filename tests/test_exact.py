@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction as F
 
@@ -21,7 +22,7 @@ from couplex import (
     two_star_step,
     two_step,
 )
-from couplex.exact import stationary_distributions
+from couplex.exact import GeneratorMatrix, closed_classes, stationary_distributions
 
 
 def test_single_generator_shape_and_conservation():
@@ -103,6 +104,136 @@ def test_transient_distribution_converges_to_stationary():
         evolved = transient_distribution(gen, start, t)
         assert abs(evolved.sum() - 1.0) < 1e-10
         assert np.allclose(evolved, dist.weights, atol=1e-8)
+
+
+def _dense_block(gen, members):
+    """Generator block on ``members`` with the full exit rate on the diagonal,
+    built straight from the rows."""
+    pos = {i: k for k, i in enumerate(members)}
+    q = np.zeros((len(members), len(members)))
+    for i, k in pos.items():
+        for j, r in gen.rows[i].items():
+            q[k, k] -= float(r)
+            if j in pos:
+                q[k, pos[j]] += float(r)
+    return q
+
+
+def _lstsq_stationary(gen, members):
+    """Oracle: least squares on Q^T stacked over a row of ones."""
+    n = len(members)
+    a = np.vstack([_dense_block(gen, members).T, np.ones(n)])
+    b = np.zeros(n + 1)
+    b[-1] = 1.0
+    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
+    pi = np.clip(pi, 0.0, None)
+    weights = np.zeros(gen.dimension)
+    weights[members] = pi / pi.sum()
+    return weights
+
+
+def _two_closed_classes():
+    """0 <-> 1 leak into the absorbing state 2; 3 <-> 4 is closed."""
+    rows = [{1: 1.0}, {0: 2.0, 2: 0.5}, {}, {4: 1.0}, {3: 3.0}]
+    return GeneratorMatrix(list(range(5)), rows)
+
+
+@pytest.mark.parametrize(
+    "gen, classes",
+    [
+        (single_generator(traffic2(F(7, 10), F(1, 5)), 10, 5), 1),
+        (single_generator(two_star_step({1: F(1, 10), 2: F(9, 10)}), 10, 5), 1),
+        (single_generator(gg_symmetrized(3, 2, 2, F(1, 2)), 10, 5), 1),
+        (single_generator(gg_symmetrized(1, 0, 1, 0), 5, 2), 5),
+        (_two_closed_classes(), 2),
+    ],
+    ids=["traffic2", "two_star_step", "gg", "gg-reducible", "absorbing-state"],
+)
+def test_stationary_solve_matches_lstsq(gen, classes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dists = stationary_distributions(gen)
+    members = closed_classes(gen)
+    assert len(dists) == len(members) == classes
+    for dist, cls in zip(dists, members):
+        assert np.max(np.abs(dist.weights - _lstsq_stationary(gen, cls))) <= 1e-12
+        assert dist.residual <= 1e-12
+    if classes == 2:
+        assert [len(cls) for cls in members] == [1, 2]
+        assert dists[0].weights[2] == 1.0
+
+
+def test_stationary_solve_fails_loudly(monkeypatch):
+    gen = single_generator(sep(), 5, 2)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ValueError, match="closed class of 10 states: Singular matrix"):
+        stationary_distributions(gen)
+
+    def one_negative(a, b):
+        weights = np.full(len(b), 0.1)
+        weights[3] = -0.5
+        return weights
+
+    monkeypatch.setattr(np.linalg, "solve", one_negative)
+    with pytest.raises(ValueError, match="10 states gave weight -0.5 against a largest weight of 0.1"):
+        stationary_distributions(gen)
+
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.zeros(len(b)))
+    with pytest.raises(ValueError, match="10 states gave weights summing to 0.0"):
+        stationary_distributions(gen)
+
+    def rounding_negative(a, b):
+        weights = np.full(len(b), 0.1)
+        weights[3] = -1e-17
+        return weights
+
+    monkeypatch.setattr(np.linalg, "solve", rounding_negative)
+    (dist,) = stationary_distributions(gen)
+    assert dist.weights[3] == 0.0
+    assert abs(dist.weights.sum() - 1.0) < 1e-15
+
+
+def _dense_transient(gen, start, t):
+    """Oracle: uniformization with the dense kernel P = I + Q/lam."""
+    q = _dense_block(gen, range(gen.dimension))
+    lam = 1.05 * max(-np.diag(q))
+    p = np.eye(gen.dimension) + q / lam
+    steps = max(1, math.ceil(lam * t / 64.0))
+    mean = lam * t / steps
+    out = start.astype(float)
+    for _ in range(steps):
+        term = out
+        weight = np.exp(-mean)
+        out = weight * term
+        accumulated = weight
+        k = 0
+        while accumulated < 1.0 - 1e-14:
+            k += 1
+            term = term @ p
+            weight = weight * mean / k
+            out = out + weight * term
+            accumulated += weight
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, size, count, t",
+    [
+        (traffic2(F(7, 10), F(1, 5)), 8, 4, 3.0),
+        (traffic2(F(7, 10), F(1, 5)), 8, 4, 120.0),
+        (gg_symmetrized(3, 2, 2, F(1, 2)), 10, 5, 2.0),
+    ],
+)
+def test_sparse_transient_matches_dense_kernel(spec, size, count, t):
+    gen = single_generator(spec, size, count)
+    start = np.zeros(gen.dimension)
+    start[[0, gen.dimension // 2]] = 0.5
+    got = transient_distribution(gen, start, t)
+    assert np.max(np.abs(got - _dense_transient(gen, start, t))) <= 1e-12
 
 
 def test_single_generator_caps_the_state_count():

@@ -20,6 +20,13 @@ site and their partial rate sums; the kinds differ only in the factor flavor
 * ``strict`` — proportional factors, which spread each copy's surplus rate
   over the partner's discrepancy sites in proportion to their rates.
 
+The factors through one join jump read only the sites within
+``dep_radius + 3 * max_offset`` of its departure, so one walk
+(``_composed_coupled``) memoises the composed entries per flavor, offset and
+local pair pattern in the spec's ``_compositions``, which lives as long as
+the spec.  The tables here and the coupled simulator of
+:mod:`couplex.simulate` both read that one memo, the simulator in floats.
+
 Tables store *raw* coupled rates: occupancy indicator prefactors (departure
 occupied, target empty, in each copy) are applied when transitions are
 enumerated, not when the table is built.  A coupled entry exists only for a
@@ -39,10 +46,9 @@ from .lattice import (
     format_configuration,
     is_active,
     is_ordered,
-    join,
     leq,
 )
-from .models import RateSpec, active_jumps, rate
+from .models import RateSpec, _check_ring, rate
 
 #: the factor flavor each coupling kind composes through the join
 FLAVOR = {"increasing": "overlap", "attractive": "overlap", "strict": "proportional"}
@@ -270,19 +276,56 @@ def _join_contributions(spec: RateSpec, xi, zeta, mid, x: int, y: int, norm, fla
     ]
 
 
-def _composed_coupled(spec: RateSpec, xi, zeta, flavor: str) -> dict:
-    """Raw coupled map of the discrepancy-reducing coupling, for any pair.
+def _compose(spec: RateSpec, flavor: str, reach: int, d: int, window):
+    """Entries ``(dx1, dy1, dx2, dy2, g)`` through the join jump of offset d
+    out of the centre of ``window``, the pair pattern ``(xi << 1) | zeta``
+    of the 2 * reach + 1 sites around the departure; sites are relative to
+    the departure.  Returns them twice, with g raw and as float(g)."""
+    xi = tuple(p >> 1 for p in window)
+    zeta = tuple(p & 1 for p in window)
+    mid = tuple(a | b for a, b in zip(xi, zeta))
+    x, y = reach, reach + d
+    norm = rate(spec, mid, x, y)
+    if norm <= 0:
+        return (), ()
+    raw = tuple(
+        (x1 - reach, y1 - reach, x2 - reach, y2 - reach, g)
+        for (x1, y1, x2, y2), g in _join_contributions(spec, xi, zeta, mid, x, y, norm, flavor)
+    )
+    return raw, tuple(entry[:4] + (float(entry[4]),) for entry in raw)
 
-    Couples (xi, join) and (join, zeta) through each active jump of the join
-    configuration, splitting proportionally to the join's rate.
+
+def _composed_coupled(spec: RateSpec, xi, zeta, flavor: str, floats: bool = False) -> dict:
+    """Coupled map of the composition through the join, for any pair.
+
+    Each join jump's entries come from ``spec._compositions[flavor]``, keyed
+    by its offset and the pair pattern within reach of its departure, and
+    are mapped back to ring sites.  They add up in walk order: the raw
+    values, or with ``floats`` their floats one by one.  On a ring of at
+    least ``min_ring_size`` sites a pattern's entries land on distinct ring
+    sites, so the memo serves small rings too.
     """
     size = len(xi)
-    mid = join(xi, zeta)
+    _check_ring(spec, size)
+    memo = spec._compositions.setdefault(flavor, {})
+    reach = spec.dep_radius + 3 * spec.max_offset
+    column = 1 if floats else 0
     coupled = {}
-    # factors through a zero-rate join jump vanish; active_jumps skips those
-    for x, d, norm in active_jumps(spec, mid):
-        for key, g in _join_contributions(spec, xi, zeta, mid, x, (x + d) % size, norm, flavor):
-            coupled[key] = coupled.get(key, 0) + g
+    for x in range(size):
+        if not (xi[x] or zeta[x]):
+            continue
+        window = tuple(
+            (xi[(x + k) % size] << 1) | zeta[(x + k) % size] for k in range(-reach, reach + 1)
+        )
+        for d in spec.jump_offsets:
+            if window[reach + d]:
+                continue  # join-occupied target
+            entries = memo.get((d, window))
+            if entries is None:
+                entries = memo[(d, window)] = _compose(spec, flavor, reach, d, window)
+            for dx1, dy1, dx2, dy2, g in entries[column]:
+                key = ((x + dx1) % size, (x + dy1) % size, (x + dx2) % size, (x + dy2) % size)
+                coupled[key] = coupled.get(key, 0) + g
     return coupled
 
 
@@ -371,6 +414,7 @@ def coupling_table(spec: RateSpec, xi, zeta, kind: str) -> CouplingTable:
     map on an unordered pair; ``strict`` with proportional factors.
     """
     flavor = _flavor(kind)
+    _check_ring(spec, len(xi))
     coupled = {} if _uncoupled(kind, xi, zeta) else _composed_coupled(spec, xi, zeta, flavor)
     return _finish(spec, xi, zeta, kind, coupled)
 

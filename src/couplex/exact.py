@@ -15,6 +15,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,17 +59,33 @@ class GeneratorMatrix:
     def dimension(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def entries(self):
+        """The off-diagonal rates as arrays ``(rows, cols, vals)`` in row
+        order, and the exit rates ``float(sum(row.values()))`` per state.
+
+        Built once, on first use, and shared by every class of a reducible
+        chain; ``rows`` must not change after that.
+        """
+        rows = np.array([i for i, row in enumerate(self.rows) for _ in row], dtype=np.intp)
+        cols = np.array([j for row in self.rows for j in row], dtype=np.intp)
+        vals = np.array([float(r) for row in self.rows for r in row.values()])
+        exits = np.array([float(sum(row.values())) for row in self.rows])
+        return rows, cols, vals, exits
+
     def to_dense(self, members=None) -> np.ndarray:
         """Dense generator, or its block on the state indices ``members`` in
         that order; the diagonal is always minus the full exit rate."""
-        pos = {i: k for k, i in enumerate(range(self.dimension) if members is None else members)}
-        q = np.zeros((len(pos), len(pos)))
-        for i, k in pos.items():
-            row = self.rows[i]
-            for j, r in row.items():
-                if j in pos:
-                    q[k, pos[j]] = float(r)
-            q[k, k] = -float(sum(row.values()))
+        rows, cols, vals, exits = self.entries
+        if members is None:
+            members = range(self.dimension)
+        members = np.asarray(members, dtype=np.intp)
+        pos = np.full(self.dimension, -1, dtype=np.intp)
+        pos[members] = np.arange(len(members))
+        keep = (pos[rows] >= 0) & (pos[cols] >= 0)
+        q = np.zeros((len(members), len(members)))
+        q[pos[rows[keep]], pos[cols[keep]]] = vals[keep]
+        q[np.diag_indices(len(members))] = -exits[members]
         return q
 
 
@@ -277,14 +294,9 @@ def stationary_distributions(gen: GeneratorMatrix) -> list:
 
 def _balance_residual(gen: GeneratorMatrix, weights: np.ndarray) -> float:
     """max |weights @ Q|, from the sparse rows."""
-    flow = np.zeros(gen.dimension)
-    for i, row in enumerate(gen.rows):
-        w = weights[i]
-        if w:
-            for j, r in row.items():
-                flow[j] += w * float(r)
-            flow[i] -= w * float(sum(row.values()))
-    return float(np.max(np.abs(flow)))
+    rows, cols, vals, exits = gen.entries
+    flow = np.bincount(cols, weights=weights[rows] * vals, minlength=gen.dimension)
+    return float(np.max(np.abs(flow - weights * exits)))
 
 
 def stationary_distribution(gen: GeneratorMatrix) -> StationaryDistribution:
@@ -306,10 +318,7 @@ def transient_distribution(gen: GeneratorMatrix, start: np.ndarray, t: float) ->
     until their Poisson mass reaches 1 - 1e-14, and raises if it does not.
     """
     n = gen.dimension
-    rows = np.array([i for i, row in enumerate(gen.rows) for _ in row], dtype=np.intp)
-    cols = np.array([j for row in gen.rows for j in row], dtype=np.intp)
-    vals = np.array([float(r) for row in gen.rows for r in row.values()])
-    exit_rates = np.bincount(rows, weights=vals, minlength=n)
+    rows, cols, vals, exit_rates = gen.entries
     lam = float(exit_rates.max(initial=0.0))
     lam = lam * _UNIFORM_MARGIN if lam > 0 else 1.0
     stay = 1.0 - exit_rates / lam
@@ -522,9 +531,7 @@ def discrepancy_extinction(spec: RateSpec, size: int, kind: str = "strict") -> E
             h = np.zeros(n)
             if live:
                 sub = np.ix_(live, live)
-                h_live = np.linalg.solve(a[sub], b[live])
-                for pos, k in enumerate(live):
-                    h[k] = h_live[pos]
+                h[live] = np.linalg.solve(a[sub], b[live])
             for k, s in enumerate(unordered):
                 checked += 1
                 if h[k] < min_prob:

@@ -672,10 +672,7 @@ def _crit_sector_uniform():
 
     def scan(label, spec):
         nonlocal worst
-        reports = check_sector_uniform_stationary(spec, 8)
-        if not isinstance(reports, list):
-            reports = [reports]
-        for rep in reports:
+        for rep in check_sector_uniform_stationary(spec, 8):
             worst = max(worst, rep.max_imbalance)
             if not rep.ok:
                 bad.append((label, rep.sector, rep.max_imbalance))

@@ -77,6 +77,8 @@ class RateSpec:
         #: smallest ring on which distinct sites cover every rate window
         self.min_ring_size = 2 * (self.dep_radius + self.max_offset) + 1
         self._tables: dict = {}
+        #: composed coupling entries per flavor, filled by couplex.coupling
+        self._compositions: dict = {}
 
     def __repr__(self) -> str:
         inner = ", ".join("%s=%r" % kv for kv in self.params.items())

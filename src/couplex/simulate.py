@@ -12,11 +12,12 @@ each copy's marginal jumps come from its own engine's cache, and each copy's
 jump refreshes only that engine.  It keeps two regimes: once the copies are
 identical they stay so for good, and share one engine that moves both in
 lockstep; every other pair composes coupling factors through the join
-configuration, as :func:`couplex.coupling.coupling_table` does, memoising
-the composition per local occupancy pattern, which keeps long runs on large
-rings affordable.  Ordered pairs need no path of their own: their join is the
-upper copy.  Under ``increasing`` an unordered pair has no coupled moves, so
-each copy moves alone.
+configuration by the walk :func:`couplex.coupling.coupling_table` uses, in
+floats.  That walk memoises the composition per local occupancy pattern on
+the spec (``RateSpec._compositions``), so all runs of one spec share it,
+which keeps long runs on large rings affordable.  Ordered pairs need no path
+of their own: their join is the upper copy.  Under ``increasing`` an
+unordered pair has no coupled moves, so each copy moves alone.
 
 One Gillespie loop runs both engines.  Sampling records the state at fixed
 grid times (the state just before each grid time, i.e. the left limit); a
@@ -35,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .lattice import CoupledState, is_active, is_ordered, signed_offset
-from .models import RateSpec, active_jumps, rate
-from .coupling import _flavor, _join_contributions, _uncoupled, residual_rates
+from .models import RateSpec, active_jumps
+from .coupling import _composed_coupled, _flavor, _uncoupled, residual_rates
 
 
 @dataclass
@@ -202,45 +203,6 @@ def simulate_single(
 # Coupled chain
 
 
-class _MiddleCache:
-    """Composed coupling contributions per local pair pattern.
-
-    For a join-active jump of displacement d, every coupling factor reads
-    only sites within dep_radius + 3*max_offset of the departure site, so the
-    composition through that jump is a pure function of the local pair
-    pattern.  Entries are stored with site offsets relative to the departure.
-    """
-
-    def __init__(self, spec: RateSpec, flavor: str):
-        self.spec = spec
-        self.flavor = flavor
-        self.reach = spec.dep_radius + 3 * spec.max_offset
-        self.cache = {}
-
-    def contributions(self, key):
-        hit = self.cache.get(key)
-        if hit is None:
-            hit = self.cache[key] = self._compose(key)
-        return hit
-
-    def _compose(self, key):
-        d0, pattern = key
-        c = self.reach
-        vxi = tuple(p >> 1 for p in pattern)
-        vzeta = tuple(p & 1 for p in pattern)
-        vmid = tuple(a | b for a, b in zip(vxi, vzeta))
-        x, y = c, c + d0
-        norm = rate(self.spec, vmid, x, y)
-        if norm <= 0:
-            return ()
-        return tuple(
-            (x1 - c, y1 - c, x2 - c, y2 - c, float(g))
-            for (x1, y1, x2, y2), g in _join_contributions(
-                self.spec, vxi, vzeta, vmid, x, y, norm, self.flavor
-            )
-        )
-
-
 class _CoupledEngine:
     """The coupled chain as two single-chain engines, one per copy, plus the
     coupled map of the pair.
@@ -251,7 +213,7 @@ class _CoupledEngine:
     """
 
     def __init__(self, spec: RateSpec, pair: CoupledState, kind: str):
-        self.cache = _MiddleCache(spec, _flavor(kind))
+        self.flavor = _flavor(kind)
         self.spec = spec
         self.kind = kind
         self.first = _SingleEngine(spec, pair.first)
@@ -271,39 +233,14 @@ class _CoupledEngine:
             return [(r, (x, d), (x, d)) for r, x, d in self.first.events()]
         return self._composed_events()
 
-    def _coupled_map(self):
-        """Composed coupled rates of the current pair, keyed (x1, y1, x2, y2)."""
-        spec, size = self.spec, self.size
-        xi, zeta = self.first.eta, self.second.eta
-        if _uncoupled(self.kind, xi, zeta):
-            return {}
-        reach = self.cache.reach
-        coupled = {}
-        for x in range(size):
-            if not (xi[x] or zeta[x]):
-                continue
-            window = tuple(
-                (xi[(x + k) % size] << 1) | zeta[(x + k) % size]
-                for k in range(-reach, reach + 1)
-            )
-            for d in spec.jump_offsets:
-                yk = reach + d
-                if window[yk] != 0:
-                    continue  # join-occupied target
-                for dx1, dy1, dx2, dy2, g in self.cache.contributions((d, window)):
-                    key = (
-                        (x + dx1) % size,
-                        (x + dy1) % size,
-                        (x + dx2) % size,
-                        (x + dy2) % size,
-                    )
-                    coupled[key] = coupled.get(key, 0.0) + g
-        return coupled
-
     def _composed_events(self):
         size = self.size
         xi, zeta = self.first.eta, self.second.eta
-        coupled = self._coupled_map()
+        coupled = (
+            {}
+            if _uncoupled(self.kind, xi, zeta)
+            else _composed_coupled(self.spec, xi, zeta, self.flavor, floats=True)
+        )
         out = [
             (g, (x1, signed_offset(x1, y1, size)), (x2, signed_offset(x2, y2, size)))
             for (x1, y1, x2, y2), g in coupled.items()

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -374,6 +376,18 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "monotone" in proc.stdout
+
+
+def test_package_runs_as_a_module_from_the_source_tree():
+    # `PYTHONPATH=src python -m couplex zoo` works without an install
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "couplex", "zoo"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith("traffic2(") for line in proc.stdout.splitlines())
 
 
 def test_simulate_refuses_pair_the_coupling_cannot_serve(capsys):

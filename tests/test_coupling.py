@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from couplex import (
     coupled_transitions,
     coupling_table,
+    custom_table,
     gg_symmetrized,
     is_ordered,
     leq,
@@ -14,17 +17,23 @@ from couplex import (
     oneD_cross_check,
     rate,
     sep,
+    simulate_coupled,
+    speed_change_decreasing,
     traffic2,
     two_star_step,
     two_step,
 )
+from couplex import coupling
 from couplex.coupling import (
+    FLAVOR,
     PartialSumSeries,
     build_sets,
     h_term,
     partial_sums,
 )
 from couplex.golden import ordered_pairs
+from couplex.lattice import join
+from couplex.models import active_jumps
 
 MODELS = {
     "sep": sep(),
@@ -38,8 +47,6 @@ KINDS = ("increasing", "attractive", "strict")
 
 
 def pairs(size):
-    import itertools
-
     for xi in itertools.product((0, 1), repeat=size):
         for zeta in itertools.product((0, 1), repeat=size):
             yield xi, zeta
@@ -285,3 +292,106 @@ def test_sep_attractive_is_the_basic_coupling():
             elif second_ok:
                 want[(None, (x, y))] = 1
         assert seen == want, (xi, zeta)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the memoised composition: the unmemoised walk on ring sites
+
+
+def _ring_composition(spec, xi, zeta, flavor, floats=False):
+    """Coupled map of the flavor composed through every active join jump on
+    the ring itself, without window patterns or the memo."""
+    size = len(xi)
+    mid = join(xi, zeta)
+    coupled = {}
+    for x, d, norm in active_jumps(spec, mid):
+        for key, g in coupling._join_contributions(
+            spec, xi, zeta, mid, x, (x + d) % size, norm, flavor
+        ):
+            coupled[key] = coupled.get(key, 0) + (float(g) if floats else g)
+    return coupled
+
+
+def _assert_same_map(got, want, context):
+    # exact equality of keys, values, value types and order
+    assert list(got) == list(want), context
+    for key, g in want.items():
+        assert type(got[key]) is type(g) and got[key] == g, (context, key)
+
+
+def _check_walk(spec, xi, zeta):
+    # raw values for the tables, floats summed one by one for the simulator
+    for flavor in ("overlap", "proportional"):
+        for floats in (False, True):
+            got = coupling._composed_coupled(spec, xi, zeta, flavor, floats=floats)
+            want = _ring_composition(spec, xi, zeta, flavor, floats)
+            _assert_same_map(got, want, (flavor, floats, xi, zeta))
+
+
+#: a rule that reads the far end of its windows in both directions: a jump
+#: slows down when the site behind it is occupied.  Through an arrival site,
+#: composed factors then read sites dep_radius + 3 * max_offset away from the
+#: join jump's departure.
+BEHIND = custom_table(
+    (1, -1),
+    0,
+    {
+        (d, "".join(bits)): 2 - int(bits[0 if d == 1 else 2])
+        for d in (1, -1)
+        for bits in itertools.product("01", repeat=3)
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [traffic2(F(7, 10), F(1, 5)), gg_symmetrized(2, 1, 1, 2), traffic2(0.7, 0.2), BEHIND],
+    ids=["traffic2 7/10 1/5", "gg 2 1 1 2", "traffic2 0.7 0.2", "behind"],
+)
+def test_memoised_walk_matches_ring_composition(spec):
+    # every pair of the smallest ring, where the window patterns wrap
+    # around the ring, and random pairs of two larger rings
+    rng = random.Random(repr(spec))
+    some_pairs = list(pairs(spec.min_ring_size)) + [
+        tuple(tuple(rng.randint(0, 1) for _ in range(size)) for _ in range(2))
+        for size in (12, 13)
+        for _ in range(30)
+    ]
+    for xi, zeta in some_pairs:
+        _check_walk(spec, xi, zeta)
+        if spec is BEHIND:
+            continue  # not every pair can be served; the walk is what is checked
+        for kind in KINDS:
+            want = {} if coupling._uncoupled(kind, xi, zeta) else _ring_composition(
+                spec, xi, zeta, FLAVOR[kind]
+            )
+            _assert_same_map(coupling_table(spec, xi, zeta, kind).coupled, want, (kind, xi, zeta))
+
+
+def test_memo_keeps_flavors_apart():
+    # a spec that built attractive tables first gives the strict tables of a
+    # fresh spec: the overlap entries are never read for the proportional
+    # flavor.  On this rule the two flavors differ on many pairs.
+    rng = random.Random(8)
+    some_pairs = [
+        tuple(tuple(rng.randint(0, 1) for _ in range(8)) for _ in range(2)) for _ in range(60)
+    ]
+    used = speed_change_decreasing(3)
+    attractive = [coupling_table(used, xi, zeta, "attractive").coupled for xi, zeta in some_pairs]
+    fresh = speed_change_decreasing(3)
+    differ = 0
+    for (xi, zeta), overlap in zip(some_pairs, attractive):
+        strict = coupling_table(used, xi, zeta, "strict").coupled
+        _assert_same_map(strict, coupling_table(fresh, xi, zeta, "strict").coupled, (xi, zeta))
+        differ += strict != overlap
+    assert differ >= 5
+
+
+def test_ring_below_the_window_is_refused():
+    spec = sep({2: 1})
+    message = r"ring of 3 sites is too small for sep \(needs >= 5\)"
+    for kind in KINDS:
+        with pytest.raises(ValueError, match=message):
+            coupling_table(spec, (1, 0, 0), (0, 1, 0), kind)
+    with pytest.raises(ValueError, match=message):
+        simulate_coupled(spec, (1, 0, 0), (0, 1, 0), "attractive", 1.0)

@@ -108,14 +108,15 @@ def test_transient_distribution_converges_to_stationary():
 
 def _dense_block(gen, members):
     """Generator block on ``members`` with the full exit rate on the diagonal,
-    built straight from the rows."""
+    built straight from the rows, entry by entry: off-diagonal rates, then
+    minus the exact exit rate rounded once."""
     pos = {i: k for k, i in enumerate(members)}
     q = np.zeros((len(members), len(members)))
     for i, k in pos.items():
         for j, r in gen.rows[i].items():
-            q[k, k] -= float(r)
             if j in pos:
-                q[k, pos[j]] += float(r)
+                q[k, pos[j]] = float(r)
+        q[k, k] = -float(sum(gen.rows[i].values()))
     return q
 
 
@@ -138,7 +139,7 @@ def _two_closed_classes():
     return GeneratorMatrix(list(range(5)), rows)
 
 
-@pytest.mark.parametrize(
+CHAINS = pytest.mark.parametrize(
     "gen, classes",
     [
         (single_generator(traffic2(F(7, 10), F(1, 5)), 10, 5), 1),
@@ -149,6 +150,9 @@ def _two_closed_classes():
     ],
     ids=["traffic2", "two_star_step", "gg", "gg-reducible", "absorbing-state"],
 )
+
+
+@CHAINS
 def test_stationary_solve_matches_lstsq(gen, classes):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -218,6 +222,30 @@ def _dense_transient(gen, start, t):
             out = out + weight * term
             accumulated += weight
     return out
+
+
+def _loop_residual(gen, weights):
+    flow = np.zeros(gen.dimension)
+    for i, row in enumerate(gen.rows):
+        for j, r in row.items():
+            flow[j] += weights[i] * float(r)
+        flow[i] -= weights[i] * float(sum(row.values()))
+    return float(np.max(np.abs(flow)))
+
+
+@CHAINS
+def test_generator_arrays_match_the_rows(gen, classes):
+    # the array-built dense blocks equal the entry-by-entry ones exactly; the
+    # residual sums in another order, so it may move by rounding only
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dists = stationary_distributions(gen)
+    blocks = closed_classes(gen) + [list(range(gen.dimension)), list(range(gen.dimension))[::-2]]
+    for members in blocks:
+        assert np.array_equal(gen.to_dense(members), _dense_block(gen, members))
+    assert np.array_equal(gen.to_dense(), _dense_block(gen, range(gen.dimension)))
+    for dist in dists:
+        assert abs(dist.residual - _loop_residual(gen, dist.weights)) <= 1e-14
 
 
 @pytest.mark.parametrize(

@@ -206,7 +206,26 @@ def _merged(args, command: str) -> RunConfig:
         bits = getattr(args, name, None)
         if bits is not None:
             setattr(cfg, name, parse_configuration(bits))
+    _check_lattice(cfg)
     return cfg
+
+
+def _check_lattice(cfg: RunConfig) -> None:
+    """Refuse a ring size and configurations whose lengths disagree."""
+    problems = []
+    for name in ("first", "second"):
+        bits = getattr(cfg, name)
+        if cfg.size is not None and bits is not None and len(bits) != cfg.size:
+            message = "size %d differs from the %d sites of %s" % (cfg.size, len(bits), name)
+            problems.append(Diagnostic("lattice", "size", message))
+    if cfg.first is not None and cfg.second is not None and len(cfg.first) != len(cfg.second):
+        message = "configuration lengths differ: first has %d sites, second %d" % (
+            len(cfg.first),
+            len(cfg.second),
+        )
+        problems.append(Diagnostic("lattice", "second", message))
+    if problems:
+        raise ConfigError(problems)
 
 
 def _need(value, what: str):
@@ -258,8 +277,6 @@ def _cmd_coupling_table(args) -> int:
     spec = build_spec(cfg)
     xi = _need(cfg.first, "first configuration")
     zeta = _need(cfg.second, "second configuration")
-    if len(xi) != len(zeta):
-        raise ConfigError([Diagnostic("lattice", "second", "configuration lengths differ")])
     kind = cfg.kind or "attractive"
     table = coupling_table(spec, xi, zeta, kind)
     rows = [("entry", "x1", "y1", "x2", "y2", "rate")]
@@ -357,7 +374,7 @@ def _cmd_simulate(args) -> int:
     coupled = bool(cfg.coupled) or cfg.second is not None
     many = cfg.replicas > 1
     rows = None
-    trajectories = []
+    total = 0
     for replica in range(cfg.replicas):
         init_rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((cfg.seed, replica, 1)))
@@ -386,7 +403,7 @@ def _cmd_simulate(args) -> int:
                 seed=cfg.seed,
                 replica=replica,
             )
-        trajectories.append(traj)
+        total += traj.total_events
         if args.observable:
             table = observable_report(traj, args.observable)
             if rows is None:
@@ -413,7 +430,6 @@ def _cmd_simulate(args) -> int:
                 row = (repr(float(t)),) + tuple(snap)
                 rows.append(((replica,) + row) if many else row)
     _write_rows(rows, cfg)
-    total = sum(t.total_events for t in trajectories)
     print(
         "%d replica%s, %d events" % (cfg.replicas, "" if cfg.replicas == 1 else "s", total),
         file=sys.stderr,

@@ -21,11 +21,12 @@ site and their partial rate sums; the kinds differ only in the factor flavor
   over the partner's discrepancy sites in proportion to their rates.
 
 The factors through one join jump read only the sites within
-``dep_radius + 3 * max_offset`` of its departure, so one walk
-(``_composed_coupled``) memoises the composed entries per flavor, offset and
-local pair pattern in the spec's ``_compositions``, which lives as long as
-the spec.  The tables here and the coupled simulator of
-:mod:`couplex.simulate` both read that one memo, the simulator in floats.
+``dep_radius + 3 * max_offset`` of its departure, so the entries through
+the jumps out of one site (``_site_entries``) are memoised per flavor,
+offset and local pair pattern in the spec's ``_compositions``, which lives
+as long as the spec.  The tables here walk them over the ring
+(``_composed_coupled``); the coupled simulator of :mod:`couplex.simulate`
+keeps them per site, in floats, and refreshes only the sites near a jump.
 
 Tables store *raw* coupled rates: occupancy indicator prefactors (departure
 occupied, target empty, in each copy) are applied when transitions are
@@ -295,38 +296,58 @@ def _compose(spec: RateSpec, flavor: str, reach: int, d: int, window):
     return raw, tuple(entry[:4] + (float(entry[4]),) for entry in raw)
 
 
-def _composed_coupled(spec: RateSpec, xi, zeta, flavor: str, floats: bool = False) -> dict:
-    """Coupled map of the composition through the join, for any pair.
+def _site_entries(spec: RateSpec, xi, zeta, x: int, flavor: str, floats: bool = False) -> list:
+    """Composed entries ``((x1, y1, x2, y2), g)`` through the join jumps out
+    of site x, in offset order; empty unless x is occupied in the join.
 
-    Each join jump's entries come from ``spec._compositions[flavor]``, keyed
-    by its offset and the pair pattern within reach of its departure, and
-    are mapped back to ring sites.  They add up in walk order: the raw
-    values, or with ``floats`` their floats one by one.  On a ring of at
-    least ``min_ring_size`` sites a pattern's entries land on distinct ring
-    sites, so the memo serves small rings too.
+    Each jump's entries come from ``spec._compositions[flavor]``, keyed by
+    its offset and the pair pattern of the ``dep_radius + 3 * max_offset``
+    sites on either side of x, and are mapped back to ring sites; g is raw,
+    or its float with ``floats``.  So the entries of x change only when a
+    site within that distance of x changes.
     """
+    if not (xi[x] or zeta[x]):
+        return []
     size = len(xi)
-    _check_ring(spec, size)
     memo = spec._compositions.setdefault(flavor, {})
     reach = spec.dep_radius + 3 * spec.max_offset
     column = 1 if floats else 0
+    window = tuple(
+        (xi[(x + k) % size] << 1) | zeta[(x + k) % size] for k in range(-reach, reach + 1)
+    )
+    out = []
+    for d in spec.jump_offsets:
+        if window[reach + d]:
+            continue  # join-occupied target
+        entries = memo.get((d, window))
+        if entries is None:
+            entries = memo[(d, window)] = _compose(spec, flavor, reach, d, window)
+        for dx1, dy1, dx2, dy2, g in entries[column]:
+            out.append(
+                (((x + dx1) % size, (x + dy1) % size, (x + dx2) % size, (x + dy2) % size), g)
+            )
+    return out
+
+
+def _sum_entries(per_site) -> dict:
+    """The coupled map of per-site entry lists, added up in site order."""
     coupled = {}
-    for x in range(size):
-        if not (xi[x] or zeta[x]):
-            continue
-        window = tuple(
-            (xi[(x + k) % size] << 1) | zeta[(x + k) % size] for k in range(-reach, reach + 1)
-        )
-        for d in spec.jump_offsets:
-            if window[reach + d]:
-                continue  # join-occupied target
-            entries = memo.get((d, window))
-            if entries is None:
-                entries = memo[(d, window)] = _compose(spec, flavor, reach, d, window)
-            for dx1, dy1, dx2, dy2, g in entries[column]:
-                key = ((x + dx1) % size, (x + dy1) % size, (x + dx2) % size, (x + dy2) % size)
-                coupled[key] = coupled.get(key, 0) + g
+    for entries in per_site:
+        for key, g in entries:
+            coupled[key] = coupled.get(key, 0) + g
     return coupled
+
+
+def _composed_coupled(spec: RateSpec, xi, zeta, flavor: str, floats: bool = False) -> dict:
+    """Coupled map of the composition through the join, for any pair.
+
+    The walk adds up :func:`_site_entries` over the ring in site order: the
+    raw values, or with ``floats`` their floats one by one.  On a ring of at
+    least ``min_ring_size`` sites a pattern's entries land on distinct ring
+    sites, so the memo serves small rings too.
+    """
+    _check_ring(spec, len(xi))
+    return _sum_entries(_site_entries(spec, xi, zeta, x, flavor, floats) for x in range(len(xi)))
 
 
 def _transposed(coupled: dict) -> dict:
@@ -392,10 +413,10 @@ def _finish(spec: RateSpec, xi, zeta, kind: str, coupled: dict) -> CouplingTable
     return table
 
 
-def _uncoupled(kind: str, xi, zeta) -> bool:
-    """True if the kind couples no move of the pair: the increasing coupling
-    leaves an unordered pair uncoupled."""
-    return kind == "increasing" and not is_ordered(xi, zeta)
+def _uncoupled(kind: str, ordered: bool) -> bool:
+    """True if the kind couples no move of a pair that is ``ordered`` or
+    not: the increasing coupling leaves an unordered pair uncoupled."""
+    return kind == "increasing" and not ordered
 
 
 def _flavor(kind: str) -> str:
@@ -415,7 +436,9 @@ def coupling_table(spec: RateSpec, xi, zeta, kind: str) -> CouplingTable:
     """
     flavor = _flavor(kind)
     _check_ring(spec, len(xi))
-    coupled = {} if _uncoupled(kind, xi, zeta) else _composed_coupled(spec, xi, zeta, flavor)
+    coupled = (
+        {} if _uncoupled(kind, is_ordered(xi, zeta)) else _composed_coupled(spec, xi, zeta, flavor)
+    )
     return _finish(spec, xi, zeta, kind, coupled)
 
 

@@ -76,6 +76,9 @@ class RateSpec:
         self.max_offset = max(abs(d) for d in offsets)
         #: smallest ring on which distinct sites cover every rate window
         self.min_ring_size = 2 * (self.dep_radius + self.max_offset) + 1
+        #: window half-width per jump offset, read by every rate lookup
+        self._halfwidths = {d: self.dep_radius + abs(d) for d in offsets}
+        #: rate per offset and window tuple, filled by :meth:`evaluate`
         self._tables: dict = {}
         #: composed coupling entries per flavor, filled by couplex.coupling
         self._compositions: dict = {}
@@ -176,11 +179,26 @@ def _check_ring(spec: RateSpec, size: int) -> None:
         )
 
 
+def _lookup(spec: RateSpec, window: tuple, d: int):
+    """Rate of offset d on a window tuple: a table read, with
+    :meth:`RateSpec.evaluate` and its checks run only on a miss."""
+    try:
+        return spec._tables[d][window]
+    except KeyError:
+        return spec.evaluate(window, d)
+
+
 def _window_rate(spec: RateSpec, eta: Config, x: int, d: int):
     size = len(eta)
-    w = spec.window_halfwidth(d)
-    window = tuple(eta[(x + k) % size] for k in range(-w, w + 1))
-    return spec.evaluate(window, d)
+    w = spec._halfwidths[d]
+    lo, hi = x - w, x + w + 1
+    if lo < 0:
+        window = tuple(eta[lo:]) + tuple(eta[:hi])
+    elif hi > size:
+        window = tuple(eta[lo:]) + tuple(eta[: hi - size])
+    else:
+        window = tuple(eta[lo:hi])
+    return _lookup(spec, window, d)
 
 
 def span_rate(spec: RateSpec, bits: Sequence, lo: int, x: int, d: int):
@@ -189,11 +207,11 @@ def span_rate(spec: RateSpec, bits: Sequence, lo: int, x: int, d: int):
     The caller must guarantee that the window of the jump lies inside the
     span; used by the local-window enumeration in the order-condition checks.
     """
-    w = spec.window_halfwidth(d)
+    w = spec._halfwidths[d]
     i = x - w - lo
     if i < 0 or i + 2 * w + 1 > len(bits):
         raise ValueError("span does not cover window of jump %d -> %d" % (x, x + d))
-    return spec.evaluate(tuple(bits[i : i + 2 * w + 1]), d)
+    return _lookup(spec, tuple(bits[i : i + 2 * w + 1]), d)
 
 
 # ---------------------------------------------------------------------------

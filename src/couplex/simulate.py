@@ -5,19 +5,30 @@ Waiting times and event choices come from a counter-based RNG
 an independent, exactly reproducible stream: rerunning with the same key
 gives a bit-identical event sequence.
 
-The single-chain engine caches each site's active jumps and refreshes only
-the neighbourhood of the sites touched by an event.  The coupled engine is
-two single-chain engines, one per copy, plus the coupled map of the pair;
-each copy's marginal jumps come from its own engine's cache, and each copy's
-jump refreshes only that engine.  It keeps two regimes: once the copies are
-identical they stay so for good, and share one engine that moves both in
-lockstep; every other pair composes coupling factors through the join
-configuration by the walk :func:`couplex.coupling.coupling_table` uses, in
-floats.  That walk memoises the composition per local occupancy pattern on
-the spec (``RateSpec._compositions``), so all runs of one spec share it,
-which keeps long runs on large rings affordable.  Ordered pairs need no path
-of their own: their join is the upper copy.  Under ``increasing`` an
-unordered pair has no coupled moves, so each copy moves alone.
+The single-chain engine caches each site's active jumps and the float total
+of their rates.  A jump x -> x+d refreshes each site within
+``dep_radius + max_offset`` of x or x+d once, recomputing its total from its
+list, so the totals never drift.  A draw bisects the running sums of the
+site totals to pick a site, then walks that site's short list; so the work
+per event grows with the reach of a jump, not with the ring (only the
+running sums, one C-level pass, are over the whole ring).
+
+The coupled engine is two single-chain engines, one per copy, plus the
+coupled map of the pair; each copy's marginal jumps come from its own
+engine's cache, and each copy's jump refreshes only that engine.  It keeps
+two regimes: once the copies are identical they stay so for good, and share
+one engine that moves both in lockstep; every other pair composes coupling
+factors through the join configuration as
+:func:`couplex.coupling.coupling_table` does, in floats.  The composed
+entries through the join jumps out of each site
+(:func:`couplex.coupling._site_entries`, memoised per local pair pattern on
+the spec, so all runs of one spec share it) are cached per site, and an
+event refreshes only the sites within ``dep_radius + 3 * max_offset`` of a
+site it moved.  The coupled map is then added up from the per-site lists in
+site order, as the ring walk adds it, and the discrepancy count and the
+"ordered" flag are updated from the moved sites alone.  Ordered pairs need
+no path of their own: their join is the upper copy.  Under ``increasing``
+an unordered pair has no coupled moves, so each copy moves alone.
 
 One Gillespie loop runs both engines.  Sampling records the state at fixed
 grid times (the state just before each grid time, i.e. the left limit); a
@@ -35,9 +46,9 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import CoupledState, is_active, is_ordered, signed_offset
+from .lattice import CoupledState, discrepancy_count, is_active, signed_offset
 from .models import RateSpec, active_jumps
-from .coupling import _composed_coupled, _flavor, _uncoupled, residual_rates
+from .coupling import _flavor, _site_entries, _sum_entries, _uncoupled, residual_rates
 
 
 @dataclass
@@ -91,45 +102,68 @@ def discrepancy_pair(size: int, count: int, rng: np.random.Generator) -> Coupled
 
 class _SingleEngine:
     """Mutable configuration with cached active-jump events ``(rate, x, d)``
-    per site; a jump refreshes only the sites within reach of its two ends."""
+    per site and the float total of each site's rates; a jump refreshes
+    each site within reach of its two ends once."""
 
     def __init__(self, spec: RateSpec, eta):
         self.spec = spec
         self.eta = list(eta)
         self.size = len(eta)
         self.reach = spec.dep_radius + spec.max_offset
-        self.jumps = [self._site_jumps(x) for x in range(self.size)]
+        self.jumps = [[] for _ in range(self.size)]
+        self.totals = [0.0] * self.size
+        for x in range(self.size):
+            self._refresh(x)
 
-    def _site_jumps(self, x: int):
-        return [(float(r), x, d) for x, d, r in active_jumps(self.spec, self.eta, (x,))]
+    def _refresh(self, x: int):
+        jumps = [(float(r), x, d) for x, d, r in active_jumps(self.spec, self.eta, (x,))]
+        self.jumps[x] = jumps
+        self.totals[x] = sum((r for r, _, _ in jumps), 0.0)
 
     def apply(self, x: int, d: int):
-        y = (x + d) % self.size
+        size = self.size
+        y = (x + d) % size
         eta = self.eta
         eta[x], eta[y] = eta[y], eta[x]
-        for s in (x, y):
-            for k in range(-self.reach, self.reach + 1):
-                z = (s + k) % self.size
-                self.jumps[z] = self._site_jumps(z)
+        # the sites within reach of x or of y form one arc of the ring
+        lo = min(x, x + d) - self.reach
+        for k in range(min(abs(d) + 2 * self.reach + 1, size)):
+            self._refresh((lo + k) % size)
 
     def events(self):
         return list(chain.from_iterable(self.jumps))
+
+    def draw(self, rng: np.random.Generator):
+        return _advance(self.totals, self.jumps, rng)
 
     def state(self):
         return tuple(self.eta)
 
 
-def _advance(events, rng: np.random.Generator):
-    """One Gillespie step: (waiting time, chosen event) or None if stuck."""
-    if not events:
+def _advance(totals, groups, rng: np.random.Generator):
+    """One Gillespie step: (waiting time, chosen event) or None if stuck.
+
+    ``groups[i]`` lists events ``(rate, *move)`` whose rates add up to
+    ``totals[i]``.  The waiting time is drawn first; then one uniform picks
+    a group by bisection over the running totals and an event by a walk
+    along that group.
+    """
+    cum = list(accumulate(totals))
+    if not cum or cum[-1] <= 0.0:
         return None
-    cum = list(accumulate(r for r, *_ in events))
     total = cum[-1]
-    if total <= 0.0:
-        return None
     dt = rng.exponential(1.0 / total)
-    pick = bisect.bisect_right(cum, rng.random() * total)
-    return dt, events[min(pick, len(events) - 1)]
+    u = rng.random() * total
+    i = min(bisect.bisect_right(cum, u), len(cum) - 1)
+    while not groups[i]:  # u rounded up to the total: take the last event
+        i -= 1
+    acc = cum[i - 1] if i else 0.0
+    events = groups[i]
+    for event in events:
+        acc += event[0]
+        if u < acc:
+            return dt, event
+    return dt, events[-1]
 
 
 def _sample_grid(t_end: float, sample_dt: Optional[float]):
@@ -148,8 +182,9 @@ def _sample_grid(t_end: float, sample_dt: Optional[float]):
 def _run(engine, rng: np.random.Generator, t_end: float, sample_dt: Optional[float], after_event):
     """Run an engine's Gillespie chain up to t_end.
 
-    An engine lists its events as ``(rate, *move)`` and performs one with
-    ``apply(*move)``; ``after_event(n)`` runs after the n-th event.  Returns
+    An engine draws its next event ``(rate, *move)`` with ``draw(rng)`` (see
+    :func:`_advance`) and performs it with ``apply(*move)``;
+    ``after_event(n)`` runs after the n-th event.  Returns
     ``(times, snapshots, events, absorbed)``.  An engine that refuses the
     state it reached raises ValueError naming the time.
     """
@@ -161,7 +196,7 @@ def _run(engine, rng: np.random.Generator, t_end: float, sample_dt: Optional[flo
     next_idx = 0
     while True:
         try:
-            step = _advance(engine.events(), rng)
+            step = engine.draw(rng)
         except ValueError as err:
             raise ValueError("%s at time %r" % (err, t)) from err
         t_next = t + step[0] if step else float("inf")
@@ -210,6 +245,9 @@ class _CoupledEngine:
     Each event is ``(rate, first_jump | None, second_jump | None)`` with a
     jump written ``(x, d)``; each copy's jump goes to its own engine.  Once
     the copies are identical, ``second`` is ``first``: one engine serves both.
+    Before that, the composed entries through each site are kept per site
+    and refreshed near the sites an event moves, and so are the counts of
+    sites where the first copy lies above or below the second.
     """
 
     def __init__(self, spec: RateSpec, pair: CoupledState, kind: str):
@@ -219,28 +257,49 @@ class _CoupledEngine:
         self.first = _SingleEngine(spec, pair.first)
         self.second = self.first if pair.first == pair.second else _SingleEngine(spec, pair.second)
         self.size = len(pair.first)
+        #: the entries through a site read the sites this far away
+        self.reach = spec.dep_radius + 3 * spec.max_offset
+        #: per-site composed entries in floats, built when first needed
+        self._sites = None
+        discrepancies = discrepancy_count(pair.first, pair.second)  # refuses unequal sizes
+        #: sites occupied in the first copy only, and in the second copy only
+        self._above = sum(a > b for a, b in zip(pair.first, pair.second))
+        self._below = discrepancies - self._above
 
     def state(self) -> CoupledState:
         return CoupledState(self.first.state(), self.second.state())
 
     def discrepancies(self) -> int:
+        return self._above + self._below
+
+    @property
+    def ordered(self) -> bool:
+        return not (self._above and self._below)
+
+    def draw(self, rng: np.random.Generator):
         if self.first is self.second:
-            return 0
-        return sum(a != b for a, b in zip(self.first.eta, self.second.eta))
+            step = self.first.draw(rng)
+            if step is None:
+                return None
+            dt, (r, x, d) = step
+            return dt, (r, (x, d), (x, d))
+        events = self.events()  # rebuilt per event: each is a group of its own
+        return _advance([e[0] for e in events], [(e,) for e in events], rng)
 
     def events(self):
         if self.first is self.second:
             return [(r, (x, d), (x, d)) for r, x, d in self.first.events()]
-        return self._composed_events()
-
-    def _composed_events(self):
         size = self.size
         xi, zeta = self.first.eta, self.second.eta
-        coupled = (
-            {}
-            if _uncoupled(self.kind, xi, zeta)
-            else _composed_coupled(self.spec, xi, zeta, self.flavor, floats=True)
-        )
+        if _uncoupled(self.kind, self.ordered):
+            coupled = {}
+        else:
+            if self._sites is None:
+                self._sites = [
+                    _site_entries(self.spec, xi, zeta, x, self.flavor, floats=True)
+                    for x in range(size)
+                ]
+            coupled = _sum_entries(self._sites)
         out = [
             (g, (x1, signed_offset(x1, y1, size)), (x2, signed_offset(x2, y2, size)))
             for (x1, y1, x2, y2), g in coupled.items()
@@ -255,16 +314,36 @@ class _CoupledEngine:
         out += [(r, None, (x, signed_offset(x, y, size))) for x, y, r in second if r > 0]
         return out
 
+    def _tally(self, sites, sign: int):
+        xi, zeta = self.first.eta, self.second.eta
+        for s in sites:
+            if xi[s] > zeta[s]:
+                self._above += sign
+            elif xi[s] < zeta[s]:
+                self._below += sign
+
     def apply(self, first, second):
         if self.first is self.second:
             self.first.apply(*first)  # a lockstep event moves the shared engine once
             return
+        size = self.size
+        moved = set()
+        for jump in (first, second):
+            if jump is not None:
+                moved.update((jump[0], (jump[0] + jump[1]) % size))
+        self._tally(moved, -1)
         if first is not None:
             self.first.apply(*first)
         if second is not None:
             self.second.apply(*second)
-        if self.first.eta == self.second.eta:
+        self._tally(moved, 1)
+        if not self.discrepancies():
             self.second = self.first
+            self._sites = None
+        elif self._sites is not None:
+            xi, zeta = self.first.eta, self.second.eta
+            for z in {(s + k) % size for s in moved for k in range(-self.reach, self.reach + 1)}:
+                self._sites[z] = _site_entries(self.spec, xi, zeta, z, self.flavor, floats=True)
 
 
 def simulate_coupled(
@@ -287,7 +366,7 @@ def simulate_coupled(
     naming the pair and the time at which the run reached it.
     """
     engine = _CoupledEngine(spec, CoupledState(tuple(first), tuple(second)), kind)
-    started_ordered = is_ordered(engine.first.eta, engine.second.eta)
+    started_ordered = engine.ordered
     curve = [engine.discrepancies()]
 
     def after_event(events):
@@ -297,9 +376,8 @@ def simulate_coupled(
             raise AssertionError(
                 "discrepancy count grew from %d to %d at event %d" % (before, now, events)
             )
-        if kind == "increasing" and started_ordered:
-            if not is_ordered(engine.first.eta, engine.second.eta):
-                raise AssertionError("order broken at event %d" % events)
+        if kind == "increasing" and started_ordered and not engine.ordered:
+            raise AssertionError("order broken at event %d" % events)
 
     times, snapshots, events, absorbed = _run(
         engine, _rng(seed, replica), t_end, sample_dt, after_event

@@ -331,6 +331,63 @@ def test_invalid_lattice_flags_are_diagnosed(capsys):
     assert "[lattice.density] density must lie in [0, 1]" in err
 
 
+INVALID_LATTICES = [
+    (
+        ("--size", "6", "--first", "10101010"),
+        "size = 6\nfirst = 10101010",
+        "",
+        ["[lattice.size] size 6 differs from the 8 sites of first"],
+    ),
+    (
+        ("--size", "6", "--first", "10101010", "--coupled"),
+        "size = 6\nfirst = 10101010",
+        "coupled = true\n",
+        ["[lattice.size] size 6 differs from the 8 sites of first"],
+    ),
+    (
+        ("--first", "10101010", "--second", "1010101"),
+        "first = 10101010\nsecond = 1010101",
+        "",
+        ["[lattice.second] configuration lengths differ: first has 8 sites, second 7"],
+    ),
+    (
+        ("--size", "8", "--first", "10101010", "--second", "101010"),
+        "size = 8\nfirst = 10101010\nsecond = 101010",
+        "",
+        [
+            "[lattice.size] size 8 differs from the 6 sites of second",
+            "[lattice.second] configuration lengths differ: first has 8 sites, second 6",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "flags,lattice,execution,diagnostics",
+    INVALID_LATTICES,
+    ids=["size-first", "size-first-coupled", "first-second", "size-first-second"],
+)
+def test_disagreeing_lattice_is_diagnosed(tmp_path, capsys, flags, lattice, execution, diagnostics):
+    # a ring size that is not the length of a start, or starts of two
+    # lengths, are refused before any run, from flags and INI files alike
+    code, out, err = run(capsys, "simulate", "sep", "--t-end", "2", "--sample-dt", "1", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["couplex: " + d for d in diagnostics]
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "[run]\ncommand = simulate\n\n[model]\nid = sep\n\n[lattice]\n%s\n\n"
+        "[execution]\nt_end = 2\nsample_dt = 1\n%s" % (lattice, execution),
+        encoding="utf-8",
+    )
+    code, _, from_file = run(capsys, "--config", str(path))
+    assert code == 2
+    assert from_file == err
+    if "--second" in flags and "--size" not in flags:  # coupling-table has no --size
+        code, _, table_err = run(capsys, "coupling-table", "sep", *flags)
+        assert code == 2 and table_err == err
+
+
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, "--config", "/nonexistent/run.ini")
     assert code == 2

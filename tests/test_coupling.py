@@ -362,7 +362,7 @@ def test_memoised_walk_matches_ring_composition(spec):
         if spec is BEHIND:
             continue  # not every pair can be served; the walk is what is checked
         for kind in KINDS:
-            want = {} if coupling._uncoupled(kind, xi, zeta) else _ring_composition(
+            want = {} if coupling._uncoupled(kind, is_ordered(xi, zeta)) else _ring_composition(
                 spec, xi, zeta, FLAVOR[kind]
             )
             _assert_same_map(coupling_table(spec, xi, zeta, kind).coupled, want, (kind, xi, zeta))

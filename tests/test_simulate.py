@@ -1,3 +1,6 @@
+import bisect
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,17 +12,24 @@ from couplex import (
     apply_jump,
     coupled_transitions,
     coupling_table,
+    custom_table,
+    discrepancy_count,
     discrepancy_pair,
     gg_symmetrized,
+    is_ordered,
     observable_report,
     random_configuration,
     sep,
     simulate_coupled,
     simulate_single,
     traffic2,
+    two_star_step,
 )
+from couplex.coupling import FLAVOR, _composed_coupled, _uncoupled, residual_rates
 from couplex.golden import MONOTONE_ZOO
-from couplex.simulate import _CoupledEngine
+from couplex.lattice import signed_offset
+from couplex.models import active_jumps
+from couplex.simulate import _advance, _CoupledEngine, _SingleEngine
 
 
 def _rng(seed=0):
@@ -277,3 +287,156 @@ def test_strict_coupling_refuses_pair_it_cannot_serve():
     for err in (table_err, run_err):
         assert "000111010110" in str(err.value) and "101100101100" in str(err.value)
     assert str(run_err.value).endswith("at time 0.0")
+
+
+class _Uniforms:
+    """Stands in for the generator: one fixed uniform for the waiting time,
+    one for the choice of the event."""
+
+    def __init__(self, wait, choice):
+        self.wait, self.choice = wait, choice
+
+    def exponential(self, scale):
+        return -math.log1p(-self.wait) * scale
+
+    def random(self):
+        return self.choice
+
+
+def _flat_draw(events, wait, choice):
+    """The former draw over the flat event list: running sums of all rates,
+    then a bisection.  Returns (waiting time, event, running sums)."""
+    cum = list(itertools.accumulate(r for r, *_ in events))
+    total = cum[-1]
+    pick = bisect.bisect_right(cum, choice * total)
+    return -math.log1p(-wait) / total, events[min(pick, len(events) - 1)], cum
+
+
+@pytest.mark.parametrize(
+    "spec,size,warm",
+    [(traffic2(0.7, 0.2), 64, 0), (two_star_step({1: F(1, 3), 2: F(2, 3)}), 40, 200)],
+    ids=["traffic2 0.7 0.2 L=64", "two_star_step L=40 after 200 events"],
+)
+def test_per_site_draw_matches_flat_draw(spec, size, warm):
+    # the per-site draw (bisect over site totals, then a walk along the
+    # site) picks the event the flat draw picks for the same two uniforms,
+    # except where the uniform lies within rounding of a boundary
+    rng = random.Random(size)
+    engine = _SingleEngine(spec, tuple(rng.randint(0, 1) for _ in range(size)))
+    gen = np.random.Generator(np.random.Philox(key=[size, warm]))
+    for _ in range(warm):
+        engine.apply(*engine.draw(gen)[1][1:])
+    for x in range(size):
+        fresh = sum(float(r) for _, _, r in active_jumps(spec, engine.eta, (x,)))
+        assert abs(engine.totals[x] - fresh) <= 1e-12
+    events = engine.events()
+    assert len(events) > 10
+    choices = [rng.random() for _ in range(3000)] + [0.0, 1.0 - 2.0**-53]
+    ties = 0
+    for choice in choices:
+        wait = rng.random()
+        dt, event = _advance(engine.totals, engine.jumps, _Uniforms(wait, choice))
+        old_dt, old_event, cum = _flat_draw(events, wait, choice)
+        assert abs(dt - old_dt) <= 1e-12 * old_dt
+        target = choice * cum[-1]
+        if min(abs(target - c) for c in cum) <= 1e-12 * cum[-1]:
+            ties += 1
+            continue
+        assert event == old_event, choice
+    assert ties <= 2
+
+
+#: a rule that reads the far end of its window: a jump slows down when the
+#: site behind it is occupied, so composed entries read sites
+#: dep_radius + 3 * max_offset away from a join jump's departure
+BEHIND = custom_table(
+    (1, -1),
+    0,
+    {
+        (d, "".join(bits)): 2 - int(bits[0 if d == 1 else 2])
+        for d in (1, -1)
+        for bits in itertools.product("01", repeat=3)
+    },
+)
+
+
+def _fresh_events(spec, xi, zeta, kind):
+    """The coupled engine's events recomputed from scratch: one walk over
+    the ring plus each copy's active jumps."""
+    size = len(xi)
+    if xi == zeta:
+        return [(float(r), (x, d), (x, d)) for x, d, r in active_jumps(spec, xi)]
+    coupled = (
+        {}
+        if _uncoupled(kind, is_ordered(xi, zeta))
+        else _composed_coupled(spec, xi, zeta, FLAVOR[kind], floats=True)
+    )
+    out = [
+        (g, (x1, signed_offset(x1, y1, size)), (x2, signed_offset(x2, y2, size)))
+        for (x1, y1, x2, y2), g in coupled.items()
+        if g > 0 and xi[x1] and not xi[y1] and zeta[x2] and not zeta[y2]
+    ]
+    marginals = [
+        [(x, (x + d) % size, float(r)) for x, d, r in active_jumps(spec, eta)] for eta in (xi, zeta)
+    ]
+    first, second = residual_rates(spec, xi, zeta, coupled, marginals, exact=False)
+    out += [(r, (x, signed_offset(x, y, size)), None) for x, y, r in first if r > 0]
+    out += [(r, None, (x, signed_offset(x, y, size))) for x, y, r in second if r > 0]
+    return out
+
+
+def _start_pairs(rng, size):
+    """An unordered pair, an ordered pair and a pair one jump from meeting."""
+    xi = tuple(rng.randint(0, 1) for _ in range(size))
+    zeta = tuple(rng.randint(0, 1) for _ in range(size))
+    lower = tuple(a & b for a, b in zip(xi, zeta))
+    upper = tuple(a | b for a, b in zip(xi, zeta))
+    base = [0, 0, 1, 0] * (size // 4)
+    near, far = list(base), list(base)
+    near[0], far[1] = 1, 1
+    return [("unordered", xi, zeta), ("ordered", upper, lower), ("meets", tuple(near), tuple(far))]
+
+
+@pytest.mark.parametrize(
+    "spec", [traffic2(0.7, 0.2), gg_symmetrized(1.5, 0.75, 1.0, 1.25), BEHIND],
+    ids=["traffic2 0.7 0.2", "gg 1.5 0.75 1 1.25", "behind"],
+)
+def test_cached_events_match_a_fresh_walk_along_a_run(spec):
+    # the per-site composed cache, the per-site jump lists and the tallies
+    # are refreshed near each move only; along ~40 events per pair they
+    # must equal a fresh walk of the whole ring after every event
+    rng = random.Random(repr(spec))
+    for size in (16, 24):
+        for kind in ("increasing", "attractive", "strict"):
+            for label, xi, zeta in _start_pairs(rng, size):
+                engine = _CoupledEngine(spec, CoupledState(xi, zeta), kind)
+                met = False
+                for fired in range(40):
+                    where = (label, size, kind, fired)
+                    xi, zeta = engine.state()
+                    assert engine.discrepancies() == discrepancy_count(xi, zeta), where
+                    assert engine.ordered == is_ordered(xi, zeta), where
+                    assert (engine.first is engine.second) == (xi == zeta), where
+                    met = met or xi == zeta
+                    try:
+                        want = _fresh_events(spec, xi, zeta, kind)
+                    except ValueError as err:
+                        with pytest.raises(ValueError, match="exceed the marginal rate") as got:
+                            engine.events()
+                        assert str(got.value) == str(err), where
+                        # the coupling cannot serve the pair: move one copy alone
+                        copy = rng.randint(0, 1)
+                        x, d, _ = rng.choice(active_jumps(spec, (xi, zeta)[copy]))
+                        engine.apply(*(((x, d), None) if copy == 0 else (None, (x, d))))
+                        continue
+                    assert engine.events() == want, where
+                    if not want:
+                        break
+                    meeting = [
+                        e for e in want
+                        if label == "meets" and e[2] is None
+                        and apply_jump(xi, e[1][0], (e[1][0] + e[1][1]) % size) == zeta
+                    ]
+                    engine.apply(*(meeting or [rng.choice(want)])[0][1:])
+                if label == "meets":
+                    assert met, (size, kind)

@@ -205,7 +205,7 @@ def span_rate(spec: RateSpec, bits: Sequence, lo: int, x: int, d: int):
     """Rate of the jump x -> x+d read from a pattern over sites lo..lo+len(bits)-1.
 
     The caller must guarantee that the window of the jump lies inside the
-    span; used by the local-window enumeration in the order-condition checks.
+    span; used by the local-pattern scan of :func:`validate_spec`.
     """
     w = spec._halfwidths[d]
     i = x - w - lo

@@ -5,25 +5,50 @@ two copies of the dynamics exactly when two families of local inequalities
 hold, one governing arrivals at a site that is empty in the upper
 configuration, one governing departures from a site that is occupied in the
 lower configuration.  Both quantify over ordered pairs of local occupancy
-patterns; because the rates are finite range, enumerating patterns on a
-bounded window around the distinguished site is exhaustive.
+patterns; because the rates are finite range, the pairs on a bounded span
+around the distinguished site are exhaustive.
+
+The scan is blocked and array based.  Each ordered pair is a pair of packed
+masks (lower, upper), bit k holding span site k, made in blocks of at most
+``BLOCK_ROWS`` rows; memory is bounded by the block, not by the span.  The
+rate of a jump is read from a per-offset array indexed by the packed window
+bits, filled once per call from the spec's rate table for the windows a
+condition reads (departure site occupied, target empty).  Exact rates are
+summed as integers scaled by the common denominator, so every comparison
+stays exact; float rates are summed in float64 in offset order, which gives
+the same sums as adding the Python floats one offset at a time.  The rows
+that are reported are summed again from the rates as the spec gives them,
+so their sides are ints, Fractions or floats as a sum in Python would be.
 
 The checks run exactly (no tolerance) when the spec's parameters are ints or
-Fractions, and with an absolute tolerance of 1e-12 otherwise.
+Fractions, and with an absolute tolerance of 1e-12 otherwise.  A tolerance
+given for exact rates is compared exactly: ``lhs - rhs > Fraction(tol)``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
-from .models import RateSpec, span_rate
+import numpy as np
+
+from .models import RateSpec, _lookup
 
 FLOAT_TOL = 1e-12
 
-#: per-site occupancy pairs (lower, upper) compatible with the order
-_ORDERED_SITE_VALUES = ((0, 0), (0, 1), (1, 1))
+#: free sites per block: a block holds at most 3**BLOCK_DIGITS pattern pairs
+BLOCK_DIGITS = 8
+BLOCK_ROWS = 3**BLOCK_DIGITS
+
+#: lower and upper bit of a free site's digit, in the order (0,0), (0,1), (1,1)
+_DIGIT_LOWER = np.array([0, 0, 1], dtype=np.int64)
+_DIGIT_UPPER = np.array([0, 1, 1], dtype=np.int64)
+
+#: exact sums stay in int64 while every scaled side and tolerance is below this
+_INT64_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -74,114 +99,190 @@ def _tolerance(spec: RateSpec, tol: Optional[float]) -> object:
 
 def _arrival_sites(spec: RateSpec, extra: int) -> range:
     """Window offsets whose occupancies can enter the arrival condition at 0."""
-    lo = min(-d - spec.window_halfwidth(d) for d in spec.jump_offsets)
-    hi = max(-d + spec.window_halfwidth(d) for d in spec.jump_offsets)
+    w = spec._halfwidths
+    lo = min(-d - w[d] for d in spec.jump_offsets)
+    hi = max(-d + w[d] for d in spec.jump_offsets)
     return range(min(lo, 0) - extra, max(hi, 0) + extra + 1)
 
 
 def _departure_sites(spec: RateSpec, extra: int) -> range:
     """Window offsets entering the departure condition at 0."""
-    w = max(spec.window_halfwidth(d) for d in spec.jump_offsets)
+    w = max(spec._halfwidths.values())
     return range(-w - extra, w + extra + 1)
 
 
-def _ordered_pairs(sites: range, center_value: int):
-    """All ordered pattern pairs on `sites`, with site 0 pinned to
-    (center_value, center_value) in both configurations."""
-    choices = [
-        (((center_value, center_value),) if s == 0 else _ORDERED_SITE_VALUES)
-        for s in sites
-    ]
-    for combo in itertools.product(*choices):
-        lower = tuple(a for a, _ in combo)
-        upper = tuple(b for _, b in combo)
-        yield lower, upper
+@dataclass
+class _Rates:
+    """Rates per offset as arrays indexed by the packed window bits (bit j =
+    window site j); windows a condition never reads hold 0.
+
+    ``tables`` hold them in the units the scan sums in, and ``tol`` is the
+    tolerance in those units: a row violates its condition when lhs > rhs +
+    tol.  ``values`` hold the rates as the spec gives them, in object
+    arrays, for rebuilding the rows that are reported.
+    """
+
+    tables: dict
+    tol: object
+    values: dict
 
 
-def _pattern(bits) -> str:
-    return "".join("1" if b else "0" for b in bits)
-
-
-def _arrival_sums(spec: RateSpec, lower, upper, lo: int):
-    """Both sides of the arrival condition at site 0 (empty in `upper`)."""
-    lhs = 0
-    rhs = 0
+def _rate_arrays(spec: RateSpec, tol) -> _Rates:
+    raw = {}
     for d in spec.jump_offsets:
-        x = -d
-        i = x - lo
-        if upper[i] == 0:
-            continue
-        g_up = span_rate(spec, upper, lo, x, d)
-        if lower[i]:
-            g_lo = span_rate(spec, lower, lo, x, d)
-            if g_lo > g_up:
-                lhs = lhs + (g_lo - g_up)
+        w = spec._halfwidths[d]
+        width = 2 * w + 1
+        row = [0] * (1 << width)
+        for idx in range(1 << width):
+            if (idx >> w) & 1 and not (idx >> (w + d)) & 1:
+                row[idx] = _lookup(spec, tuple((idx >> j) & 1 for j in range(width)), d)
+        raw[d] = row
+    values = {d: np.array(row, dtype=object) for d, row in raw.items()}
+    flat = [v for row in raw.values() for v in row]
+    # a side sums at most one rate per offset; one more leaves room for tol
+    terms = len(raw) + 1
+    if all(isinstance(v, (int, Fraction)) for v in flat):
+        scale = math.lcm(*{v.denominator for v in flat})
+        scaled = {d: [v.numerator * (scale // v.denominator) for v in row] for d, row in raw.items()}
+        limit = math.floor(Fraction(tol) * scale)
+        if max(abs(v) for row in scaled.values() for v in row) * terms >= _INT64_LIMIT:
+            return _Rates({d: np.array(row, dtype=object) for d, row in scaled.items()}, limit, values)
+        limit = max(min(limit, _INT64_LIMIT), -_INT64_LIMIT)
+        return _Rates({d: np.array(row, dtype=np.int64) for d, row in scaled.items()}, limit, values)
+    if all(isinstance(v, float) or (isinstance(v, int) and abs(v) * terms <= 2**53) for v in flat):
+        return _Rates({d: np.array(row, dtype=np.float64) for d, row in raw.items()}, tol, values)
+    return _Rates(values, tol, values)
+
+
+def _pair_blocks(n: int, center: int, center_value: int):
+    """The ordered pattern pairs on a span of n sites, with site `center`
+    pinned to center_value in both, as (lower, upper) int64 mask arrays.
+
+    Rows follow ``itertools.product`` over the free sites in span order (the
+    last site varies fastest), each site taking (0,0), (0,1), (1,1).  The
+    last BLOCK_DIGITS free sites vary within a block; the others are fixed
+    per block, so a block has at most BLOCK_ROWS rows.
+    """
+    free = [k for k in range(n) if k != center]
+    split = max(len(free) - BLOCK_DIGITS, 0)
+    lower = upper = np.zeros(1, dtype=np.int64)
+    for k in free[split:]:
+        lower = np.add.outer(lower, _DIGIT_LOWER << k).ravel()
+        upper = np.add.outer(upper, _DIGIT_UPPER << k).ravel()
+    pinned = center_value << center
+    for digits in itertools.product(range(3), repeat=split):
+        outer = list(zip(digits, free))
+        yield (
+            lower + (pinned + sum(int(v == 2) << k for v, k in outer)),
+            upper + (pinned + sum(int(v >= 1) << k for v, k in outer)),
+        )
+
+
+def _sites(spec: RateSpec, kind: str, extra: int) -> range:
+    return _arrival_sites(spec, extra) if kind == "arrival" else _departure_sites(spec, extra)
+
+
+def _sides(spec: RateSpec, tables: dict, kind: str, lo: int, lower, upper):
+    """Both sides of a condition for each pair of mask arrays over a span
+    starting at offset lo, with rates read from `tables`.
+
+    Arrival at site 0 (empty in both): a jump x -> 0 with x = -d occupied in
+    upper adds g_lo - g_up to lhs when positive and x occupied in lower, and
+    g_up to rhs when x is empty in lower.  Departure from site 0 (occupied
+    in both): a jump 0 -> d adds g_up - g_lo to lhs when positive and d empty
+    in upper, and g_lo to rhs when d is occupied in upper and empty in lower.
+    The tables read 0 on windows whose departure site is empty or target
+    occupied, which folds the remaining cases into the same two sums.
+    Offsets are added in order, as a sum over the offsets would add them.
+    """
+    arrival = kind == "arrival"
+    lhs = rhs = 0
+    for d in spec.jump_offsets:
+        w = spec._halfwidths[d]
+        mask = (1 << (2 * w + 1)) - 1
+        x = -d if arrival else 0
+        shift = x - w - lo
+        table = tables[d]
+        g_up = table[(upper >> shift) & mask]
+        g_lo = table[(lower >> shift) & mask]
+        if arrival:
+            gain, loss = g_lo, g_up
+            room = np.where((lower >> (x - lo)) & 1 == 0, g_up, 0)
         else:
-            rhs = rhs + g_up
+            gain, loss = g_up, g_lo
+            room = np.where((upper >> (d - lo)) & 1 == 1, g_lo, 0)
+        lhs = lhs + np.where(gain > loss, gain - loss, 0)
+        rhs = rhs + room
     return lhs, rhs
 
 
-def _departure_sums(spec: RateSpec, lower, upper, lo: int):
-    """Both sides of the departure condition at site 0 (occupied in `lower`)."""
-    lhs = 0
-    rhs = 0
-    for d in spec.jump_offsets:
-        i = d - lo
-        if upper[i] == 0:
-            g_up = span_rate(spec, upper, lo, 0, d)
-            g_lo = span_rate(spec, lower, lo, 0, d)
-            if g_up > g_lo:
-                lhs = lhs + (g_up - g_lo)
-        elif lower[i] == 0:
-            rhs = rhs + span_rate(spec, lower, lo, 0, d)
-    return lhs, rhs
+def _scan(spec: RateSpec, rates: _Rates, kind: str, extra: int):
+    """Every ordered pair of a condition's span, block by block: yields
+    (lower, upper, lhs, rhs) arrays, the sides in the scan's units."""
+    sites = _sites(spec, kind, extra)
+    for lower, upper in _pair_blocks(len(sites), -sites.start, 0 if kind == "arrival" else 1):
+        yield (lower, upper) + _sides(spec, rates.tables, kind, sites.start, lower, upper)
 
 
-def _scan(spec: RateSpec, kind: str, extra: int, tol, collect_slack: bool):
-    if kind == "arrival":
-        sites = _arrival_sites(spec, extra)
-        center_value = 0
-        sums = _arrival_sums
-    else:
-        sites = _departure_sites(spec, extra)
-        center_value = 1
-        sums = _departure_sums
+def _pattern(mask: int, n: int) -> str:
+    """The 0/1 string of a mask over n sites, leftmost site first."""
+    return format(mask, "0%db" % n)[::-1]
+
+
+def _rows(spec: RateSpec, rates: _Rates, kind: str, sites: range, lower, upper) -> list:
+    """Chosen pairs as (lower pattern, upper pattern, lhs, rhs), the sides
+    summed from the rates as the spec gives them, so exact rates give ints
+    or Fractions and float rates floats, as a sum in Python would."""
+    lhs, rhs = _sides(spec, rates.values, kind, sites.start, lower, upper)
+    n = len(sites)
+    return [
+        (_pattern(m, n), _pattern(u, n), a, b)
+        for m, u, a, b in zip(lower.tolist(), upper.tolist(), lhs.tolist(), rhs.tolist())
+    ]
+
+
+def _violations(spec: RateSpec, rates: _Rates, kind: str, extra: int) -> list:
+    """The violating pairs of a condition as (excess in scan units, Violation)."""
+    sites = _sites(spec, kind, extra)
     lo = sites.start
-    violations = []
-    binding = []  # (slack, kind, lo, lower, upper, lhs, rhs)
-    for lower, upper in _ordered_pairs(sites, center_value):
-        lhs, rhs = sums(spec, lower, upper, lo)
-        if lhs > rhs + tol:
-            violations.append(
-                Violation(kind, -lo, lo, _pattern(lower), _pattern(upper), lhs, rhs)
+    out = []
+    for lower, upper, lhs, rhs in _scan(spec, rates, kind, extra):
+        bad = lhs > rhs + rates.tol
+        if bad.any():
+            rows = _rows(spec, rates, kind, sites, lower[bad], upper[bad])
+            out.extend(
+                (excess, Violation(kind, -lo, lo, *row))
+                for excess, row in zip((lhs - rhs)[bad].tolist(), rows)
             )
-        elif collect_slack and rhs > 0:
-            binding.append((rhs - lhs, kind, lo, _pattern(lower), _pattern(upper), lhs, rhs))
-    return violations, binding
+    return out
 
 
-def _sorted_violations(violations):
-    return sorted(violations, key=lambda v: (-(v.lhs - v.rhs), v.kind, v.lower, v.upper))
+def _ranked(violations) -> list:
+    """Violations by decreasing excess, then kind and patterns; the excess
+    in scan units orders as lhs - rhs does."""
+    violations.sort(key=lambda ev: (-ev[0], ev[1].kind, ev[1].lower, ev[1].upper))
+    return [v for _, v in violations]
 
 
 def check_arrival_condition(spec: RateSpec, extra: int = 0, tol=None):
     """Violations of the arrival-side order condition (empty list = pass)."""
-    violations, _ = _scan(spec, "arrival", extra, _tolerance(spec, tol), False)
-    return _sorted_violations(violations)
+    rates = _rate_arrays(spec, _tolerance(spec, tol))
+    return _ranked(_violations(spec, rates, "arrival", extra))
 
 
 def check_departure_condition(spec: RateSpec, extra: int = 0, tol=None):
     """Violations of the departure-side order condition."""
-    violations, _ = _scan(spec, "departure", extra, _tolerance(spec, tol), False)
-    return _sorted_violations(violations)
+    rates = _rate_arrays(spec, _tolerance(spec, tol))
+    return _ranked(_violations(spec, rates, "departure", extra))
 
 
 def is_monotone(spec: RateSpec, extra: int = 0, tol=None) -> Verdict:
-    """Decide order preservation by exhaustive local-pattern enumeration."""
-    t = _tolerance(spec, tol)
-    v1, _ = _scan(spec, "arrival", extra, t, False)
-    v2, _ = _scan(spec, "departure", extra, t, False)
-    witnesses = _sorted_violations(v1 + v2)
+    """Decide order preservation by an exhaustive scan of ordered local
+    pattern pairs."""
+    rates = _rate_arrays(spec, _tolerance(spec, tol))
+    witnesses = _ranked(
+        _violations(spec, rates, "arrival", extra) + _violations(spec, rates, "departure", extra)
+    )
     radius = 2 * (spec.max_offset + spec.dep_radius) + extra
     return Verdict(not witnesses, witnesses, radius)
 
@@ -189,11 +290,38 @@ def is_monotone(spec: RateSpec, extra: int = 0, tol=None) -> Verdict:
 def strictness_report(spec: RateSpec, extra: int = 0, tol=None, keep: int = 10) -> StrictnessReport:
     """Slack table of the order conditions.  Requires a monotone spec."""
     t = _tolerance(spec, tol)
-    v1, b1 = _scan(spec, "arrival", extra, t, True)
-    v2, b2 = _scan(spec, "departure", extra, t, True)
-    if v1 or v2:
-        raise ValueError("strictness_report requires a monotone spec; %s is not" % spec.name)
-    binding = sorted(b1 + b2, key=lambda row: (row[0], row[1], row[3], row[4]))
-    min_slack = binding[0][0] if binding else None
-    strict = bool(binding) and min_slack > t
-    return StrictnessReport(strict, min_slack, len(binding), binding[:keep])
+    rates = _rate_arrays(spec, t)
+    # the smallest binding rows by (slack, kind, lower, upper); at least one
+    # is kept, so that min_slack is read from a rebuilt row
+    want = max(keep, 1)
+    count = 0
+    best = []  # (slack in scan units, kind, lower pattern, upper pattern, masks)
+    for kind in ("arrival", "departure"):
+        n = len(_sites(spec, kind, extra))
+        for lower, upper, lhs, rhs in _scan(spec, rates, kind, extra):
+            if np.any(lhs > rhs + rates.tol):
+                raise ValueError(
+                    "strictness_report requires a monotone spec; %s is not" % spec.name
+                )
+            binding = rhs > 0
+            count += int(np.count_nonzero(binding))
+            slack, lower, upper = (rhs - lhs)[binding], lower[binding], upper[binding]
+            if len(slack) > want:
+                near = slack <= np.sort(slack)[want - 1]
+                slack, lower, upper = slack[near], lower[near], upper[near]
+            best.extend(
+                (s, kind, _pattern(m, n), _pattern(u, n), m, u)
+                for s, m, u in zip(slack.tolist(), lower.tolist(), upper.tolist())
+            )
+            best.sort(key=lambda row: row[:4])
+            del best[want:]
+    worst = []
+    for _, kind, _, _, m, u in best:
+        sites = _sites(spec, kind, extra)
+        [(lo_pattern, up_pattern, lhs, rhs)] = _rows(
+            spec, rates, kind, sites, np.array([m]), np.array([u])
+        )
+        worst.append((rhs - lhs, kind, sites.start, lo_pattern, up_pattern, lhs, rhs))
+    min_slack = worst[0][0] if worst else None
+    strict = bool(worst) and min_slack > t
+    return StrictnessReport(strict, min_slack, count, worst[:keep])

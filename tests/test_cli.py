@@ -425,11 +425,20 @@ def test_golden_suite_report_file(tmp_path, capsys):
     assert payload["results"][0]["criterion"] == "speed-models"
 
 
+def _source_tree_env():
+    """The environment with the checkout's ``src`` first on PYTHONPATH, so
+    that a subprocess imports couplex without an install."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "couplex.cli", "check-monotone", "traffic2", "alpha=0.3", "beta=0.7"],
         capture_output=True,
         text=True,
+        env=_source_tree_env(),
     )
     assert proc.returncode == 0
     assert "monotone" in proc.stdout
@@ -437,11 +446,11 @@ def test_console_script_entry_point():
 
 def test_package_runs_as_a_module_from_the_source_tree():
     # `PYTHONPATH=src python -m couplex zoo` works without an install
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-m", "couplex", "zoo"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "couplex", "zoo"],
+        capture_output=True,
+        text=True,
+        env=_source_tree_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("traffic2(") for line in proc.stdout.splitlines())

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from couplex import (
+    RateSpec,
+    Violation,
     check_arrival_condition,
     check_departure_condition,
     custom_table,
@@ -18,6 +21,8 @@ from couplex import (
     two_star_step,
     two_step,
 )
+from couplex import monotone
+from couplex.models import span_rate
 
 
 MONOTONE_INSTANCES = [
@@ -148,3 +153,219 @@ def test_condition_checks_agree_with_verdict(spec):
     departure = check_departure_condition(spec)
     assert verdict.monotone == (not arrival and not departure)
     assert sorted(map(repr, verdict.witnesses)) == sorted(map(repr, arrival + departure))
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the blocked array scan against a per-pair loop
+
+
+def _loop_sites(spec, kind, extra):
+    if kind == "arrival":
+        lo = min(-d - spec.window_halfwidth(d) for d in spec.jump_offsets)
+        hi = max(-d + spec.window_halfwidth(d) for d in spec.jump_offsets)
+        return range(min(lo, 0) - extra, max(hi, 0) + extra + 1)
+    w = max(spec.window_halfwidth(d) for d in spec.jump_offsets)
+    return range(-w - extra, w + extra + 1)
+
+
+def _loop_sums(spec, kind, lower, upper, lo):
+    lhs = 0
+    rhs = 0
+    for d in spec.jump_offsets:
+        if kind == "arrival":
+            x, i = -d, -d - lo
+            if upper[i] == 0:
+                continue
+            g_up = span_rate(spec, upper, lo, x, d)
+            if lower[i]:
+                g_lo = span_rate(spec, lower, lo, x, d)
+                if g_lo > g_up:
+                    lhs = lhs + (g_lo - g_up)
+            else:
+                rhs = rhs + g_up
+        else:
+            i = d - lo
+            if upper[i] == 0:
+                g_up = span_rate(spec, upper, lo, 0, d)
+                g_lo = span_rate(spec, lower, lo, 0, d)
+                if g_up > g_lo:
+                    lhs = lhs + (g_up - g_lo)
+            elif lower[i] == 0:
+                rhs = rhs + span_rate(spec, lower, lo, 0, d)
+    return lhs, rhs
+
+
+def _loop_scan(spec, kind, extra, tol):
+    """Violations and binding rows of one condition, one pattern pair at a
+    time, pairs in itertools.product order over (0,0), (0,1), (1,1)."""
+    sites = _loop_sites(spec, kind, extra)
+    lo = sites.start
+    pinned = 0 if kind == "arrival" else 1
+    choices = [((pinned, pinned),) if s == 0 else ((0, 0), (0, 1), (1, 1)) for s in sites]
+    violations, binding = [], []
+    for combo in itertools.product(*choices):
+        lower = tuple(a for a, _ in combo)
+        upper = tuple(b for _, b in combo)
+        lhs, rhs = _loop_sums(spec, kind, lower, upper, lo)
+        low, up = "".join(map(str, lower)), "".join(map(str, upper))
+        if lhs > rhs + tol:
+            violations.append(Violation(kind, -lo, lo, low, up, lhs, rhs))
+        elif rhs > 0:
+            binding.append((rhs - lhs, kind, lo, low, up, lhs, rhs))
+    return violations, binding
+
+
+@pytest.mark.parametrize("n, center", [(1, 0), (5, 2), (7, 6), (11, 4)])
+def test_pair_blocks_follow_product_order(n, center):
+    for pinned in (0, 1):
+        choices = [((pinned, pinned),) if k == center else ((0, 0), (0, 1), (1, 1)) for k in range(n)]
+        want = [
+            (tuple(a for a, _ in combo), tuple(b for _, b in combo))
+            for combo in itertools.product(*choices)
+        ]
+        got = []
+        for lower, upper in monotone._pair_blocks(n, center, pinned):
+            assert len(lower) <= monotone.BLOCK_ROWS
+            got.extend(
+                (tuple((m >> k) & 1 for k in range(n)), tuple((u >> k) & 1 for k in range(n)))
+                for m, u in zip(lower.tolist(), upper.tolist())
+            )
+        assert got == want
+
+
+def _loop_sorted(violations):
+    return sorted(violations, key=lambda v: (-(v.lhs - v.rhs), v.kind, v.lower, v.upper))
+
+
+def _typed(value):
+    return (type(value), value)
+
+
+def _assert_same_witnesses(got, want):
+    assert got == want
+    assert [(_typed(w.lhs), _typed(w.rhs)) for w in got] == [
+        (_typed(w.lhs), _typed(w.rhs)) for w in want
+    ]
+
+
+def _assert_matches_loop(spec, extra=0, tol=None, keeps=(10,)):
+    t = monotone._tolerance(spec, tol)
+    arrival, b1 = _loop_scan(spec, "arrival", extra, t)
+    departure, b2 = _loop_scan(spec, "departure", extra, t)
+    _assert_same_witnesses(check_arrival_condition(spec, extra, tol), _loop_sorted(arrival))
+    _assert_same_witnesses(check_departure_condition(spec, extra, tol), _loop_sorted(departure))
+    verdict = is_monotone(spec, extra, tol)
+    _assert_same_witnesses(verdict.witnesses, _loop_sorted(arrival + departure))
+    assert verdict.monotone == (not arrival and not departure)
+    for keep in keeps:
+        if arrival or departure:
+            with pytest.raises(ValueError, match="monotone"):
+                strictness_report(spec, extra, tol, keep)
+            continue
+        report = strictness_report(spec, extra, tol, keep)
+        binding = sorted(b1 + b2, key=lambda row: (row[0], row[1], row[3], row[4]))
+        assert report.binding_count == len(binding)
+        assert report.worst == binding[:keep]
+        assert [tuple(map(_typed, row)) for row in report.worst] == [
+            tuple(map(_typed, row)) for row in binding[:keep]
+        ]
+        if binding:
+            assert _typed(report.min_slack) == _typed(binding[0][0])
+            assert report.strict == (binding[0][0] > t)
+        else:
+            assert report.min_slack is None and not report.strict
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2])
+@pytest.mark.parametrize(
+    "spec", MONOTONE_INSTANCES + NON_MONOTONE_INSTANCES, ids=repr
+)
+def test_scan_matches_pair_loop(spec, extra):
+    _assert_matches_loop(spec, extra, keeps=(0, 10, 10**6) if extra == 0 else (10,))
+
+
+@pytest.mark.parametrize("tol", [None, 0.5])
+def test_scan_matches_pair_loop_on_float_traffic2(tol):
+    spec = traffic2(0.0, 1.25)
+    assert monotone._rate_arrays(spec, 0).tables[1].dtype == float
+    _assert_matches_loop(spec, tol=tol)
+
+
+def test_scan_matches_pair_loop_on_float_gg():
+    _assert_matches_loop(gg_symmetrized(1.5, 0.5, 1.5, 1.0), extra=1)
+    _assert_matches_loop(gg_symmetrized(1.5, 0.75, 1, 1.25), keeps=(0, 10, 10**6))
+
+
+def _mixed_rule():
+    # Fraction rates for hops of 1, float rates for hops of 2
+    def evaluate(window, d):
+        if d == 1:
+            return F(2, 3) + F(1, 3) * window[0]
+        return 0.25 + 1.5 * window[3] * (1 - window[1])
+
+    return RateSpec("mixed", (1, 2), 0, evaluate)
+
+
+def test_scan_matches_pair_loop_on_mixed_rates():
+    spec = _mixed_rule()
+    assert monotone._rate_arrays(spec, 0).tables[1].dtype == object
+    assert not is_monotone(spec).monotone
+    _assert_matches_loop(spec)
+    _assert_matches_loop(spec, tol=0.25)
+
+
+def test_scan_matches_pair_loop_on_huge_denominators():
+    wide = traffic2(F(2**71 + 3, 2**70 - 3), F(5, 2**70 + 1))
+    assert monotone._rate_arrays(wide, 0).tables[2].dtype == object
+    assert not is_monotone(wide).monotone
+    _assert_matches_loop(wide)
+    narrow = traffic2(F(2**69 + 7, 2**70 - 3), F(1, 2**70 + 1))
+    assert is_monotone(narrow).monotone
+    _assert_matches_loop(narrow, keeps=(0, 10, 10**6))
+
+
+@given(small_tables())
+def test_scan_matches_pair_loop_on_tables(spec):
+    _assert_matches_loop(spec, keeps=(3,))
+
+
+def _guarded_rule(active_rate):
+    # -1 on every window a condition never reads: departure site empty or
+    # target occupied
+    def evaluate(window, d):
+        w = len(window) // 2
+        if not window[w] or window[w + d]:
+            return -1
+        return active_rate(window, d)
+
+    return RateSpec("guarded", (1, 2), 0, evaluate)
+
+
+def test_only_active_windows_are_read():
+    monotone_rule = _guarded_rule(lambda window, d: 1 if d == 1 else F(1, 2))
+    assert is_monotone(monotone_rule).monotone
+    assert strictness_report(monotone_rule).binding_count > 0
+    broken = _guarded_rule(lambda window, d: 1 if d == 1 else 2 * window[3])
+    verdict = is_monotone(broken)
+    assert not verdict.monotone
+    _assert_same_witnesses(
+        verdict.witnesses,
+        _loop_sorted(_loop_scan(broken, "arrival", 0, 0)[0] + _loop_scan(broken, "departure", 0, 0)[0]),
+    )
+
+
+def test_negative_active_rate_is_refused():
+    spec = _guarded_rule(lambda window, d: 1 if d == 1 else window[3] - 1)
+    with pytest.raises(ValueError, match="negative rate"):
+        is_monotone(spec)
+
+
+def test_tolerance_on_exact_rates_is_compared_exactly():
+    spec = traffic2(0, F(4, 3))
+    base = is_monotone(spec).witnesses
+    excesses = sorted({w.excess for w in base})
+    assert excesses and all(isinstance(e, F) for e in excesses)
+    for excess in excesses:
+        for tol in (float(excess), float(excess) * (1 + 1e-15), float(excess) * (1 - 1e-15)):
+            kept = [w for w in base if w.excess > F(tol)]
+            assert is_monotone(spec, tol=tol).witnesses == kept

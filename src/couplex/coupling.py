@@ -25,8 +25,11 @@ The factors through one join jump read only the sites within
 the jumps out of one site (``_site_entries``) are memoised per flavor,
 offset and local pair pattern in the spec's ``_compositions``, which lives
 as long as the spec.  The tables here walk them over the ring
-(``_composed_coupled``); the coupled simulator of :mod:`couplex.simulate`
+(``_kind_sites``); the coupled simulator of :mod:`couplex.simulate`
 keeps them per site, in floats, and refreshes only the sites near a jump.
+The rates are translation invariant, so a pair turned along the ring has
+the same entries, moved: :func:`turned_transitions` lists the moves of all
+turns of a pair from one walk.
 
 Tables store *raw* coupled rates: occupancy indicator prefactors (departure
 occupied, target empty, in each copy) are applied when transitions are
@@ -386,7 +389,8 @@ def residual_rates(spec: RateSpec, xi, zeta, coupled: dict, marginals, exact: bo
     for copy, eta, jumps, mass in zip(
         ("first", "second"), (xi, zeta), marginals, coupled_mass(coupled, xi, zeta)
     ):
-        listed = [(x, y, r - mass.get((x, y), 0)) for x, y, r in jumps]
+        # r - 0 is r, in value and type, so a jump without mass keeps r
+        listed = [(x, y, r - mass[x, y] if (x, y) in mass else r) for x, y, r in jumps]
         seen = {(x, y) for x, y, _ in listed}
         unlisted = [
             (x, y, rate(spec, eta, x, y) - m) for (x, y), m in mass.items() if (x, y) not in seen
@@ -402,11 +406,16 @@ def residual_rates(spec: RateSpec, xi, zeta, coupled: dict, marginals, exact: bo
     return tuple(out)
 
 
-def _finish(spec: RateSpec, xi, zeta, kind: str, coupled: dict) -> CouplingTable:
+def _marginals(spec: RateSpec, xi, zeta) -> list:
+    """Each copy's rate on every jump of the ring: lists ``(x, y, r)`` in
+    ``_jumps`` order, one per copy."""
+    ring = _jumps(spec, len(xi))
+    return [[(x, y, rate(spec, eta, x, y)) for x, y, _ in ring] for eta in (xi, zeta)]
+
+
+def _finish(spec: RateSpec, xi, zeta, kind: str, coupled: dict, marginals: list) -> CouplingTable:
     """Attach residual (uncoupled) rates for every jump of the ring."""
     table = CouplingTable(kind, len(xi), coupled)
-    ring = _jumps(spec, len(xi))
-    marginals = [[(x, y, rate(spec, eta, x, y)) for x, y, _ in ring] for eta in (xi, zeta)]
     first, second = residual_rates(spec, xi, zeta, coupled, marginals, spec.exact)
     table.residual_first = {(x, y): r for x, y, r in first}
     table.residual_second = {(x, y): r for x, y, r in second}
@@ -426,6 +435,17 @@ def _flavor(kind: str) -> str:
     return FLAVOR[kind]
 
 
+def _kind_sites(spec: RateSpec, xi, zeta, kind: str) -> list:
+    """The per-site composed entries (:func:`_site_entries`) of the pair
+    under the kind, in site order; all empty where the kind leaves the pair
+    uncoupled."""
+    flavor = _flavor(kind)
+    _check_ring(spec, len(xi))
+    if _uncoupled(kind, is_ordered(xi, zeta)):
+        return [[]] * len(xi)
+    return [_site_entries(spec, xi, zeta, x, flavor) for x in range(len(xi))]
+
+
 def coupling_table(spec: RateSpec, xi, zeta, kind: str) -> CouplingTable:
     """Build the coupling table of the requested kind.
 
@@ -434,12 +454,8 @@ def coupling_table(spec: RateSpec, xi, zeta, kind: str) -> CouplingTable:
     ordered pair, where the join is the upper copy, and with an empty coupled
     map on an unordered pair; ``strict`` with proportional factors.
     """
-    flavor = _flavor(kind)
-    _check_ring(spec, len(xi))
-    coupled = (
-        {} if _uncoupled(kind, is_ordered(xi, zeta)) else _composed_coupled(spec, xi, zeta, flavor)
-    )
-    return _finish(spec, xi, zeta, kind, coupled)
+    per_site = _kind_sites(spec, xi, zeta, kind)
+    return _finish(spec, xi, zeta, kind, _sum_entries(per_site), _marginals(spec, xi, zeta))
 
 
 def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTable | None = None):
@@ -486,6 +502,72 @@ def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTabl
         if r > 0 and is_active(zeta, x, y):
             push("second", None, (x, y), r, tuple(xi), apply_jump(zeta, x, y))
     return table, audits
+
+
+def _turned_moves(audits: list, per_site: list, k: int) -> list:
+    """The moves ``audits`` of a pair with exact rates, turned k sites along
+    the ring, in the order :func:`coupled_transitions` lists them on the
+    turned pair: that pair walks the ``per_site`` lists from site t = L - k,
+    so its coupled moves follow the first appearance of their keys in that
+    walk, and its lone moves follow ``_jumps`` order from site t."""
+    size = len(per_site)
+    t = (size - k) % size
+
+    def jump(j):
+        return None if j is None else ((j[0] + k) % size, (j[1] + k) % size)
+
+    def config(eta):
+        return eta[t:] + eta[:t]
+
+    coupled = {a.first_jump + a.second_jump: a for a in audits if a.move == "coupled"}
+    walk = dict.fromkeys(key for entries in per_site[t:] + per_site[:t] for key, _ in entries)
+    moves = [coupled[key] for key in walk if key in coupled]
+    for move in ("first", "second"):
+        lone = [a for a in audits if a.move == move]
+        moves += [a for a in lone if (a.first_jump or a.second_jump)[0] >= t]
+        moves += [a for a in lone if (a.first_jump or a.second_jump)[0] < t]
+    return [
+        TransitionAudit(
+            a.move,
+            jump(a.first_jump),
+            jump(a.second_jump),
+            a.rate,
+            CoupledState(config(a.target.first), config(a.target.second)),
+            a.order_preserving,
+            a.discrepancy_delta,
+        )
+        for a in moves
+    ]
+
+
+def turned_transitions(spec: RateSpec, xi, zeta, kind: str, shifts):
+    """Yield ``(pair, audits)`` for each k of ``shifts``: the pair (xi, zeta)
+    turned k sites along the ring (site x to x + k), and
+    :func:`coupled_transitions` of it.
+
+    The rates are translation invariant, so a turned pair's coupled entries
+    and rates are the pair's own, moved.  When they are all ints and
+    Fractions, whose sums do not depend on their order, the pair's moves are
+    turned (:func:`_turned_moves`); with floats each turned pair is computed
+    on its own.
+    """
+    size = len(xi)
+    per_site = _kind_sites(spec, xi, zeta, kind)
+    marginals = _marginals(spec, xi, zeta)
+    table = _finish(spec, xi, zeta, kind, _sum_entries(per_site), marginals)
+    _, audits = coupled_transitions(spec, xi, zeta, kind, table)
+    values = [g for entries in per_site for _, g in entries]
+    values += [r for jumps in marginals for _, _, r in jumps]
+    exact = all(isinstance(v, (int, Fraction)) for v in values)
+    for k in shifts:
+        t = (size - k) % size  # the site the turn takes to site 0
+        pair = (xi[t:] + xi[:t], zeta[t:] + zeta[:t])
+        if not k:
+            yield pair, audits
+        elif exact:
+            yield pair, _turned_moves(audits, per_site, k)
+        else:
+            yield pair, coupled_transitions(spec, *pair, kind)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ all operations here are pure functions.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 Config = tuple  # occupancy vector, entries in {0, 1}
 
@@ -26,14 +26,6 @@ class CoupledState(NamedTuple):
     @property
     def ordered(self) -> bool:
         return is_ordered(self.first, self.second)
-
-
-def as_config(bits: Iterable[int]) -> Config:
-    """Validate and freeze an occupancy sequence."""
-    eta = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in eta):
-        raise ValueError("occupancies must be 0 or 1, got %r" % (eta,))
-    return eta
 
 
 def parse_configuration(text: str) -> Config:

@@ -123,6 +123,16 @@ def test_exact_extinction_json(capsys):
     assert payload["pairs_checked"] == 570
 
 
+def test_exact_extinction_of_pairs_that_never_become_comparable(capsys):
+    # jumps of 2 keep each particle on its parity class: some unordered
+    # pairs never reach a comparable pair, which is probability 0, not an error
+    code, out, err = run(capsys, "exact", "sep", "2:1", "--task", "extinction", "--size", "6")
+    assert code == 1, err
+    payload = json.loads(out)
+    assert payload["min_probability"] == 0
+    assert payload["worst_pair"] == ["100000", "010000"]
+
+
 def test_exact_requires_task(capsys):
     code, _, err = run(capsys, "exact", "sep", "--size", "5")
     assert code == 2

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from fractions import Fraction as F
@@ -6,13 +7,17 @@ import numpy as np
 import pytest
 
 from couplex import (
+    KINDS,
     audit_discrepancy_monotone,
     audit_order_preservation,
     blocking_scan,
     check_sector_uniform_stationary,
     coupled_generator,
     discrepancy_extinction,
+    coupled_transitions,
     gg_symmetrized,
+    is_ordered,
+    marginal_errors,
     pair_states,
     sep,
     single_generator,
@@ -22,7 +27,10 @@ from couplex import (
     two_star_step,
     two_step,
 )
-from couplex.exact import GeneratorMatrix, closed_classes, stationary_distributions
+from couplex.exact import AuditViolation, GeneratorMatrix, closed_classes, stationary_distributions
+from couplex.golden import MONOTONE_ZOO
+from couplex.lattice import CoupledState
+from couplex.models import active_jumps
 
 
 def test_single_generator_shape_and_conservation():
@@ -306,6 +314,177 @@ def test_discrepancy_extinction_sep():
     assert report.worst_pair is not None
 
 
+def _hitting_by_iteration(gen, unordered, steps=4000):
+    """Oracle: the hitting probability of the comparable pairs as the limit
+    of the jump chain's n-step hitting probabilities, from 0 up (Norris,
+    *Markov Chains*, Thm 1.3.2)."""
+    n = gen.dimension
+    comparable = np.array([s not in unordered for s in gen.states])
+    p = np.zeros((n, n))
+    for i, row in enumerate(gen.rows):
+        total = float(sum(row.values()))
+        for j, r in row.items():
+            p[i, j] = float(r) / total
+    h = comparable.astype(float)
+    for _ in range(steps):
+        h = np.where(comparable, 1.0, p @ h)
+    return h
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_discrepancy_extinction_with_unreachable_pairs(kind):
+    # jumps of 2 keep each particle on one parity class of the 6-site ring,
+    # so some unordered pairs form a closed set that never orders
+    spec = sep({2: F(1)})
+    report = discrepancy_extinction(spec, 6, kind)
+    assert report.min_probability == 0
+    assert report.worst_pair == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+    assert report.pairs_checked == 2702
+    # a particle on an even site and one on an odd site never meet
+    states = list(pair_states(6, (1, 1)))
+    unordered = {s for s in states if not is_ordered(*s)}
+    h = _hitting_by_iteration(coupled_generator(spec, 6, kind, states=states), unordered)
+    assert h[states.index(report.worst_pair)] == 0
+    assert sorted({round(float(v), 9) for v in h}) == [0.0, 1.0]
+
+
 def test_discrepancy_extinction_refuses_blocked_specs():
     with pytest.raises(ValueError, match="open channels"):
         discrepancy_extinction(gg_symmetrized(1, 0, 1, 0), 4, "strict")
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the direct per-pair loop, one coupled_transitions call per pair.
+# The audits, marginal_errors and coupled_generator work on rotation
+# representatives; they must give exactly what this loop gives.
+
+
+def _direct_moves(spec, states, kind):
+    return [coupled_transitions(spec, xi, zeta, kind)[1] for xi, zeta in states]
+
+
+def _direct_violations(states, moves, broken):
+    return [
+        AuditViolation(CoupledState(*pair), a.move, a.first_jump, a.second_jump, a.rate, a.target)
+        for pair, audits in zip(states, moves)
+        for a in audits
+        if broken(a)
+    ]
+
+
+def _direct_rows(states, moves):
+    index = {s: i for i, s in enumerate(states)}
+    rows = []
+    for audits in moves:
+        row = {}
+        for a in audits:
+            j = index[(a.target.first, a.target.second)]
+            row[j] = row.get(j, 0) + a.rate
+        rows.append(row)
+    return rows
+
+
+def _direct_marginal_error(spec, states, moves):
+    size = len(states[0][0])
+    worst = 0
+    for (xi, zeta), audits in zip(states, moves):
+        first = {}
+        second = {}
+        for a in audits:
+            if a.first_jump is not None:
+                first[a.first_jump] = first.get(a.first_jump, 0) + a.rate
+            if a.second_jump is not None:
+                second[a.second_jump] = second.get(a.second_jump, 0) + a.rate
+        for eta, got in ((xi, first), (zeta, second)):
+            want = {(x, (x + d) % size): r for x, d, r in active_jumps(spec, eta)}
+            for key in set(want) | set(got):
+                worst = max(worst, abs(want.get(key, 0) - got.get(key, 0)))
+    return worst
+
+
+def _typed_items(rows):
+    return [[(j, r, type(r)) for j, r in row.items()] for row in rows]
+
+
+def _assert_reduced_matches_direct(spec, size, kind):
+    """The reduced functions give what the loop gives, or raise its error."""
+    states = list(pair_states(size))
+    ordered = [s for s in states if is_ordered(*s)]
+    moves = functools.cache(lambda: _direct_moves(spec, states, kind))
+    cases = [
+        (
+            lambda: audit_order_preservation(spec, size, kind),
+            lambda: _direct_violations(
+                ordered, _direct_moves(spec, ordered, kind), lambda a: not a.order_preserving
+            ),
+        ),
+        (
+            lambda: audit_discrepancy_monotone(spec, size, kind),
+            lambda: _direct_violations(states, moves(), lambda a: a.discrepancy_delta > 0),
+        ),
+        (
+            lambda: marginal_errors(spec, size, kind),
+            lambda: _direct_marginal_error(spec, states, moves()),
+        ),
+        (
+            # rows as item lists: keys, insertion order, values and types
+            lambda: _typed_items(coupled_generator(spec, size, kind).rows),
+            lambda: _typed_items(_direct_rows(states, moves())),
+        ),
+    ]
+    for reduced, direct in cases:
+        try:
+            want = direct()
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                reduced()
+            assert str(got.value) == str(err)
+            continue
+        got = reduced()
+        assert got == want and type(got) is type(want)
+
+
+DIFFERENTIAL_MODELS = list(MONOTONE_ZOO) + [
+    ("traffic2 0 2", traffic2(0, 2)),
+    ("gg 1 0 1 0", gg_symmetrized(1, 0, 1, 0)),
+    ("traffic2 0.7 0.2", traffic2(0.7, 0.2)),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "spec", [s for _, s in DIFFERENTIAL_MODELS], ids=[l for l, _ in DIFFERENTIAL_MODELS]
+)
+def test_rotation_reduction_matches_direct_loop(spec, kind):
+    _assert_reduced_matches_direct(spec, 5, kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rotation_reduction_matches_direct_loop_at_six_sites(kind):
+    _assert_reduced_matches_direct(traffic2(F(7, 10), F(1, 5)), 6, kind)
+
+
+def _even(eta):
+    return not any(eta[1::2])
+
+
+@pytest.mark.parametrize(
+    "spec, states",
+    [
+        # jumps of 2 keep particles on even sites, a set a turn by one site
+        # leaves: orbits are cut in half
+        (
+            sep({2: F(1), -2: F(1, 3)}),
+            [s for s in pair_states(6, (2, 1)) if _even(s[0]) and _even(s[1])],
+        ),
+        # closed under rotation, but the first pair of an orbit is another one
+        (traffic2(F(7, 10), F(1, 5)), list(pair_states(5, (2, 3)))[::-1]),
+        (traffic2(0.7, 0.2), list(pair_states(5, (3, 2)))[::-1]),
+    ],
+    ids=["parity-subset", "reversed-sector", "reversed-sector-float"],
+)
+@pytest.mark.parametrize("kind", KINDS)
+def test_generator_on_states_not_closed_under_rotation(spec, states, kind):
+    gen = coupled_generator(spec, len(states[0][0]), kind, states=states)
+    want = _direct_rows(states, _direct_moves(spec, states, kind))
+    assert _typed_items(gen.rows) == _typed_items(want)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from couplex import (
     CoupledState,
     apply_jump,
-    as_config,
     discrepancy_count,
     format_configuration,
     is_ordered,
@@ -35,12 +34,6 @@ def test_parse_rejects_garbage():
         parse_configuration("10x0")
     with pytest.raises(ValueError):
         parse_configuration("")
-
-
-def test_as_config_validates():
-    assert as_config([1, 0, True]) == (1, 0, 1)
-    with pytest.raises(ValueError):
-        as_config([1, 2, 0])
 
 
 def test_apply_jump_exchanges_and_wraps():

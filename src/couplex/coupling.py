@@ -28,7 +28,7 @@ as long as the spec.  The tables here walk them over the ring
 (``_kind_sites``); the coupled simulator of :mod:`couplex.simulate`
 keeps them per site, in floats, and refreshes only the sites near a jump.
 The rates are translation invariant, so a pair turned along the ring has
-the same entries, moved: :func:`turned_transitions` lists the moves of all
+the same entries, moved: :func:`turned_transitions` builds the tables of all
 turns of a pair from one walk.
 
 Tables store *raw* coupled rates: occupancy indicator prefactors (departure
@@ -337,20 +337,9 @@ def _sum_entries(per_site) -> dict:
     coupled = {}
     for entries in per_site:
         for key, g in entries:
-            coupled[key] = coupled.get(key, 0) + g
+            # g itself, not 0 + g: the same value and type, without an add
+            coupled[key] = coupled[key] + g if key in coupled else g
     return coupled
-
-
-def _composed_coupled(spec: RateSpec, xi, zeta, flavor: str, floats: bool = False) -> dict:
-    """Coupled map of the composition through the join, for any pair.
-
-    The walk adds up :func:`_site_entries` over the ring in site order: the
-    raw values, or with ``floats`` their floats one by one.  On a ring of at
-    least ``min_ring_size`` sites a pattern's entries land on distinct ring
-    sites, so the memo serves small rings too.
-    """
-    _check_ring(spec, len(xi))
-    return _sum_entries(_site_entries(spec, xi, zeta, x, flavor, floats) for x in range(len(xi)))
 
 
 def _transposed(coupled: dict) -> dict:
@@ -366,10 +355,10 @@ def coupled_mass(coupled: dict, xi, zeta):
     for (x1, y1, x2, y2), g in coupled.items():
         if is_active(zeta, x2, y2):
             k = (x1, y1)
-            phi1[k] = phi1.get(k, 0) + g
+            phi1[k] = phi1[k] + g if k in phi1 else g
         if is_active(xi, x1, y1):
             k = (x2, y2)
-            phi2[k] = phi2.get(k, 0) + g
+            phi2[k] = phi2[k] + g if k in phi2 else g
     return phi1, phi2
 
 
@@ -383,7 +372,8 @@ def residual_rates(spec: RateSpec, xi, zeta, coupled: dict, marginals, exact: bo
     are checked at their rate as well.  In exact arithmetic any negative
     residual raises; in float arithmetic a residual below ``-_RESIDUAL_TOL``
     raises and one within ``_RESIDUAL_TOL`` of 0 counts as 0.  The error
-    names the jump, the copy and the pair.
+    names the jump, the copy and the pair.  Marginal rates are rates of the
+    spec, so nonnegative: only jumps with mass can fall below 0.
     """
     out = []
     for copy, eta, jumps, mass in zip(
@@ -395,7 +385,7 @@ def residual_rates(spec: RateSpec, xi, zeta, coupled: dict, marginals, exact: bo
         unlisted = [
             (x, y, rate(spec, eta, x, y) - m) for (x, y), m in mass.items() if (x, y) not in seen
         ]
-        for x, y, r in listed + unlisted:
+        for x, y, r in [j for j in listed if j[:2] in mass] + unlisted:
             if r < (0 if exact else -_RESIDUAL_TOL):
                 raise ValueError(
                     "coupled rates exceed the marginal rate at jump (%d, %d) of the %s copy "
@@ -438,7 +428,9 @@ def _flavor(kind: str) -> str:
 def _kind_sites(spec: RateSpec, xi, zeta, kind: str) -> list:
     """The per-site composed entries (:func:`_site_entries`) of the pair
     under the kind, in site order; all empty where the kind leaves the pair
-    uncoupled."""
+    uncoupled.  On a ring of at least ``min_ring_size`` sites a pattern's
+    entries land on distinct ring sites, so the memo serves small rings too.
+    """
     flavor = _flavor(kind)
     _check_ring(spec, len(xi))
     if _uncoupled(kind, is_ordered(xi, zeta)):
@@ -454,8 +446,7 @@ def coupling_table(spec: RateSpec, xi, zeta, kind: str) -> CouplingTable:
     ordered pair, where the join is the upper copy, and with an empty coupled
     map on an unordered pair; ``strict`` with proportional factors.
     """
-    per_site = _kind_sites(spec, xi, zeta, kind)
-    return _finish(spec, xi, zeta, kind, _sum_entries(per_site), _marginals(spec, xi, zeta))
+    return _built(spec, xi, zeta, kind)[2]
 
 
 def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTable | None = None):
@@ -466,13 +457,13 @@ def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTabl
     """
     if table is None:
         table = coupling_table(spec, xi, zeta, kind)
-    start = CoupledState(tuple(xi), tuple(zeta))
-    start_ordered = start.ordered
-    start_disc = start.discrepancies
+    start_ordered = is_ordered(xi, zeta)
     audits = []
 
     def push(move, j1, j2, r, new_xi, new_zeta):
         target = CoupledState(new_xi, new_zeta)
+        # the pair changes only at the jump sites
+        sites = {*(j1 or ()), *(j2 or ())}
         audits.append(
             TransitionAudit(
                 move,
@@ -481,12 +472,12 @@ def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTabl
                 r,
                 target,
                 (not start_ordered) or target.ordered,
-                target.discrepancies - start_disc,
+                sum((new_xi[s] != new_zeta[s]) - (xi[s] != zeta[s]) for s in sites),
             )
         )
 
     for (x1, y1, x2, y2), g in table.coupled.items():
-        if g > 0 and is_active(xi, x1, y1) and is_active(zeta, x2, y2):
+        if is_active(xi, x1, y1) and is_active(zeta, x2, y2) and g > 0:
             push(
                 "coupled",
                 (x1, y1),
@@ -496,48 +487,21 @@ def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTabl
                 apply_jump(zeta, x2, y2),
             )
     for (x, y), r in table.residual_first.items():
-        if r > 0 and is_active(xi, x, y):
+        if is_active(xi, x, y) and r > 0:
             push("first", (x, y), None, r, apply_jump(xi, x, y), tuple(zeta))
     for (x, y), r in table.residual_second.items():
-        if r > 0 and is_active(zeta, x, y):
+        if is_active(zeta, x, y) and r > 0:
             push("second", None, (x, y), r, tuple(xi), apply_jump(zeta, x, y))
     return table, audits
 
 
-def _turned_moves(audits: list, per_site: list, k: int) -> list:
-    """The moves ``audits`` of a pair with exact rates, turned k sites along
-    the ring, in the order :func:`coupled_transitions` lists them on the
-    turned pair: that pair walks the ``per_site`` lists from site t = L - k,
-    so its coupled moves follow the first appearance of their keys in that
-    walk, and its lone moves follow ``_jumps`` order from site t."""
-    size = len(per_site)
-    t = (size - k) % size
-
-    def jump(j):
-        return None if j is None else ((j[0] + k) % size, (j[1] + k) % size)
-
-    def config(eta):
-        return eta[t:] + eta[:t]
-
-    coupled = {a.first_jump + a.second_jump: a for a in audits if a.move == "coupled"}
-    walk = dict.fromkeys(key for entries in per_site[t:] + per_site[:t] for key, _ in entries)
-    moves = [coupled[key] for key in walk if key in coupled]
-    for move in ("first", "second"):
-        lone = [a for a in audits if a.move == move]
-        moves += [a for a in lone if (a.first_jump or a.second_jump)[0] >= t]
-        moves += [a for a in lone if (a.first_jump or a.second_jump)[0] < t]
-    return [
-        TransitionAudit(
-            a.move,
-            jump(a.first_jump),
-            jump(a.second_jump),
-            a.rate,
-            CoupledState(config(a.target.first), config(a.target.second)),
-            a.order_preserving,
-            a.discrepancy_delta,
-        )
-        for a in moves
-    ]
+def _built(spec: RateSpec, xi, zeta, kind: str):
+    """``(per_site, marginals, table)`` of the pair: its per-site composed
+    entries (:func:`_kind_sites`), each copy's rate on every jump
+    (:func:`_marginals`) and its coupling table."""
+    per_site = _kind_sites(spec, xi, zeta, kind)
+    marginals = _marginals(spec, xi, zeta)
+    return per_site, marginals, _finish(spec, xi, zeta, kind, _sum_entries(per_site), marginals)
 
 
 def turned_transitions(spec: RateSpec, xi, zeta, kind: str, shifts):
@@ -545,29 +509,30 @@ def turned_transitions(spec: RateSpec, xi, zeta, kind: str, shifts):
     turned k sites along the ring (site x to x + k), and
     :func:`coupled_transitions` of it.
 
-    The rates are translation invariant, so a turned pair's coupled entries
-    and rates are the pair's own, moved.  When they are all ints and
-    Fractions, whose sums do not depend on their order, the pair's moves are
-    turned (:func:`_turned_moves`); with floats each turned pair is computed
-    on its own.
+    The rates are translation invariant, so the turned pair's entries at
+    site x + k are the pair's entries at site x, moved, and so are its
+    marginal rates.  Its table is built from those, walked from site
+    t = L - k as a walk over the turned pair starts, so its sums are added
+    in the same order and come out bit for bit, floats included.
     """
     size = len(xi)
-    per_site = _kind_sites(spec, xi, zeta, kind)
-    marginals = _marginals(spec, xi, zeta)
-    table = _finish(spec, xi, zeta, kind, _sum_entries(per_site), marginals)
-    _, audits = coupled_transitions(spec, xi, zeta, kind, table)
-    values = [g for entries in per_site for _, g in entries]
-    values += [r for jumps in marginals for _, _, r in jumps]
-    exact = all(isinstance(v, (int, Fraction)) for v in values)
+    per_site, marginals, table = _built(spec, xi, zeta, kind)
+    step = len(spec.jump_offsets)
     for k in shifts:
         t = (size - k) % size  # the site the turn takes to site 0
         pair = (xi[t:] + xi[:t], zeta[t:] + zeta[:t])
-        if not k:
-            yield pair, audits
-        elif exact:
-            yield pair, _turned_moves(audits, per_site, k)
-        else:
-            yield pair, coupled_transitions(spec, *pair, kind)[1]
+        turned = table
+        if k:
+            coupled = {
+                ((x1 + k) % size, (y1 + k) % size, (x2 + k) % size, (y2 + k) % size): g
+                for (x1, y1, x2, y2), g in _sum_entries(per_site[t:] + per_site[:t]).items()
+            }
+            rates = [
+                [((x + k) % size, (y + k) % size, r) for x, y, r in jumps]
+                for jumps in (m[t * step :] + m[: t * step] for m in marginals)
+            ]
+            turned = _finish(spec, *pair, kind, coupled, rates)
+        yield pair, coupled_transitions(spec, *pair, kind, turned)[1]
 
 
 # ---------------------------------------------------------------------------

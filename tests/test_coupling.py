@@ -323,7 +323,9 @@ def _check_walk(spec, xi, zeta):
     # raw values for the tables, floats summed one by one for the simulator
     for flavor in ("overlap", "proportional"):
         for floats in (False, True):
-            got = coupling._composed_coupled(spec, xi, zeta, flavor, floats=floats)
+            got = coupling._sum_entries(
+                coupling._site_entries(spec, xi, zeta, x, flavor, floats) for x in range(len(xi))
+            )
             want = _ring_composition(spec, xi, zeta, flavor, floats)
             _assert_same_map(got, want, (flavor, floats, xi, zeta))
 

@@ -27,6 +27,8 @@ from couplex import (
     two_star_step,
     two_step,
 )
+from couplex import coupling
+from couplex.coupling import FLAVOR, _site_entries, turned_transitions
 from couplex.exact import AuditViolation, GeneratorMatrix, closed_classes, stationary_distributions
 from couplex.golden import MONOTONE_ZOO
 from couplex.lattice import CoupledState
@@ -448,6 +450,7 @@ DIFFERENTIAL_MODELS = list(MONOTONE_ZOO) + [
     ("traffic2 0 2", traffic2(0, 2)),
     ("gg 1 0 1 0", gg_symmetrized(1, 0, 1, 0)),
     ("traffic2 0.7 0.2", traffic2(0.7, 0.2)),
+    ("gg 1.5 0.75 1.0 1.25", gg_symmetrized(1.5, 0.75, 1.0, 1.25)),
 ]
 
 
@@ -462,6 +465,19 @@ def test_rotation_reduction_matches_direct_loop(spec, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_rotation_reduction_matches_direct_loop_at_six_sites(kind):
     _assert_reduced_matches_direct(traffic2(F(7, 10), F(1, 5)), 6, kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_marginal_errors_with_clipped_residuals(kind, monkeypatch):
+    # a wide float cut-off clips small residuals to 0: the coupled chain
+    # loses rate, so the gaps are far from 0 and their maximum is telling
+    monkeypatch.setattr(coupling, "_RESIDUAL_TOL", 0.3)
+    spec = traffic2(0.7, 0.2)
+    states = list(pair_states(5))
+    want = _direct_marginal_error(spec, states, _direct_moves(spec, states, kind))
+    assert want > 0.1
+    got = marginal_errors(spec, 5, kind)
+    assert got == want and type(got) is type(want)
 
 
 def _even(eta):
@@ -488,3 +504,26 @@ def test_generator_on_states_not_closed_under_rotation(spec, states, kind):
     gen = coupled_generator(spec, len(states[0][0]), kind, states=states)
     want = _direct_rows(states, _direct_moves(spec, states, kind))
     assert _typed_items(gen.rows) == _typed_items(want)
+
+
+def _typed_moves(audits):
+    return [(a, type(a.rate)) for a in audits]
+
+
+@pytest.mark.parametrize("kind", ["attractive", "strict"])
+def test_turned_float_tables_where_several_sites_feed_one_key(kind):
+    # float gg: a coupled key of an unordered pair can be fed by the join
+    # jumps of two sites, so a turned pair adds its entries in another site
+    # order; each turn must still equal a direct build of the turned pair
+    spec = gg_symmetrized(1.5, 0.75, 1.0, 1.25)
+    fed = 0
+    for xi, zeta in pair_states(5):
+        sites = {}
+        for x in range(5):
+            for key, _ in _site_entries(spec, xi, zeta, x, FLAVOR[kind]):
+                sites.setdefault(key, set()).add(x)
+        fed += any(len(s) > 1 for s in sites.values())
+        for pair, audits in turned_transitions(spec, xi, zeta, kind, range(5)):
+            want = coupled_transitions(spec, *pair, kind)[1]
+            assert _typed_moves(audits) == _typed_moves(want), (xi, zeta, pair)
+    assert fed == 150

@@ -25,7 +25,7 @@ from couplex import (
     traffic2,
     two_star_step,
 )
-from couplex.coupling import FLAVOR, _composed_coupled, _uncoupled, residual_rates
+from couplex.coupling import FLAVOR, _site_entries, _sum_entries, _uncoupled, residual_rates
 from couplex.golden import MONOTONE_ZOO
 from couplex.lattice import signed_offset
 from couplex.models import active_jumps
@@ -369,7 +369,9 @@ def _fresh_events(spec, xi, zeta, kind):
     coupled = (
         {}
         if _uncoupled(kind, is_ordered(xi, zeta))
-        else _composed_coupled(spec, xi, zeta, FLAVOR[kind], floats=True)
+        else _sum_entries(
+            _site_entries(spec, xi, zeta, x, FLAVOR[kind], floats=True) for x in range(size)
+        )
     )
     out = [
         (g, (x1, signed_offset(x1, y1, size)), (x2, signed_offset(x2, y2, size)))

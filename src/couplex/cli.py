@@ -297,6 +297,11 @@ def _cmd_exact(args) -> int:
     spec = build_spec(cfg)
     size = _need(cfg.size, "lattice size")
     task = _need(cfg.task, "task")
+    unread = [n for n, v in (("count", args.count), ("density", cfg.density)) if v is not None]
+    if task != "stationary" and unread:
+        raise ConfigError(
+            [Diagnostic("lattice", n, "%s is read only by task stationary, not %s" % (n, task)) for n in unread]
+        )
     if task == "stationary":
         if args.count is not None:
             counts = [args.count]

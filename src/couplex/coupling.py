@@ -255,8 +255,7 @@ def _left_factors(spec: RateSpec, lower, upper, x: int, y: int, flavor: str):
         if flavor == "overlap":
             g = h_term(m, n, main, bar)
         else:
-            g = main.increment(m) * bar.increment(n)
-            g = Fraction(g) / norm if spec.exact else g / norm
+            g = _ratio(main.increment(m) * bar.increment(n), norm)
         if g > 0:
             out.append(((site, a) if role == "departure" else (a, site), g))
     return out
@@ -272,12 +271,14 @@ def _join_contributions(spec: RateSpec, xi, zeta, mid, x: int, y: int, norm, fla
     if not left:
         return []
     right = _left_factors(spec, zeta, mid, x, y, flavor)
-    exact = spec.exact
-    return [
-        (j1 + j2, Fraction(g1 * g2) / norm if exact else g1 * g2 / norm)
-        for j1, g1 in left
-        for j2, g2 in right
-    ]
+    return [(j1 + j2, _ratio(g1 * g2, norm)) for j1, g1 in left for j2, g2 in right]
+
+
+def _ratio(a, b):
+    """a / b, exact unless a float enters."""
+    if isinstance(a, float) or isinstance(b, float):
+        return a / b
+    return Fraction(a) / b
 
 
 def _compose(spec: RateSpec, flavor: str, reach: int, d: int, window):
@@ -362,16 +363,16 @@ def coupled_mass(coupled: dict, xi, zeta):
     return phi1, phi2
 
 
-def residual_rates(spec: RateSpec, xi, zeta, coupled: dict, marginals, exact: bool) -> tuple:
+def residual_rates(spec: RateSpec, xi, zeta, coupled: dict, marginals) -> tuple:
     """Residual (one-copy) rates of both copies of the pair: each jump's
     marginal rate minus its coupled mass.
 
     ``marginals`` holds one list ``(x, y, r)`` per copy, r the marginal rate
     of x -> y in that copy; the result holds one list ``(x, y, residual)``
     per copy, in the same order.  Jumps that carry mass but are not listed
-    are checked at their rate as well.  In exact arithmetic any negative
-    residual raises; in float arithmetic a residual below ``-_RESIDUAL_TOL``
-    raises and one within ``_RESIDUAL_TOL`` of 0 counts as 0.  The error
+    are checked at their rate as well.  An exact (int or Fraction) residual
+    raises when negative; a float residual below ``-_RESIDUAL_TOL`` raises
+    and one within ``_RESIDUAL_TOL`` of 0 counts as 0.  The error
     names the jump, the copy and the pair.  Marginal rates are rates of the
     spec, so nonnegative: only jumps with mass can fall below 0.
     """
@@ -386,13 +387,16 @@ def residual_rates(spec: RateSpec, xi, zeta, coupled: dict, marginals, exact: bo
             (x, y, rate(spec, eta, x, y) - m) for (x, y), m in mass.items() if (x, y) not in seen
         ]
         for x, y, r in [j for j in listed if j[:2] in mass] + unlisted:
-            if r < (0 if exact else -_RESIDUAL_TOL):
+            if r < (-_RESIDUAL_TOL if isinstance(r, float) else 0):
                 raise ValueError(
                     "coupled rates exceed the marginal rate at jump (%d, %d) of the %s copy "
                     "(residual %s) in the pair %s / %s"
                     % (x, y, copy, r, format_configuration(xi), format_configuration(zeta))
                 )
-        out.append([(x, y, r if exact or r > _RESIDUAL_TOL else 0) for x, y, r in listed])
+        # the type test first: comparing a Fraction with a float is slow
+        out.append(
+            [(x, y, r if not isinstance(r, float) or r > _RESIDUAL_TOL else 0) for x, y, r in listed]
+        )
     return tuple(out)
 
 
@@ -406,7 +410,7 @@ def _marginals(spec: RateSpec, xi, zeta) -> list:
 def _finish(spec: RateSpec, xi, zeta, kind: str, coupled: dict, marginals: list) -> CouplingTable:
     """Attach residual (uncoupled) rates for every jump of the ring."""
     table = CouplingTable(kind, len(xi), coupled)
-    first, second = residual_rates(spec, xi, zeta, coupled, marginals, spec.exact)
+    first, second = residual_rates(spec, xi, zeta, coupled, marginals)
     table.residual_first = {(x, y): r for x, y, r in first}
     table.residual_second = {(x, y): r for x, y, r in second}
     return table
@@ -606,7 +610,6 @@ def oneD_cross_check(spec: RateSpec, xi, zeta) -> CrossCheckReport:
     else:
         raise ValueError("oneD_cross_check requires an ordered pair")
     table = coupling_table(spec, xi, zeta, "increasing")
-    tol = 0 if spec.exact else 1e-12
     mismatches = []
     for key in sorted(set(prefix) | set(table.coupled)):
         x1, y1, x2, y2 = key
@@ -614,6 +617,7 @@ def oneD_cross_check(spec: RateSpec, xi, zeta) -> CrossCheckReport:
             continue
         a = table.coupled.get(key, 0)
         b = prefix.get(key, 0)
-        if abs(a - b) > tol:
+        gap = abs(a - b)
+        if gap > (1e-12 if isinstance(gap, float) else 0):
             mismatches.append((key, a, b))
     return CrossCheckReport(not mismatches, mismatches)

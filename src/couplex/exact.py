@@ -6,7 +6,6 @@ over configuration pairs.  Generators are kept sparse (dict of rows); dense
 numpy arrays are materialized only for linear solves.  The stationary law of a
 closed class solves the replaced-row system: Q^T on the class with its last
 equation replaced by the normalisation sum(pi) = 1, by one LU factorisation.
-Transient laws step through the sparse rows.
 
 The rates are translation invariant, so the coupled chain commutes with
 rotations of the ring (Kemeny & Snell, *Finite Markov Chains*, 1960,
@@ -31,18 +30,13 @@ from typing import Optional
 import numpy as np
 
 from .lattice import CoupledState, apply_jump, is_ordered
-from .models import RateSpec, active_jumps, _all_patterns
+from .models import RateSpec, active_jumps
 from .coupling import turned_transitions
 
 #: largest single-chain state space enumerated: it admits every sector of a
 #: 14-site ring (at most C(14, 7) = 3432 states, a 94 MB dense matrix)
 SINGLE_STATE_CAP = 3432
 COUPLED_SIZE_CAP = 6
-#: largest Poisson mean of one uniformization step, far from exp underflow
-_POISSON_STEP = 64.0
-#: uniformization rate over the largest exit rate, so P keeps a positive
-#: diagonal
-_UNIFORM_MARGIN = 1.05
 #: a solved weight below -_NEGATIVE_TOL times the largest weight is an error,
 #: not rounding, and raises instead of being clipped
 _NEGATIVE_TOL = 1e-9
@@ -355,47 +349,6 @@ def stationary_distribution(gen: GeneratorMatrix) -> StationaryDistribution:
     return dists[0]
 
 
-def transient_distribution(gen: GeneratorMatrix, start: np.ndarray, t: float) -> np.ndarray:
-    """start @ exp(tQ) through uniformization with adaptive Poisson truncation.
-
-    The kernel P = I + Q/lam, with lam = _UNIFORM_MARGIN times the largest
-    exit rate, is applied from the sparse rows, so a step costs O(nnz).
-    The horizon is cut into steps whose Poisson mean is at most
-    ``_POISSON_STEP``, so exp(-mean) never underflows.  Each step sums terms
-    until their Poisson mass reaches 1 - 1e-14, and raises if it does not.
-    """
-    n = gen.dimension
-    rows, cols, vals, exit_rates = gen.entries
-    lam = float(exit_rates.max(initial=0.0))
-    lam = lam * _UNIFORM_MARGIN if lam > 0 else 1.0
-    stay = 1.0 - exit_rates / lam
-    moves = vals / lam
-    steps = max(1, math.ceil(lam * t / _POISSON_STEP))
-    mean = lam * t / steps
-    # 20 standard deviations past the mean: only rounding can keep the
-    # summed Poisson mass short of the target there
-    limit = int(mean + 20 * math.sqrt(mean)) + 30
-    out = start.astype(float)
-    for _ in range(steps):
-        term = out
-        weight = np.exp(-mean)
-        out = weight * term
-        accumulated = weight
-        k = 0
-        while accumulated < 1.0 - 1e-14:
-            if k == limit:
-                raise ValueError(
-                    "Poisson mass %r short of 1 after %d terms of mean %r"
-                    % (accumulated, k, mean)
-                )
-            k += 1
-            term = term * stay + np.bincount(cols, weights=term[rows] * moves, minlength=n)
-            weight = weight * mean / k
-            out = out + weight * term
-            accumulated += weight
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Structural checks
 
@@ -518,39 +471,7 @@ def marginal_errors(spec: RateSpec, size: int, kind: str):
 
 
 # ---------------------------------------------------------------------------
-# Blocking configurations and discrepancy extinction
-
-
-@dataclass
-class BlockingReport:
-    blocked: bool
-    channels: dict  # offset -> "open" | "closed" | "mixed"
-
-
-def blocking_scan(spec: RateSpec) -> BlockingReport:
-    """Classify each jump channel: open (positive rate under every pattern
-    allowing the jump), closed (always zero), or mixed (configuration
-    dependent — a blocking channel)."""
-    channels = {}
-    for d in spec.jump_offsets:
-        w = spec.window_halfwidth(d)
-        seen_zero = seen_positive = False
-        for bits in _all_patterns(2 * w + 1):
-            if bits[w] != 1 or bits[w + d] != 0:
-                continue  # jump not allowed by exclusion anyway
-            if spec.evaluate(bits, d) > 0:
-                seen_positive = True
-            else:
-                seen_zero = True
-            if seen_zero and seen_positive:
-                break
-        if seen_zero and seen_positive:
-            channels[d] = "mixed"
-        elif seen_positive:
-            channels[d] = "open"
-        else:
-            channels[d] = "closed"
-    return BlockingReport(any(v == "mixed" for v in channels.values()), channels)
+# Discrepancy extinction
 
 
 @dataclass
@@ -586,16 +507,11 @@ def discrepancy_extinction(spec: RateSpec, size: int, kind: str = "strict") -> E
     probabilities are the minimal nonnegative solution of the hitting
     equations (Norris, *Markov Chains*, 1997, Thm 1.3.2): 0 on the unordered
     pairs that no path of positive rates takes to a comparable pair, found
-    by one backward search, and one linear solve on the others.  Refuses
-    specs with blocking channels.
+    by one backward search, and one linear solve on the others.  A rate
+    that is 0 in some patterns and positive in others is no obstacle: the
+    search decides what the rates allow.  A coupling that cannot serve a
+    pair raises its own ``ValueError``, which names the pair.
     """
-    blocking = blocking_scan(spec)
-    if blocking.blocked:
-        mixed = sorted(d for d, v in blocking.channels.items() if v == "mixed")
-        raise ValueError(
-            "extinction analysis requires configuration-independent open "
-            "channels; offsets %s are blocking" % mixed
-        )
     min_prob = 1.0
     worst = None
     checked = 0

@@ -9,15 +9,17 @@ always inside the window.
 
 Rates are evaluated lazily on occupancy windows and cached per displacement,
 which keeps exhaustive enumeration (2^window patterns) and large-ring
-simulation fast.  Parameters given as ``int`` or :class:`fractions.Fraction`
-propagate exactly; floats give ordinary float arithmetic.
+simulation fast.  Every rate is read through :func:`_lookup`.  Exactness
+follows the rates a rule returns: readers compute exactly on ``int`` and
+:class:`fractions.Fraction` rates (the built-in models return those for
+``int`` or ``Fraction`` parameters) and in float arithmetic, with a
+tolerance, once a float enters.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -87,17 +89,10 @@ class RateSpec:
         inner = ", ".join("%s=%r" % kv for kv in self.params.items())
         return "%s(%s)" % (self.name, inner)
 
-    @property
-    def exact(self) -> bool:
-        """True when every numeric parameter is an int or Fraction."""
-        return _params_exact(self.params)
-
-    def window_halfwidth(self, d: int) -> int:
-        return self.dep_radius + abs(d)
-
     def evaluate(self, window, d: int):
-        """Rate of a jump with displacement d given the local window."""
-        w = self.window_halfwidth(d)
+        """Rate of a jump with displacement d given the local window; raises
+        ``ValueError`` on a negative or non-finite rate."""
+        w = self._halfwidths[d]
         if len(window) != 2 * w + 1:
             raise ValueError(
                 "window for offset %d must have %d sites, got %d"
@@ -117,19 +112,6 @@ class RateSpec:
                 raise ValueError("negative rate %r for offset %d, window %r" % (value, d, window))
             table[window] = value
             return value
-
-
-def _params_exact(params: Mapping) -> bool:
-    for v in params.values():
-        if isinstance(v, Mapping):
-            if not _params_exact(v):
-                return False
-        elif isinstance(v, (int, Fraction)):
-            continue
-        elif isinstance(v, float):
-            return False
-        # non-numeric params (strings, tuples of ints) don't affect exactness
-    return True
 
 
 def rate(spec: RateSpec, eta: Config, x: int, y: int):
@@ -199,19 +181,6 @@ def _window_rate(spec: RateSpec, eta: Config, x: int, d: int):
     else:
         window = tuple(eta[lo:hi])
     return _lookup(spec, window, d)
-
-
-def span_rate(spec: RateSpec, bits: Sequence, lo: int, x: int, d: int):
-    """Rate of the jump x -> x+d read from a pattern over sites lo..lo+len(bits)-1.
-
-    The caller must guarantee that the window of the jump lies inside the
-    span; used by the local-pattern scan of :func:`validate_spec`.
-    """
-    w = spec._halfwidths[d]
-    i = x - w - lo
-    if i < 0 or i + 2 * w + 1 > len(bits):
-        raise ValueError("span does not cover window of jump %d -> %d" % (x, x + d))
-    return _lookup(spec, tuple(bits[i : i + 2 * w + 1]), d)
 
 
 # ---------------------------------------------------------------------------
@@ -481,50 +450,3 @@ def model_parameter_names(model_id: str) -> tuple:
 def model_signature(model_id: str) -> str:
     """Human-readable ``id(param, ...)`` line for a built-in model."""
     return "%s%s" % (model_id, inspect.signature(_FACTORIES[model_id]))
-
-
-# ---------------------------------------------------------------------------
-# Validation
-
-
-@dataclass
-class ValidationReport:
-    """Exhaustive scan of a spec's local rate tables."""
-
-    ok: bool
-    issues: list = field(default_factory=list)
-    #: largest total rate out of an occupied site, over all local patterns
-    sup_outgoing: Number = 0
-    #: largest total rate into an empty site, over all local patterns
-    sup_incoming: Number = 0
-
-
-def validate_spec(spec: RateSpec) -> ValidationReport:
-    """Check every local pattern of every displacement for finite nonnegative
-    rates and compute the extreme outgoing/incoming rate sums."""
-    issues = []
-    # wide enough to cover the window of a jump out of site 0 and of a jump
-    # from -d into site 0, for every displacement d
-    big = spec.dep_radius + 2 * spec.max_offset
-    sup_out = 0
-    sup_in = 0
-    for bits in _all_patterns(2 * big + 1):
-        out_total = 0
-        in_total = 0
-        for d in spec.jump_offsets:
-            try:
-                r_out = span_rate(spec, bits, -big, 0, d)
-                r_in = span_rate(spec, bits, -big, -d, d)
-            except ValueError as exc:  # negative or non-finite rate
-                issues.append((d, "".join(map(str, bits)), str(exc)))
-                continue
-            out_total = out_total + r_out
-            in_total = in_total + r_in
-        sup_out = max(sup_out, out_total)
-        sup_in = max(sup_in, in_total)
-    return ValidationReport(not issues, issues, sup_out, sup_in)
-
-
-def _all_patterns(n: int):
-    for m in range(1 << n):
-        yield tuple((m >> k) & 1 for k in range(n))

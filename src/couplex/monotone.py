@@ -20,9 +20,11 @@ the same sums as adding the Python floats one offset at a time.  The rows
 that are reported are summed again from the rates as the spec gives them,
 so their sides are ints, Fractions or floats as a sum in Python would be.
 
-The checks run exactly (no tolerance) when the spec's parameters are ints or
-Fractions, and with an absolute tolerance of 1e-12 otherwise.  A tolerance
-given for exact rates is compared exactly: ``lhs - rhs > Fraction(tol)``.
+The checks run exactly (no tolerance) when every rate read is an int or a
+Fraction, and with an absolute tolerance of 1e-12 once a float enters.  A
+tolerance given for exact rates is compared exactly: ``lhs - rhs >
+Fraction(tol)``.  Each condition's witnesses are the rows of
+:func:`is_monotone` whose ``kind`` names it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -91,12 +92,6 @@ class StrictnessReport:
     worst: list = field(default_factory=list)
 
 
-def _tolerance(spec: RateSpec, tol: Optional[float]) -> object:
-    if tol is not None:
-        return tol
-    return 0 if spec.exact else FLOAT_TOL
-
-
 def _arrival_sites(spec: RateSpec, extra: int) -> range:
     """Window offsets whose occupancies can enter the arrival condition at 0."""
     w = spec._halfwidths
@@ -128,6 +123,8 @@ class _Rates:
 
 
 def _rate_arrays(spec: RateSpec, tol) -> _Rates:
+    """The rates of every window a condition reads; ``tol`` None means 0
+    for exact rates and ``FLOAT_TOL`` once a float enters."""
     raw = {}
     for d in spec.jump_offsets:
         w = spec._halfwidths[d]
@@ -142,6 +139,7 @@ def _rate_arrays(spec: RateSpec, tol) -> _Rates:
     # a side sums at most one rate per offset; one more leaves room for tol
     terms = len(raw) + 1
     if all(isinstance(v, (int, Fraction)) for v in flat):
+        tol = 0 if tol is None else tol
         scale = math.lcm(*{v.denominator for v in flat})
         scaled = {d: [v.numerator * (scale // v.denominator) for v in row] for d, row in raw.items()}
         limit = math.floor(Fraction(tol) * scale)
@@ -149,6 +147,7 @@ def _rate_arrays(spec: RateSpec, tol) -> _Rates:
             return _Rates({d: np.array(row, dtype=object) for d, row in scaled.items()}, limit, values)
         limit = max(min(limit, _INT64_LIMIT), -_INT64_LIMIT)
         return _Rates({d: np.array(row, dtype=np.int64) for d, row in scaled.items()}, limit, values)
+    tol = FLOAT_TOL if tol is None else tol
     if all(isinstance(v, float) or (isinstance(v, int) and abs(v) * terms <= 2**53) for v in flat):
         return _Rates({d: np.array(row, dtype=np.float64) for d, row in raw.items()}, tol, values)
     return _Rates(values, tol, values)
@@ -264,22 +263,10 @@ def _ranked(violations) -> list:
     return [v for _, v in violations]
 
 
-def check_arrival_condition(spec: RateSpec, extra: int = 0, tol=None):
-    """Violations of the arrival-side order condition (empty list = pass)."""
-    rates = _rate_arrays(spec, _tolerance(spec, tol))
-    return _ranked(_violations(spec, rates, "arrival", extra))
-
-
-def check_departure_condition(spec: RateSpec, extra: int = 0, tol=None):
-    """Violations of the departure-side order condition."""
-    rates = _rate_arrays(spec, _tolerance(spec, tol))
-    return _ranked(_violations(spec, rates, "departure", extra))
-
-
 def is_monotone(spec: RateSpec, extra: int = 0, tol=None) -> Verdict:
     """Decide order preservation by an exhaustive scan of ordered local
     pattern pairs."""
-    rates = _rate_arrays(spec, _tolerance(spec, tol))
+    rates = _rate_arrays(spec, tol)
     witnesses = _ranked(
         _violations(spec, rates, "arrival", extra) + _violations(spec, rates, "departure", extra)
     )
@@ -289,8 +276,7 @@ def is_monotone(spec: RateSpec, extra: int = 0, tol=None) -> Verdict:
 
 def strictness_report(spec: RateSpec, extra: int = 0, tol=None, keep: int = 10) -> StrictnessReport:
     """Slack table of the order conditions.  Requires a monotone spec."""
-    t = _tolerance(spec, tol)
-    rates = _rate_arrays(spec, t)
+    rates = _rate_arrays(spec, tol)
     # the smallest binding rows by (slack, kind, lower, upper); at least one
     # is kept, so that min_slack is read from a rebuilt row
     want = max(keep, 1)
@@ -323,5 +309,5 @@ def strictness_report(spec: RateSpec, extra: int = 0, tol=None, keep: int = 10) 
         )
         worst.append((rhs - lhs, kind, sites.start, lo_pattern, up_pattern, lhs, rhs))
     min_slack = worst[0][0] if worst else None
-    strict = bool(worst) and min_slack > t
+    strict = bool(best) and best[0][0] > rates.tol
     return StrictnessReport(strict, min_slack, count, worst[:keep])

@@ -309,7 +309,7 @@ class _CoupledEngine:
             [(x, (x + d) % size, r) for r, x, d in engine.events()]
             for engine in (self.first, self.second)
         ]
-        first, second = residual_rates(self.spec, xi, zeta, coupled, marginals, exact=False)
+        first, second = residual_rates(self.spec, xi, zeta, coupled, marginals)
         out += [(r, (x, signed_offset(x, y, size)), None) for x, y, r in first if r > 0]
         out += [(r, None, (x, signed_offset(x, y, size))) for x, y, r in second if r > 0]
         return out

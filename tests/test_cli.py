@@ -133,6 +133,32 @@ def test_exact_extinction_of_pairs_that_never_become_comparable(capsys):
     assert payload["worst_pair"] == ["100000", "010000"]
 
 
+def test_exact_extinction_of_blocked_specs(capsys):
+    # a hop that the skipped site opens or shuts gets a number, not a refusal
+    code, out, err = run(capsys, "exact", "two_step", "--task", "extinction", "--size", "6")
+    assert code == 0, err
+    assert json.loads(out)["min_probability"] >= 1 - 1e-8
+    # where the strict coupling cannot serve a pair, its error names the pair
+    code, out, err = run(capsys, "exact", "traffic2", "0", "2", "--task", "extinction", "--size", "6")
+    assert code == 2 and out == ""
+    assert "in the pair 100000 / 010000" in err
+
+
+def test_exact_refuses_options_its_task_does_not_read(tmp_path, capsys):
+    code, out, err = run(capsys, "exact", "sep", "--task", "extinction", "--size", "5", "--count", "2")
+    assert code == 2 and out == ""
+    assert err == "couplex: [lattice.count] count is read only by task stationary, not extinction\n"
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "[run]\ncommand = exact\n\n[model]\nid = sep\n\n"
+        "[lattice]\nsize = 5\ndensity = 0.4\n\n[execution]\ntask = audit-order\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "--config", str(path))
+    assert code == 2 and out == ""
+    assert "[lattice.density] density is read only by task stationary, not audit-order" in err
+
+
 def test_exact_requires_task(capsys):
     code, _, err = run(capsys, "exact", "sep", "--size", "5")
     assert code == 2

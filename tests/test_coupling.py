@@ -7,11 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from couplex import (
+    RateSpec,
     coupled_transitions,
     coupling_table,
     custom_table,
     gg_symmetrized,
     is_ordered,
+    is_monotone,
     leq,
     marginal_errors,
     oneD_cross_check,
@@ -19,6 +21,7 @@ from couplex import (
     sep,
     simulate_coupled,
     speed_change_decreasing,
+    speed_change_increasing,
     traffic2,
     two_star_step,
     two_step,
@@ -31,6 +34,7 @@ from couplex.coupling import (
     h_term,
     partial_sums,
 )
+from couplex.exact import pair_states
 from couplex.golden import ordered_pairs
 from couplex.lattice import join
 from couplex.models import active_jumps
@@ -169,6 +173,9 @@ def test_cross_formulation_report():
         assert bool(report) and report.mismatches == []
         good += 1
     assert good == 120
+    # float rates: the gaps are floats, compared with a rounding tolerance
+    for xi, zeta in list(ordered_pairs(5))[:40]:
+        assert oneD_cross_check(traffic2(0.7, 0.2), xi, zeta)
 
 
 def test_cross_check_compares_every_open_entry(monkeypatch):
@@ -397,3 +404,25 @@ def test_ring_below_the_window_is_refused():
             coupling_table(spec, (1, 0, 0), (0, 1, 0), kind)
     with pytest.raises(ValueError, match=message):
         simulate_coupled(spec, (1, 0, 0), (0, 1, 0), "attractive", 1.0)
+
+
+def _typed_map(table):
+    return {key: (type(g), g) for key, g in table.items()}
+
+
+def test_bare_rule_with_float_rates_matches_its_factory_spec():
+    # exactness follows the rates a rule returns, not the spec's params: a
+    # bare RateSpec around a float rule gets the factory spec's verdicts
+    # and tables
+    for q in ({1: 0.1, -1: 0.2}, {1: 0.1, -1: 0.2, 2: 0.3, -2: 0.1}):
+        factory = speed_change_increasing(q, 0.3)
+        bare = RateSpec("bare", factory.jump_offsets, factory.dep_radius, factory.evaluate)
+        assert is_monotone(factory).witnesses == is_monotone(bare).witnesses == []
+    factory = speed_change_increasing({1: 0.1, -1: 0.2}, 0.3)
+    bare = RateSpec("bare", factory.jump_offsets, factory.dep_radius, factory.evaluate)
+    for kind in ("attractive", "strict"):
+        for xi, zeta in pair_states(5):
+            want = coupling_table(factory, xi, zeta, kind)
+            got = coupling_table(bare, xi, zeta, kind)
+            for part in ("coupled", "residual_first", "residual_second"):
+                assert _typed_map(getattr(got, part)) == _typed_map(getattr(want, part))

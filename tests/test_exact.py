@@ -10,7 +10,6 @@ from couplex import (
     KINDS,
     audit_discrepancy_monotone,
     audit_order_preservation,
-    blocking_scan,
     check_sector_uniform_stationary,
     coupled_generator,
     discrepancy_extinction,
@@ -23,7 +22,6 @@ from couplex import (
     single_generator,
     stationary_distribution,
     traffic2,
-    transient_distribution,
     two_star_step,
     two_step,
 )
@@ -105,13 +103,15 @@ def test_irreducible_chain_yields_one_distribution():
 
 
 def test_transient_distribution_converges_to_stationary():
-    # at L=8, t=300 the Poisson mean is far beyond exp's underflow at ~745
+    # the stationary law is the long-time limit of the time evolution, here
+    # by the dense uniformization oracle; at L=8, t=300 its Poisson mean is
+    # far beyond exp's underflow at ~745, so the horizon is cut into steps
     for size, count, t in ((5, 2, 200.0), (8, 4, 300.0)):
         gen = single_generator(traffic2(F(7, 10), F(1, 5)), size, count)
         dist = stationary_distribution(gen)
         start = np.zeros(gen.dimension)
         start[0] = 1.0
-        evolved = transient_distribution(gen, start, t)
+        evolved = _dense_transient(gen, start, t)
         assert abs(evolved.sum() - 1.0) < 1e-10
         assert np.allclose(evolved, dist.weights, atol=1e-8)
 
@@ -258,22 +258,6 @@ def test_generator_arrays_match_the_rows(gen, classes):
         assert abs(dist.residual - _loop_residual(gen, dist.weights)) <= 1e-14
 
 
-@pytest.mark.parametrize(
-    "spec, size, count, t",
-    [
-        (traffic2(F(7, 10), F(1, 5)), 8, 4, 3.0),
-        (traffic2(F(7, 10), F(1, 5)), 8, 4, 120.0),
-        (gg_symmetrized(3, 2, 2, F(1, 2)), 10, 5, 2.0),
-    ],
-)
-def test_sparse_transient_matches_dense_kernel(spec, size, count, t):
-    gen = single_generator(spec, size, count)
-    start = np.zeros(gen.dimension)
-    start[[0, gen.dimension // 2]] = 0.5
-    got = transient_distribution(gen, start, t)
-    assert np.max(np.abs(got - _dense_transient(gen, start, t))) <= 1e-12
-
-
 def test_single_generator_caps_the_state_count():
     assert single_generator(sep(), 14, 7).dimension == 3432
     with pytest.raises(ValueError, match="16384 states exceeds the cap of 3432"):
@@ -298,15 +282,6 @@ def test_audit_discrepancy_monotone_oracles():
     for spec in (sep(), traffic2(F(1, 2), F(1, 2)), gg_symmetrized(2, 1, 1, 2)):
         assert audit_discrepancy_monotone(spec, 5, "attractive") == []
         assert audit_discrepancy_monotone(spec, 5, "strict") == []
-
-
-def test_blocking_scan():
-    assert not blocking_scan(sep()).blocked
-    assert not blocking_scan(traffic2(F(1, 2), F(1, 2))).blocked
-    assert blocking_scan(traffic2(0, 2)).blocked
-    report = blocking_scan(gg_symmetrized(1, 0, 1, 0))
-    assert report.blocked
-    assert any(status != "open" for _, status in report.channels.items()) or report.channels
 
 
 def test_discrepancy_extinction_sep():
@@ -350,9 +325,29 @@ def test_discrepancy_extinction_with_unreachable_pairs(kind):
     assert sorted({round(float(v), 9) for v in h}) == [0.0, 1.0]
 
 
-def test_discrepancy_extinction_refuses_blocked_specs():
-    with pytest.raises(ValueError, match="open channels"):
-        discrepancy_extinction(gg_symmetrized(1, 0, 1, 0), 4, "strict")
+@pytest.mark.parametrize("kind", ["strict", "attractive"])
+def test_discrepancy_extinction_of_a_blocked_monotone_spec(kind):
+    # two_step's hop of 2 is open or shut by the skipped site, yet every
+    # unordered pair still becomes comparable
+    report = discrepancy_extinction(two_step(), 6, kind)
+    assert report.pairs_checked == 2702
+    assert report.min_probability >= 1 - 1e-9
+
+
+def test_discrepancy_extinction_of_a_blocked_non_monotone_spec():
+    spec = gg_symmetrized(1, 0, 1, 0)
+    report = discrepancy_extinction(spec, 6, "strict")
+    assert report.min_probability == 0
+    assert report.worst_pair == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+    states = list(pair_states(6, (1, 1)))
+    unordered = {s for s in states if not is_ordered(*s)}
+    h = _hitting_by_iteration(coupled_generator(spec, 6, "strict", states=states), unordered)
+    assert h[states.index(report.worst_pair)] == 0
+
+
+def test_discrepancy_extinction_raises_where_the_coupling_fails():
+    with pytest.raises(ValueError, match="in the pair 100000 / 010000"):
+        discrepancy_extinction(traffic2(0, 2), 6, "strict")
 
 
 # ---------------------------------------------------------------------------

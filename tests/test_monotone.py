@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from couplex import (
     RateSpec,
     Violation,
-    check_arrival_condition,
-    check_departure_condition,
     custom_table,
     gg_symmetrized,
     is_monotone,
@@ -22,7 +20,6 @@ from couplex import (
     two_step,
 )
 from couplex import monotone
-from couplex.models import span_rate
 
 
 MONOTONE_INSTANCES = [
@@ -69,12 +66,14 @@ def test_non_monotone_instances_carry_witnesses():
             assert w.excess == w.lhs - w.rhs > 0
 
 
+def _failing_conditions(spec):
+    return {w.kind for w in is_monotone(spec).witnesses}
+
+
 def test_traffic2_failure_direction():
     # alpha >> beta breaks the departure side, beta >> alpha the arrival side
-    assert check_departure_condition(traffic2(2, 0))
-    assert not check_arrival_condition(traffic2(2, 0))
-    assert check_arrival_condition(traffic2(0, 2))
-    assert not check_departure_condition(traffic2(0, 2))
+    assert _failing_conditions(traffic2(2, 0)) == {"departure"}
+    assert _failing_conditions(traffic2(0, 2)) == {"arrival"}
 
 
 def test_verdict_stable_under_window_growth():
@@ -146,26 +145,41 @@ def test_monotonicity_invariant_under_rescaling(spec, factor):
     assert is_monotone(spec).monotone == is_monotone(scaled).monotone
 
 
-@given(small_tables())
-def test_condition_checks_agree_with_verdict(spec):
-    verdict = is_monotone(spec)
-    arrival = check_arrival_condition(spec)
-    departure = check_departure_condition(spec)
-    assert verdict.monotone == (not arrival and not departure)
-    assert sorted(map(repr, verdict.witnesses)) == sorted(map(repr, arrival + departure))
-
-
 # ---------------------------------------------------------------------------
 # Differential test: the blocked array scan against a per-pair loop
 
 
+def _halfwidth(spec, d):
+    return spec.dep_radius + abs(d)
+
+
 def _loop_sites(spec, kind, extra):
     if kind == "arrival":
-        lo = min(-d - spec.window_halfwidth(d) for d in spec.jump_offsets)
-        hi = max(-d + spec.window_halfwidth(d) for d in spec.jump_offsets)
+        lo = min(-d - _halfwidth(spec, d) for d in spec.jump_offsets)
+        hi = max(-d + _halfwidth(spec, d) for d in spec.jump_offsets)
         return range(min(lo, 0) - extra, max(hi, 0) + extra + 1)
-    w = max(spec.window_halfwidth(d) for d in spec.jump_offsets)
+    w = max(_halfwidth(spec, d) for d in spec.jump_offsets)
     return range(-w - extra, w + extra + 1)
+
+
+def _span_rate(spec, bits, lo, x, d):
+    """Rate of the jump x -> x+d, read by ``evaluate`` on its window's
+    slice of a pattern over the sites lo, lo+1, ..."""
+    w = _halfwidth(spec, d)
+    return spec.evaluate(bits[x - w - lo : x + w + 1 - lo], d)
+
+
+def _loop_tol(spec, tol):
+    """``tol``, or the tolerance the rates a condition reads call for: 0
+    when they are all ints or Fractions, FLOAT_TOL once a float enters."""
+    if tol is not None:
+        return tol
+    for d in spec.jump_offsets:
+        w = _halfwidth(spec, d)
+        for bits in itertools.product((0, 1), repeat=2 * w + 1):
+            if bits[w] and not bits[w + d] and isinstance(spec.evaluate(bits, d), float):
+                return monotone.FLOAT_TOL
+    return 0
 
 
 def _loop_sums(spec, kind, lower, upper, lo):
@@ -176,9 +190,9 @@ def _loop_sums(spec, kind, lower, upper, lo):
             x, i = -d, -d - lo
             if upper[i] == 0:
                 continue
-            g_up = span_rate(spec, upper, lo, x, d)
+            g_up = _span_rate(spec, upper, lo, x, d)
             if lower[i]:
-                g_lo = span_rate(spec, lower, lo, x, d)
+                g_lo = _span_rate(spec, lower, lo, x, d)
                 if g_lo > g_up:
                     lhs = lhs + (g_lo - g_up)
             else:
@@ -186,12 +200,12 @@ def _loop_sums(spec, kind, lower, upper, lo):
         else:
             i = d - lo
             if upper[i] == 0:
-                g_up = span_rate(spec, upper, lo, 0, d)
-                g_lo = span_rate(spec, lower, lo, 0, d)
+                g_up = _span_rate(spec, upper, lo, 0, d)
+                g_lo = _span_rate(spec, lower, lo, 0, d)
                 if g_up > g_lo:
                     lhs = lhs + (g_up - g_lo)
             elif lower[i] == 0:
-                rhs = rhs + span_rate(spec, lower, lo, 0, d)
+                rhs = rhs + _span_rate(spec, lower, lo, 0, d)
     return lhs, rhs
 
 
@@ -249,11 +263,9 @@ def _assert_same_witnesses(got, want):
 
 
 def _assert_matches_loop(spec, extra=0, tol=None, keeps=(10,)):
-    t = monotone._tolerance(spec, tol)
+    t = _loop_tol(spec, tol)
     arrival, b1 = _loop_scan(spec, "arrival", extra, t)
     departure, b2 = _loop_scan(spec, "departure", extra, t)
-    _assert_same_witnesses(check_arrival_condition(spec, extra, tol), _loop_sorted(arrival))
-    _assert_same_witnesses(check_departure_condition(spec, extra, tol), _loop_sorted(departure))
     verdict = is_monotone(spec, extra, tol)
     _assert_same_witnesses(verdict.witnesses, _loop_sorted(arrival + departure))
     assert verdict.monotone == (not arrival and not departure)

@@ -297,11 +297,21 @@ def _cmd_exact(args) -> int:
     spec = build_spec(cfg)
     size = _need(cfg.size, "lattice size")
     task = _need(cfg.task, "task")
-    unread = [n for n, v in (("count", args.count), ("density", cfg.density)) if v is not None]
-    if task != "stationary" and unread:
-        raise ConfigError(
-            [Diagnostic("lattice", n, "%s is read only by task stationary, not %s" % (n, task)) for n in unread]
+    unread = [
+        Diagnostic(section, name, "%s is read only by %s %s, not %s"
+                   % (name, "tasks" if len(readers) > 1 else "task", ", ".join(readers), task))
+        for section, name, value, readers in (
+            ("lattice", "count", args.count, ("stationary",)),
+            ("lattice", "density", cfg.density, ("stationary",)),
+            ("execution", "kind", cfg.kind, ("audit-order", "audit-discrepancy", "extinction")),
+            ("execution", "tol", args.tol, ("extinction",)),
         )
+        if value is not None and task not in readers
+    ]
+    if unread:
+        raise ConfigError(unread)
+    if args.tol is not None and not 0 <= args.tol < 1:
+        raise ConfigError([Diagnostic("execution", "tol", "tol must lie in [0, 1), got %r" % args.tol)])
     if task == "stationary":
         if args.count is not None:
             counts = [args.count]
@@ -354,7 +364,8 @@ def _cmd_exact(args) -> int:
             rows = [("min_probability", "pairs_checked")]
             rows.append((repr(float(report.min_probability)), report.pairs_checked))
             _emit(_csv_text(rows), cfg.path)
-        return OK if report.min_probability >= 1 - args.tol else NEGATIVE
+        tol = 1e-8 if args.tol is None else args.tol
+        return OK if report.min_probability >= 1 - tol else NEGATIVE
     raise ConfigError([Diagnostic("run", "task", "unknown task %r" % task)])
 
 
@@ -538,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--count", type=int, help="particle count (stationary: one sector)")
     sub.add_argument("--density", type=float, help="particle density (alternative to --count)")
     sub.add_argument("--kind", choices=KINDS)
-    sub.add_argument("--tol", type=float, default=1e-8, help="extinction tolerance (default 1e-8)")
+    sub.add_argument("--tol", type=float, help="extinction tolerance (default 1e-8)")
 
     sub = subs.add_parser("simulate", help="sample trajectories")
     _add_common(sub)

@@ -31,17 +31,18 @@ The rates are translation invariant, so a pair turned along the ring has
 the same entries, moved: :func:`turned_transitions` builds the tables of all
 turns of a pair from one walk.
 
-Tables store *raw* coupled rates: occupancy indicator prefactors (departure
-occupied, target empty, in each copy) are applied when transitions are
-enumerated, not when the table is built.  A coupled entry exists only for a
-jump open in the join.  Residuals are stored for every jump of the ring,
-including zero values.
+Tables hold only the moves a pair can make: :func:`_compose` keeps a
+composed entry only when both of its jumps are active (departure occupied,
+target empty, in its copy), and residuals, zero values included, are
+stored for each copy's active jumps (:func:`couplex.models.active_jumps`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .lattice import (
@@ -50,9 +51,10 @@ from .lattice import (
     format_configuration,
     is_active,
     is_ordered,
+    join,
     leq,
 )
-from .models import RateSpec, _check_ring, rate
+from .models import RateSpec, _check_ring, active_jumps, rate
 
 #: the factor flavor each coupling kind composes through the join
 FLAVOR = {"increasing": "overlap", "attractive": "overlap", "strict": "proportional"}
@@ -113,10 +115,12 @@ class PartialSumSeries:
 
 @dataclass
 class CouplingTable:
+    """The moves of one pair: both copies jump, or one copy alone."""
+
     kind: str
     size: int
-    coupled: dict = field(default_factory=dict)  # (x1,y1,x2,y2) -> rate > 0
-    residual_first: dict = field(default_factory=dict)  # (x,y) -> rate
+    coupled: dict = field(default_factory=dict)  # (x1,y1,x2,y2) -> rate > 0, both jumps active
+    residual_first: dict = field(default_factory=dict)  # active (x,y) -> rate >= 0
     residual_second: dict = field(default_factory=dict)
 
 
@@ -285,10 +289,12 @@ def _compose(spec: RateSpec, flavor: str, reach: int, d: int, window):
     """Entries ``(dx1, dy1, dx2, dy2, g)`` through the join jump of offset d
     out of the centre of ``window``, the pair pattern ``(xi << 1) | zeta``
     of the 2 * reach + 1 sites around the departure; sites are relative to
-    the departure.  Returns them twice, with g raw and as float(g)."""
+    the departure.  Only entries whose two jumps are active are kept: the
+    others are not moves of the pair.  Returns them twice, with g raw and
+    as float(g)."""
     xi = tuple(p >> 1 for p in window)
     zeta = tuple(p & 1 for p in window)
-    mid = tuple(a | b for a, b in zip(xi, zeta))
+    mid = join(xi, zeta)
     x, y = reach, reach + d
     norm = rate(spec, mid, x, y)
     if norm <= 0:
@@ -296,6 +302,7 @@ def _compose(spec: RateSpec, flavor: str, reach: int, d: int, window):
     raw = tuple(
         (x1 - reach, y1 - reach, x2 - reach, y2 - reach, g)
         for (x1, y1, x2, y2), g in _join_contributions(spec, xi, zeta, mid, x, y, norm, flavor)
+        if is_active(xi, x1, y1) and is_active(zeta, x2, y2)
     )
     return raw, tuple(entry[:4] + (float(entry[4]),) for entry in raw)
 
@@ -347,70 +354,54 @@ def _transposed(coupled: dict) -> dict:
     return {(x2, y2, x1, y1): g for (x1, y1, x2, y2), g in coupled.items()}
 
 
-def coupled_mass(coupled: dict, xi, zeta):
-    """Coupled rate mass per jump of each copy: ``(phi1, phi2)`` map a jump
-    (x, y) of xi (of zeta) to the summed coupled rates it takes part in,
-    counting only entries whose partner move is active."""
+def residual_rates(xi, zeta, coupled: dict, marginals) -> tuple:
+    """Residual (one-copy) rates of both copies of the pair: each active
+    jump's marginal rate minus the coupled rates it takes part in.
+
+    ``marginals`` holds one list ``(x, y, r)`` per copy of that copy's
+    active jumps, r the marginal rate of x -> y; the result holds one list
+    ``(x, y, residual)`` per copy, in the same order.  Every jump of a
+    coupled entry is active, so it is listed.  An exact (int or Fraction)
+    residual raises when negative; a float residual below
+    ``-_RESIDUAL_TOL`` raises and one within ``_RESIDUAL_TOL`` of 0 counts
+    as 0.  The error names the jump, the copy and the pair.
+    """
     phi1 = {}
     phi2 = {}
     for (x1, y1, x2, y2), g in coupled.items():
-        if is_active(zeta, x2, y2):
-            k = (x1, y1)
-            phi1[k] = phi1[k] + g if k in phi1 else g
-        if is_active(xi, x1, y1):
-            k = (x2, y2)
-            phi2[k] = phi2[k] + g if k in phi2 else g
-    return phi1, phi2
-
-
-def residual_rates(spec: RateSpec, xi, zeta, coupled: dict, marginals) -> tuple:
-    """Residual (one-copy) rates of both copies of the pair: each jump's
-    marginal rate minus its coupled mass.
-
-    ``marginals`` holds one list ``(x, y, r)`` per copy, r the marginal rate
-    of x -> y in that copy; the result holds one list ``(x, y, residual)``
-    per copy, in the same order.  Jumps that carry mass but are not listed
-    are checked at their rate as well.  An exact (int or Fraction) residual
-    raises when negative; a float residual below ``-_RESIDUAL_TOL`` raises
-    and one within ``_RESIDUAL_TOL`` of 0 counts as 0.  The error
-    names the jump, the copy and the pair.  Marginal rates are rates of the
-    spec, so nonnegative: only jumps with mass can fall below 0.
-    """
+        k = (x1, y1)
+        phi1[k] = phi1[k] + g if k in phi1 else g
+        k = (x2, y2)
+        phi2[k] = phi2[k] + g if k in phi2 else g
     out = []
-    for copy, eta, jumps, mass in zip(
-        ("first", "second"), (xi, zeta), marginals, coupled_mass(coupled, xi, zeta)
-    ):
-        # r - 0 is r, in value and type, so a jump without mass keeps r
-        listed = [(x, y, r - mass[x, y] if (x, y) in mass else r) for x, y, r in jumps]
-        seen = {(x, y) for x, y, _ in listed}
-        unlisted = [
-            (x, y, rate(spec, eta, x, y) - m) for (x, y), m in mass.items() if (x, y) not in seen
-        ]
-        for x, y, r in [j for j in listed if j[:2] in mass] + unlisted:
-            if r < (-_RESIDUAL_TOL if isinstance(r, float) else 0):
-                raise ValueError(
-                    "coupled rates exceed the marginal rate at jump (%d, %d) of the %s copy "
-                    "(residual %s) in the pair %s / %s"
-                    % (x, y, copy, r, format_configuration(xi), format_configuration(zeta))
-                )
-        # the type test first: comparing a Fraction with a float is slow
-        out.append(
-            [(x, y, r if not isinstance(r, float) or r > _RESIDUAL_TOL else 0) for x, y, r in listed]
-        )
+    for copy, jumps, mass in zip(("first", "second"), marginals, (phi1, phi2)):
+        rows = []
+        for x, y, r in jumps:
+            if (x, y) in mass:
+                r = r - mass[x, y]
+                if r < (-_RESIDUAL_TOL if isinstance(r, float) else 0):
+                    raise ValueError(
+                        "coupled rates exceed the marginal rate at jump (%d, %d) of the %s copy "
+                        "(residual %s) in the pair %s / %s"
+                        % (x, y, copy, r, format_configuration(xi), format_configuration(zeta))
+                    )
+            # the type test first: comparing a Fraction with a float is slow
+            rows.append((x, y, r if not isinstance(r, float) or r > _RESIDUAL_TOL else 0))
+        out.append(rows)
     return tuple(out)
 
 
 def _marginals(spec: RateSpec, xi, zeta) -> list:
-    """Each copy's rate on every jump of the ring: lists ``(x, y, r)`` in
-    ``_jumps`` order, one per copy."""
-    ring = _jumps(spec, len(xi))
-    return [[(x, y, rate(spec, eta, x, y)) for x, y, _ in ring] for eta in (xi, zeta)]
+    """Each copy's active jumps ``(x, y, r)``, in site then offset order:
+    one list per copy."""
+    size = len(xi)
+    return [[(x, (x + d) % size, r) for x, d, r in active_jumps(spec, eta)] for eta in (xi, zeta)]
 
 
-def _finish(spec: RateSpec, xi, zeta, kind: str, coupled: dict, marginals: list) -> CouplingTable:
-    """Attach residual (uncoupled) rates for every jump of the ring."""
+def _finish(xi, zeta, kind: str, coupled: dict, marginals: list) -> CouplingTable:
+    """Attach each copy's residual (uncoupled) rates on its active jumps."""
     table = CouplingTable(kind, len(xi), coupled)
-    first, second = residual_rates(spec, xi, zeta, coupled, marginals)
+    first, second = residual_rates(xi, zeta, coupled, marginals)
     table.residual_first = {(x, y): r for x, y, r in first}
     table.residual_second = {(x, y): r for x, y, r in second}
     return table
@@ -456,8 +447,8 @@ def coupling_table(spec: RateSpec, xi, zeta, kind: str) -> CouplingTable:
 def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTable | None = None):
     """All positive-rate moves of the coupled chain out of (xi, zeta).
 
-    Returns (table, audits); occupancy prefactors are applied here, so the
-    audit rates are the true coupled generator rates.
+    Returns (table, audits); the table holds only moves of the pair, so the
+    audit rates are the coupled generator rates.
     """
     if table is None:
         table = coupling_table(spec, xi, zeta, kind)
@@ -481,7 +472,7 @@ def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTabl
         )
 
     for (x1, y1, x2, y2), g in table.coupled.items():
-        if is_active(xi, x1, y1) and is_active(zeta, x2, y2) and g > 0:
+        if g > 0:
             push(
                 "coupled",
                 (x1, y1),
@@ -491,52 +482,58 @@ def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTabl
                 apply_jump(zeta, x2, y2),
             )
     for (x, y), r in table.residual_first.items():
-        if is_active(xi, x, y) and r > 0:
+        if r > 0:
             push("first", (x, y), None, r, apply_jump(xi, x, y), tuple(zeta))
     for (x, y), r in table.residual_second.items():
-        if is_active(zeta, x, y) and r > 0:
+        if r > 0:
             push("second", None, (x, y), r, tuple(xi), apply_jump(zeta, x, y))
     return table, audits
 
 
 def _built(spec: RateSpec, xi, zeta, kind: str):
     """``(per_site, marginals, table)`` of the pair: its per-site composed
-    entries (:func:`_kind_sites`), each copy's rate on every jump
+    entries (:func:`_kind_sites`), each copy's active jumps
     (:func:`_marginals`) and its coupling table."""
     per_site = _kind_sites(spec, xi, zeta, kind)
     marginals = _marginals(spec, xi, zeta)
-    return per_site, marginals, _finish(spec, xi, zeta, kind, _sum_entries(per_site), marginals)
+    return per_site, marginals, _finish(xi, zeta, kind, _sum_entries(per_site), marginals)
 
 
-def turned_transitions(spec: RateSpec, xi, zeta, kind: str, shifts):
-    """Yield ``(pair, audits)`` for each k of ``shifts``: the pair (xi, zeta)
-    turned k sites along the ring (site x to x + k), and
-    :func:`coupled_transitions` of it.
+def _turned_tables(spec: RateSpec, xi, zeta, kind: str, shifts):
+    """Yield ``(pair, table)`` for each k of ``shifts``: the pair (xi, zeta)
+    turned k sites along the ring (site x to x + k), and its coupling table.
 
     The rates are translation invariant, so the turned pair's entries at
     site x + k are the pair's entries at site x, moved, and so are its
-    marginal rates.  Its table is built from those, walked from site
+    active jumps.  Its table is built from those, walked from site
     t = L - k as a walk over the turned pair starts, so its sums are added
     in the same order and come out bit for bit, floats included.
     """
     size = len(xi)
     per_site, marginals, table = _built(spec, xi, zeta, kind)
-    step = len(spec.jump_offsets)
     for k in shifts:
         t = (size - k) % size  # the site the turn takes to site 0
         pair = (xi[t:] + xi[:t], zeta[t:] + zeta[:t])
-        turned = table
-        if k:
-            coupled = {
-                ((x1 + k) % size, (y1 + k) % size, (x2 + k) % size, (y2 + k) % size): g
-                for (x1, y1, x2, y2), g in _sum_entries(per_site[t:] + per_site[:t]).items()
-            }
-            rates = [
-                [((x + k) % size, (y + k) % size, r) for x, y, r in jumps]
-                for jumps in (m[t * step :] + m[: t * step] for m in marginals)
-            ]
-            turned = _finish(spec, *pair, kind, coupled, rates)
-        yield pair, coupled_transitions(spec, *pair, kind, turned)[1]
+        if not k:
+            yield pair, table
+            continue
+        coupled = {
+            ((x1 + k) % size, (y1 + k) % size, (x2 + k) % size, (y2 + k) % size): g
+            for (x1, y1, x2, y2), g in _sum_entries(per_site[t:] + per_site[:t]).items()
+        }
+        rates = []
+        for jumps in marginals:
+            cut = bisect_left(jumps, t, key=itemgetter(0))  # the first jump out of site t
+            rates.append([((x + k) % size, (y + k) % size, r) for x, y, r in jumps[cut:] + jumps[:cut]])
+        yield pair, _finish(*pair, kind, coupled, rates)
+
+
+def turned_transitions(spec: RateSpec, xi, zeta, kind: str, shifts):
+    """Yield ``(pair, audits)`` for each k of ``shifts``: the pair (xi, zeta)
+    turned k sites along the ring, and :func:`coupled_transitions` of it,
+    from the tables of :func:`_turned_tables`."""
+    for pair, table in _turned_tables(spec, xi, zeta, kind, shifts):
+        yield pair, coupled_transitions(spec, *pair, kind, table)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -601,20 +598,18 @@ def _prefix_coupled(spec: RateSpec, xi, zeta) -> dict:
 
 def oneD_cross_check(spec: RateSpec, xi, zeta) -> CrossCheckReport:
     """Rebuild the increasing coupling through prefix sums and compare it
-    with :func:`coupling_table` on every entry whose two jumps are open —
-    the only entries the coupled generator reads."""
+    with :func:`coupling_table` on every entry whose two jumps are active:
+    the oracle keeps every rate-field value, the table only the moves."""
     if leq(xi, zeta):
         prefix = _prefix_coupled(spec, xi, zeta)
     elif leq(zeta, xi):
         prefix = _transposed(_prefix_coupled(spec, zeta, xi))
     else:
         raise ValueError("oneD_cross_check requires an ordered pair")
+    prefix = {k: g for k, g in prefix.items() if is_active(xi, *k[:2]) and is_active(zeta, *k[2:])}
     table = coupling_table(spec, xi, zeta, "increasing")
     mismatches = []
     for key in sorted(set(prefix) | set(table.coupled)):
-        x1, y1, x2, y2 = key
-        if not (is_active(xi, x1, y1) and is_active(zeta, x2, y2)):
-            continue
         a = table.coupled.get(key, 0)
         b = prefix.get(key, 0)
         gap = abs(a - b)

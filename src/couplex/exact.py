@@ -180,7 +180,6 @@ def coupled_generator(
     spec: RateSpec,
     size: int,
     kind: str,
-    counts: Optional[tuple] = None,
     states: Optional[list] = None,
 ) -> GeneratorMatrix:
     """Generator of the coupled pair chain under the given coupling kind.
@@ -188,12 +187,13 @@ def coupled_generator(
     The rows of each rotation orbit of ``states`` come from its first pair
     (:func:`turned_transitions`), with the order and values that a
     pair-by-pair build gives.  ``states`` need not be closed under rotation:
-    an orbit holds the turns of its first pair that ``states`` lists.
+    an orbit holds the turns of its first pair that ``states`` lists; by
+    default ``states`` is every pair of the ring (:func:`pair_states`).
     """
     if size > COUPLED_SIZE_CAP:
         raise ValueError("exact coupled enumeration capped at L=%d" % COUPLED_SIZE_CAP)
     if states is None:
-        states = list(pair_states(size, counts))
+        states = list(pair_states(size))
     index = {s: i for i, s in enumerate(states)}
     rows = [None] * len(states)
     for orbit in _orbits(states):
@@ -365,24 +365,21 @@ def check_sector_uniform_stationary(
     spec: RateSpec, size: int, count: Optional[int] = None, tol: float = 1e-12
 ):
     """Whether the uniform measure on each particle-number sector is
-    stationary: per state, total inflow must equal total outflow."""
+    stationary: per state, total inflow must equal total outflow.  The
+    worst state is the first with the largest gap, None when none has one."""
     counts = range(size + 1) if count is None else [count]
     reports = []
     for n in counts:
         gen = single_generator(spec, size, n)
-        inflow = [0.0] * gen.dimension
-        outflow = [0.0] * gen.dimension
-        for i, row in enumerate(gen.rows):
-            for j, r in row.items():
-                inflow[j] += float(r)
-                outflow[i] += float(r)
-        worst = 0.0
-        worst_state = None
-        for i in range(gen.dimension):
-            gap = abs(inflow[i] - outflow[i])
-            if gap > worst:
-                worst = gap
-                worst_state = gen.states[i]
+        rows, cols, vals, _ = gen.entries
+        # outflow adds the float rates as inflow does, not the exact exit
+        # rate, so that both sums round alike
+        inflow = np.bincount(cols, weights=vals, minlength=gen.dimension)
+        outflow = np.bincount(rows, weights=vals, minlength=gen.dimension)
+        gaps = np.abs(inflow - outflow)
+        i = int(np.argmax(gaps))
+        worst = float(gaps[i])
+        worst_state = gen.states[i] if worst > 0 else None
         reports.append(BalanceReport(worst <= tol, worst, worst_state, n))
     return reports if count is None else reports[0]
 

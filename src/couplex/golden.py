@@ -35,7 +35,7 @@ from itertools import product
 
 import numpy as np
 
-from .coupling import CouplingTable, coupling_table, oneD_cross_check
+from .coupling import coupling_table, oneD_cross_check
 from .exact import (
     audit_discrepancy_monotone,
     audit_order_preservation,
@@ -65,7 +65,6 @@ __all__ = [
     "CriterionResult",
     "CRITERIA",
     "MONOTONE_ZOO",
-    "both_active_entries",
     "gg_expected_attractive",
     "gg_reference_attractive",
     "gg_reference_increasing",
@@ -78,20 +77,6 @@ __all__ = [
     "traffic2_attractive_transitions",
     "traffic2_reference_table",
 ]
-
-
-def both_active_entries(table: CouplingTable, xi, zeta) -> dict:
-    """Coupled entries whose first jump is active in xi and second in zeta.
-
-    Raw tables also carry entries attached to inactive jumps (they are never
-    multiplied into the generator); closed-form references only describe the
-    active ones, so comparisons filter both sides alike.
-    """
-    return {
-        (x1, y1, x2, y2): g
-        for (x1, y1, x2, y2), g in table.coupled.items()
-        if is_active(xi, x1, y1) and is_active(zeta, x2, y2)
-    }
 
 
 def table_mismatches(expected: dict, got: dict, tol=0) -> list:
@@ -571,11 +556,11 @@ def _crit_sep_basic_coupling():
         jumps = [(x, (x + d) % size, pr) for x in range(size) for d, pr in law.items()]
         for xi, zeta in states:
             # attractive composition carries the diagonal of every jump that
-            # is open in the sitewise maximum of the two copies
+            # both copies can make
             want = {
                 (x, y, x, y): pr
                 for x, y, pr in jumps
-                if (xi[x] or zeta[x]) and not (xi[y] or zeta[y])
+                if is_active(xi, x, y) and is_active(zeta, x, y)
             }
             if coupling_table(spec, xi, zeta, "attractive").coupled != want:
                 issues.append((label, "attractive", xi, zeta))
@@ -789,7 +774,7 @@ def _crit_golden_tables():
         spec = traffic2(alpha, beta)
         for xi, zeta in ordered_pairs(7):
             t2_pairs += 1
-            engine = both_active_entries(coupling_table(spec, xi, zeta, "increasing"), xi, zeta)
+            engine = coupling_table(spec, xi, zeta, "increasing").coupled
             reference = traffic2_reference_table(alpha, beta, xi, zeta)
             if engine != reference:
                 problems.append(("traffic2", (str(alpha), str(beta)), xi, zeta))
@@ -799,7 +784,7 @@ def _crit_golden_tables():
         spec = gg_symmetrized(*params)
         for xi, zeta in ordered_pairs(8):
             gg_pairs += 1
-            engine = both_active_entries(coupling_table(spec, xi, zeta, "increasing"), xi, zeta)
+            engine = coupling_table(spec, xi, zeta, "increasing").coupled
             reference = gg_reference_increasing(params, xi, zeta)
             if table_mismatches(reference, engine, 1e-9):
                 problems.append(("gg increasing", params, xi, zeta))
@@ -814,7 +799,7 @@ def _crit_golden_tables():
         xi = tuple(b >> 1 for b in bits) + (0,) * (size - window)
         zeta = tuple(b & 1 for b in bits) + (0,) * (size - window)
         composed_pairs += 1
-        engine = both_active_entries(coupling_table(spec, xi, zeta, "attractive"), xi, zeta)
+        engine = coupling_table(spec, xi, zeta, "attractive").coupled
         corrected = gg_reference_attractive(params, xi, zeta, corrected=True)
         if table_mismatches(corrected, engine, 1e-9):
             problems.append(("gg composed", params, xi, zeta))

@@ -91,8 +91,13 @@ class RateSpec:
 
     def evaluate(self, window, d: int):
         """Rate of a jump with displacement d given the local window; raises
-        ``ValueError`` on a negative or non-finite rate."""
-        w = self._halfwidths[d]
+        ``ValueError`` on an offset the spec does not have, a window of the
+        wrong size, or a negative or non-finite rate."""
+        w = self._halfwidths.get(d)
+        if w is None:
+            raise ValueError(
+                "offset %r is not a jump offset of %r (offsets %s)" % (d, self, self.jump_offsets)
+            )
         if len(window) != 2 * w + 1:
             raise ValueError(
                 "window for offset %d must have %d sites, got %d"

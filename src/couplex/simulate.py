@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import CoupledState, discrepancy_count, is_active, signed_offset
+from .lattice import CoupledState, discrepancy_count, signed_offset
 from .models import RateSpec, active_jumps
 from .coupling import _flavor, _site_entries, _sum_entries, _uncoupled, residual_rates
 
@@ -303,13 +303,13 @@ class _CoupledEngine:
         out = [
             (g, (x1, signed_offset(x1, y1, size)), (x2, signed_offset(x2, y2, size)))
             for (x1, y1, x2, y2), g in coupled.items()
-            if g > 0 and is_active(xi, x1, y1) and is_active(zeta, x2, y2)
+            if g > 0
         ]
         marginals = [
             [(x, (x + d) % size, r) for r, x, d in engine.events()]
             for engine in (self.first, self.second)
         ]
-        first, second = residual_rates(self.spec, xi, zeta, coupled, marginals)
+        first, second = residual_rates(xi, zeta, coupled, marginals)
         out += [(r, (x, signed_offset(x, y, size)), None) for x, y, r in first if r > 0]
         out += [(r, None, (x, signed_offset(x, y, size))) for x, y, r in second if r > 0]
         return out

@@ -79,10 +79,9 @@ def test_coupling_table_csv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "entry,x1,y1,x2,y2,rate"
-    # join(1010, 1100) = 1110; the only join-active jump is 2 -> 3
-    assert "coupled,2,3,2,3,1" in lines
-    kinds = {line.split(",")[0] for line in lines[1:]}
-    assert kinds <= {"coupled", "first", "second"}
+    # join(1010, 1100) = 1110; its only active jump, 2 -> 3, is not one the
+    # second copy can make, so each copy moves alone on its own active jumps
+    assert lines[1:] == ["first,0,1,,,1", "first,2,3,,,1", "second,1,2,,,1"]
 
 
 def test_coupling_table_requires_pair(capsys):
@@ -157,6 +156,37 @@ def test_exact_refuses_options_its_task_does_not_read(tmp_path, capsys):
     code, out, err = run(capsys, "--config", str(path))
     assert code == 2 and out == ""
     assert "[lattice.density] density is read only by task stationary, not audit-order" in err
+    # the coupling kind: by flag or from the file, the stationary task reads none
+    code, out, err = run(
+        capsys, "exact", "sep", "--task", "stationary", "--size", "4", "--count", "2", "--kind", "strict"
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "couplex: [execution.kind] kind is read only by tasks audit-order, audit-discrepancy, "
+        "extinction, not stationary\n"
+    )
+    path.write_text(
+        "[run]\ncommand = exact\n\n[model]\nid = sep\n\n"
+        "[lattice]\nsize = 4\n\n[execution]\ntask = stationary\nkind = attractive\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "--config", str(path))
+    assert code == 2 and out == ""
+    assert "[execution.kind] kind is read only by tasks" in err
+    # the tolerance is read by the extinction task alone
+    for task in ("stationary", "audit-order", "audit-discrepancy"):
+        code, out, err = run(capsys, "exact", "sep", "--task", task, "--size", "4", "--tol", "0.5")
+        assert code == 2 and out == ""
+        assert err == "couplex: [execution.tol] tol is read only by task extinction, not %s\n" % task
+
+
+def test_exact_refuses_a_tolerance_outside_the_unit_interval(capsys):
+    # a tolerance of 1 or more passes every pair, and a negative or NaN one
+    # fails every pair, whatever the probabilities
+    for tol in ("1", "-0.5", "nan"):
+        code, out, err = run(capsys, "exact", "sep", "--task", "extinction", "--size", "4", "--tol", tol)
+        assert code == 2 and out == ""
+        assert err.startswith("couplex: [execution.tol] tol must lie in [0, 1), got ")
 
 
 def test_exact_requires_task(capsys):
@@ -288,13 +318,14 @@ def test_json_format(capsys):
         "--first",
         "1010",
         "--second",
-        "1100",
+        "1000",
         "--format",
         "json",
     )
     assert code == 0
     rows = json.loads(out)
-    assert rows and rows[0]["entry"] == "coupled"
+    # 0 -> 1 is a move of both copies, 2 -> 3 of the first alone
+    assert [(r["entry"], r["x1"], r["y1"]) for r in rows] == [("coupled", 0, 1), ("first", 2, 3)]
 
 
 def test_config_file_dispatch(tmp_path, capsys):

@@ -34,9 +34,9 @@ from couplex.coupling import (
     h_term,
     partial_sums,
 )
-from couplex.exact import pair_states
-from couplex.golden import ordered_pairs
-from couplex.lattice import join
+from couplex.exact import _orbits, pair_states
+from couplex.golden import MONOTONE_ZOO, ordered_pairs
+from couplex.lattice import is_active, join
 from couplex.models import active_jumps
 
 MODELS = {
@@ -307,7 +307,8 @@ def test_sep_attractive_is_the_basic_coupling():
 
 def _ring_composition(spec, xi, zeta, flavor, floats=False):
     """Coupled map of the flavor composed through every active join jump on
-    the ring itself, without window patterns or the memo."""
+    the ring itself, without window patterns or the memo; only entries
+    whose two jumps are active are moves of the pair."""
     size = len(xi)
     mid = join(xi, zeta)
     coupled = {}
@@ -315,7 +316,8 @@ def _ring_composition(spec, xi, zeta, flavor, floats=False):
         for key, g in coupling._join_contributions(
             spec, xi, zeta, mid, x, (x + d) % size, norm, flavor
         ):
-            coupled[key] = coupled.get(key, 0) + (float(g) if floats else g)
+            if is_active(xi, key[0], key[1]) and is_active(zeta, key[2], key[3]):
+                coupled[key] = coupled.get(key, 0) + (float(g) if floats else g)
     return coupled
 
 
@@ -426,3 +428,26 @@ def test_bare_rule_with_float_rates_matches_its_factory_spec():
             got = coupling_table(bare, xi, zeta, kind)
             for part in ("coupled", "residual_first", "residual_second"):
                 assert _typed_map(getattr(got, part)) == _typed_map(getattr(want, part))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for _, spec in MONOTONE_ZOO] + [traffic2(0.7, 0.2), gg_symmetrized(1.5, 0.75, 1, 1.25)],
+    ids=[label for label, _ in MONOTONE_ZOO] + ["traffic2 0.7 0.2", "gg 1.5 0.75 1 1.25"],
+)
+def test_tables_hold_only_moves(spec):
+    # every coupled entry pairs two active jumps, and every residual belongs
+    # to an active jump of positive rate: on every pair of the ring, built
+    # directly and turned from the first pair of its rotation orbit
+    size = 5
+    states = list(pair_states(size))
+    for kind in KINDS:
+        tables = [((xi, zeta), coupling_table(spec, xi, zeta, kind)) for xi, zeta in states]
+        for orbit in _orbits(states):
+            tables += coupling._turned_tables(spec, *states[orbit[0][0]], kind, range(1, size))
+        for (xi, zeta), table in tables:
+            for x1, y1, x2, y2 in table.coupled:
+                assert is_active(xi, x1, y1) and is_active(zeta, x2, y2), (kind, xi, zeta)
+            for eta, residual in ((xi, table.residual_first), (zeta, table.residual_second)):
+                for x, y in residual:
+                    assert is_active(eta, x, y) and rate(spec, eta, x, y) > 0, (kind, xi, zeta)

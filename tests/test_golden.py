@@ -9,7 +9,6 @@ from couplex.coupling import coupling_table
 from couplex.golden import (
     CRITERIA,
     MONOTONE_ZOO,
-    both_active_entries,
     gg_expected_attractive,
     gg_reference_attractive,
     gg_reference_increasing,
@@ -68,7 +67,7 @@ def test_traffic2_reference_matches_engine():
     for xi, zeta in ordered_pairs(6):
         table = coupling_table(spec, xi, zeta, "increasing")
         expected = traffic2_reference_table(F(7, 10), F(1, 5), xi, zeta)
-        got = both_active_entries(table, xi, zeta)
+        got = table.coupled
         assert table_mismatches(expected, got) == [], (xi, zeta)
 
 
@@ -79,7 +78,7 @@ def test_traffic2_reference_boundary_params():
         for xi, zeta in list(ordered_pairs(5))[:150]:
             table = coupling_table(spec, xi, zeta, "increasing")
             expected = traffic2_reference_table(alpha, beta, xi, zeta)
-            got = both_active_entries(table, xi, zeta)
+            got = table.coupled
             assert table_mismatches(expected, got) == []
 
 
@@ -112,7 +111,7 @@ def test_gg_increasing_reference_matches_engine():
     for xi, zeta in ordered_pairs(6):
         table = coupling_table(spec, xi, zeta, "increasing")
         expected = gg_reference_increasing(params, xi, zeta)
-        got = both_active_entries(table, xi, zeta)
+        got = table.coupled
         assert table_mismatches(expected, got, tol=1e-12) == [], (xi, zeta)
 
 
@@ -122,7 +121,7 @@ def test_gg_attractive_reference_frozen_example():
     xi = (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)
     zeta = (0, 0, 0, 1, 0, 1, 1, 0, 0, 0)
     table = coupling_table(spec, xi, zeta, "attractive")
-    engine = both_active_entries(table, xi, zeta)
+    engine = table.coupled
 
     def active_only(entries):
         out = {}

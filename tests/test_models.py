@@ -142,6 +142,9 @@ def test_evaluate_refuses_bad_windows_and_rates():
         rule.evaluate((1, 1, 0), 1)
     with pytest.raises(ValueError, match="not finite"):
         rule.evaluate((0, 1, 0), 1)
+    # an offset the spec does not have is named with the spec
+    with pytest.raises(ValueError, match=r"offset 3 is not a jump offset of traffic2\(alpha=1, beta=2\)"):
+        traffic2(1, 2).evaluate((0, 0, 0, 1, 0, 0, 0), 3)
 
 
 def test_custom_table_lookup():

@@ -381,7 +381,7 @@ def _fresh_events(spec, xi, zeta, kind):
     marginals = [
         [(x, (x + d) % size, float(r)) for x, d, r in active_jumps(spec, eta)] for eta in (xi, zeta)
     ]
-    first, second = residual_rates(spec, xi, zeta, coupled, marginals)
+    first, second = residual_rates(xi, zeta, coupled, marginals)
     out += [(r, (x, signed_offset(x, y, size)), None) for x, y, r in first if r > 0]
     out += [(r, None, (x, signed_offset(x, y, size))) for x, y, r in second if r > 0]
     return out

@@ -292,24 +292,36 @@ def _cmd_coupling_table(args) -> int:
     return OK
 
 
+def _refuse_unread(run: str, options) -> None:
+    """Refuse every option given to a run that does not read it, one
+    diagnostic each.  ``options`` holds ``(section, name, value, readers,
+    read)``: ``readers`` names the runs that read the option, and ``read``
+    says whether this run, described by ``run``, is one of them."""
+    unread = [
+        Diagnostic(section, name, "%s is read only by %s, not %s" % (name, readers, run))
+        for section, name, value, readers, read in options
+        if value is not None and not read
+    ]
+    if unread:
+        raise ConfigError(unread)
+
+
 def _cmd_exact(args) -> int:
     cfg = _merged(args, "exact")
     spec = build_spec(cfg)
     size = _need(cfg.size, "lattice size")
     task = _need(cfg.task, "task")
-    unread = [
-        Diagnostic(section, name, "%s is read only by %s %s, not %s"
-                   % (name, "tasks" if len(readers) > 1 else "task", ", ".join(readers), task))
-        for section, name, value, readers in (
-            ("lattice", "count", args.count, ("stationary",)),
-            ("lattice", "density", cfg.density, ("stationary",)),
-            ("execution", "kind", cfg.kind, ("audit-order", "audit-discrepancy", "extinction")),
-            ("execution", "tol", args.tol, ("extinction",)),
-        )
-        if value is not None and task not in readers
-    ]
-    if unread:
-        raise ConfigError(unread)
+    stationary = task == "stationary"
+    _refuse_unread(
+        task,
+        [
+            ("lattice", "count", args.count, "task stationary", stationary),
+            ("lattice", "density", cfg.density, "task stationary", stationary),
+            ("execution", "kind", cfg.kind, "tasks audit-order, audit-discrepancy, extinction",
+             not stationary),
+            ("execution", "tol", args.tol, "task extinction", task == "extinction"),
+        ],
+    )
     if args.tol is not None and not 0 <= args.tol < 1:
         raise ConfigError([Diagnostic("execution", "tol", "tol must lie in [0, 1), got %r" % args.tol)])
     if task == "stationary":
@@ -388,6 +400,14 @@ def _cmd_simulate(args) -> int:
         cfg.size = len(cfg.first)
     size = _need(cfg.size, "lattice size")
     coupled = bool(cfg.coupled) or cfg.second is not None
+    _refuse_unread(
+        "observable %s" % args.observable if coupled else "a single chain",
+        [
+            ("execution", "kind", cfg.kind, "coupled runs", coupled),
+            ("output", "sites", args.sites or None, "the sample tables of coupled runs",
+             coupled and not args.observable),
+        ],
+    )
     many = cfg.replicas > 1
     rows = None
     total = 0

@@ -20,13 +20,18 @@ site and their partial rate sums; the kinds differ only in the factor flavor
 * ``strict`` — proportional factors, which spread each copy's surplus rate
   over the partner's discrepancy sites in proportion to their rates.
 
-The factors through one join jump read only the sites within
-``dep_radius + 3 * max_offset`` of its departure, so the entries through
-the jumps out of one site (``_site_entries``) are memoised per flavor,
-offset and local pair pattern in the spec's ``_compositions``, which lives
-as long as the spec.  The tables here walk them over the ring
+The factors through a join jump x -> x + d read only the windows of the
+jumps out of x and into x + d: the sites ``spec._spans[d]`` around x, from
+x + min(-(r + m), d - r - 2P) to x + max(r + m, d + r + 2N), with r the
+dependence radius, m the largest offset magnitude, P the largest positive
+offset and N the largest magnitude of a negative one (0 when there is
+none); 6 and 5 sites for traffic2's offsets 1 and 2.  So the entries through the jumps out
+of one site (``_site_entries``) are memoised per flavor, offset and the
+pair pattern of that offset's span in the spec's ``_compositions``, which
+lives as long as the spec.  The tables here walk them over the ring
 (``_kind_sites``); the coupled simulator of :mod:`couplex.simulate`
-keeps them per site, in floats, and refreshes only the sites near a jump.
+keeps them per site, in floats, and refreshes only the sites whose spans
+hold a site a jump moved.
 The rates are translation invariant, so a pair turned along the ring has
 the same entries, moved: :func:`turned_transitions` builds the tables of all
 turns of a pair from one walk.
@@ -285,22 +290,22 @@ def _ratio(a, b):
     return Fraction(a) / b
 
 
-def _compose(spec: RateSpec, flavor: str, reach: int, d: int, window):
+def _compose(spec: RateSpec, flavor: str, centre: int, d: int, window):
     """Entries ``(dx1, dy1, dx2, dy2, g)`` through the join jump of offset d
-    out of the centre of ``window``, the pair pattern ``(xi << 1) | zeta``
-    of the 2 * reach + 1 sites around the departure; sites are relative to
-    the departure.  Only entries whose two jumps are active are kept: the
-    others are not moves of the pair.  Returns them twice, with g raw and
-    as float(g)."""
+    out of site ``centre`` of ``window``, a pair pattern ``(xi << 1) | zeta``
+    that holds at least the sites of ``spec._spans[d]`` around it; sites are
+    relative to the departure.  Only entries whose two jumps are active are
+    kept: the others are not moves of the pair.  Returns them twice, with g
+    raw and as float(g)."""
     xi = tuple(p >> 1 for p in window)
     zeta = tuple(p & 1 for p in window)
     mid = join(xi, zeta)
-    x, y = reach, reach + d
+    x, y = centre, centre + d
     norm = rate(spec, mid, x, y)
     if norm <= 0:
         return (), ()
     raw = tuple(
-        (x1 - reach, y1 - reach, x2 - reach, y2 - reach, g)
+        (x1 - centre, y1 - centre, x2 - centre, y2 - centre, g)
         for (x1, y1, x2, y2), g in _join_contributions(spec, xi, zeta, mid, x, y, norm, flavor)
         if is_active(xi, x1, y1) and is_active(zeta, x2, y2)
     )
@@ -311,28 +316,29 @@ def _site_entries(spec: RateSpec, xi, zeta, x: int, flavor: str, floats: bool = 
     """Composed entries ``((x1, y1, x2, y2), g)`` through the join jumps out
     of site x, in offset order; empty unless x is occupied in the join.
 
-    Each jump's entries come from ``spec._compositions[flavor]``, keyed by
-    its offset and the pair pattern of the ``dep_radius + 3 * max_offset``
-    sites on either side of x, and are mapped back to ring sites; g is raw,
-    or its float with ``floats``.  So the entries of x change only when a
-    site within that distance of x changes.
+    The entries of offset d come from ``spec._compositions[flavor]``, keyed
+    by d and the pair pattern of the sites ``spec._spans[d]`` around x, the
+    only sites they read, and are mapped back to ring sites; g is raw, or
+    its float with ``floats``.  So the entries of x change only when a site
+    of ``spec._span`` around x changes.
     """
     if not (xi[x] or zeta[x]):
         return []
     size = len(xi)
     memo = spec._compositions.setdefault(flavor, {})
-    reach = spec.dep_radius + 3 * spec.max_offset
+    lo, hi = spec._span
     column = 1 if floats else 0
     window = tuple(
-        (xi[(x + k) % size] << 1) | zeta[(x + k) % size] for k in range(-reach, reach + 1)
+        (xi[(x + k) % size] << 1) | zeta[(x + k) % size] for k in range(lo, hi + 1)
     )
     out = []
-    for d in spec.jump_offsets:
-        if window[reach + d]:
+    for d, (a, b) in spec._spans.items():
+        if window[d - lo]:
             continue  # join-occupied target
-        entries = memo.get((d, window))
+        key = (d, window[a - lo : b - lo + 1])
+        entries = memo.get(key)
         if entries is None:
-            entries = memo[(d, window)] = _compose(spec, flavor, reach, d, window)
+            entries = memo[key] = _compose(spec, flavor, -a, d, key[1])
         for dx1, dy1, dx2, dy2, g in entries[column]:
             out.append(
                 (((x + dx1) % size, (x + dy1) % size, (x + dx2) % size, (x + dy2) % size), g)

@@ -82,8 +82,18 @@ class RateSpec:
         self._halfwidths = {d: self.dep_radius + abs(d) for d in offsets}
         #: rate per offset and window tuple, filled by :meth:`evaluate`
         self._tables: dict = {}
+        #: per offset d, the sites lo..hi around a site x whose occupancy the
+        #: rates of the jumps out of x and of the jumps into x + d read
+        self._spans = _spans(offsets, self.dep_radius)
+        #: the sites around x that every span covers: (min lo, max hi)
+        self._span = (
+            min(lo for lo, _ in self._spans.values()),
+            max(hi for _, hi in self._spans.values()),
+        )
         #: composed coupling entries per flavor, filled by couplex.coupling
         self._compositions: dict = {}
+        #: event list and float total per site pattern, filled by couplex.simulate
+        self._site_events: dict = {}
 
     def __repr__(self) -> str:
         inner = ", ".join("%s=%r" % kv for kv in self.params.items())
@@ -117,6 +127,23 @@ class RateSpec:
                 raise ValueError("negative rate %r for offset %d, window %r" % (value, d, window))
             table[window] = value
             return value
+
+
+def _spans(offsets, radius: int) -> dict:
+    """Per offset d, the sites ``(lo, hi)`` relative to a site x that the
+    windows of the jumps out of x and into y = x + d cover.
+
+    A jump out of x reads x - (radius + m) .. x + radius + m, with m the
+    largest offset magnitude.  A jump of offset e > 0 into y departs from
+    y - e and reads y - radius - 2e .. y + radius; one of offset -n reads
+    y - radius .. y + radius + 2n.
+    """
+    w = radius + max(abs(d) for d in offsets)
+    ahead = max((d for d in offsets if d > 0), default=0)
+    behind = max((-d for d in offsets if d < 0), default=0)
+    return {
+        d: (min(-w, d - radius - 2 * ahead), max(w, d + radius + 2 * behind)) for d in offsets
+    }
 
 
 def rate(spec: RateSpec, eta: Config, x: int, y: int):

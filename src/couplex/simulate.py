@@ -6,12 +6,17 @@ an independent, exactly reproducible stream: rerunning with the same key
 gives a bit-identical event sequence.
 
 The single-chain engine caches each site's active jumps and the float total
-of their rates.  A jump x -> x+d refreshes each site within
-``dep_radius + max_offset`` of x or x+d once, recomputing its total from its
-list, so the totals never drift.  A draw bisects the running sums of the
-site totals to pick a site, then walks that site's short list; so the work
-per event grows with the reach of a jump, not with the ring (only the
-running sums, one C-level pass, are over the whole ring).
+of their rates.  Both depend only on the occupancy of the
+``dep_radius + max_offset`` sites on either side of the site, so they are
+read from a memo on the spec keyed by that pattern (``spec._site_events``,
+shared by all runs of the spec), and filled on a miss by
+:func:`couplex.models.active_jumps` on the pattern itself.  A jump x -> x+d
+refreshes each site within ``dep_radius + max_offset`` of x or x+d once,
+taking its list and total from the memo, so the totals never drift.  A
+draw bisects the running sums of the site totals to pick a site, then walks
+that site's short list; so the work per event grows with the reach of a
+jump, not with the ring (only the running sums, one C-level pass, are over
+the whole ring).
 
 The coupled engine is two single-chain engines, one per copy, plus the
 coupled map of the pair; each copy's marginal jumps come from its own
@@ -21,14 +26,16 @@ one engine that moves both in lockstep; every other pair composes coupling
 factors through the join configuration as
 :func:`couplex.coupling.coupling_table` does, in floats.  The composed
 entries through the join jumps out of each site
-(:func:`couplex.coupling._site_entries`, memoised per local pair pattern on
-the spec, so all runs of one spec share it) are cached per site, and an
-event refreshes only the sites within ``dep_radius + 3 * max_offset`` of a
-site it moved.  The coupled map is then added up from the per-site lists in
-site order, as the ring walk adds it, and the discrepancy count and the
-"ordered" flag are updated from the moved sites alone.  Ordered pairs need
-no path of their own: their join is the upper copy.  Under ``increasing``
-an unordered pair has no coupled moves, so each copy moves alone.
+(:func:`couplex.coupling._site_entries`, memoised on the spec per offset and
+the pair pattern of the sites they read, so all runs of one spec share it)
+are cached per site.  The entries of site z read the sites ``spec._span``
+around z, so an event refreshes a site z only when a site it moved lies in
+that span: 6 sites per moved site for traffic2.  The coupled map is then
+added up from the per-site lists in site order, as the ring walk adds it,
+and the discrepancy count and the "ordered" flag are updated from the moved
+sites alone.  Ordered pairs need no path of their own: their join is the
+upper copy.  Under ``increasing`` an unordered pair has no coupled moves,
+so each copy moves alone.
 
 One Gillespie loop runs both engines.  Sampling records the state at fixed
 grid times (the state just before each grid time, i.e. the left limit); a
@@ -41,13 +48,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from .lattice import CoupledState, discrepancy_count, signed_offset
-from .models import RateSpec, active_jumps
+from .models import RateSpec, _check_ring, active_jumps
 from .coupling import _flavor, _site_entries, _sum_entries, _uncoupled, residual_rates
 
 
@@ -101,24 +108,47 @@ def discrepancy_pair(size: int, count: int, rng: np.random.Generator) -> Coupled
 
 
 class _SingleEngine:
-    """Mutable configuration with cached active-jump events ``(rate, x, d)``
+    """Mutable configuration with cached active-jump events ``(rate, d)``
     per site and the float total of each site's rates; a jump refreshes
-    each site within reach of its two ends once."""
+    each site within reach of its two ends once.
+
+    The events and total of an occupied site depend only on the occupancy
+    of the ``reach`` sites on either side of it, so they come from a memo
+    on the spec (``spec._site_events``) keyed by that pattern, filled by
+    :func:`couplex.models.active_jumps` on the pattern itself.
+    """
 
     def __init__(self, spec: RateSpec, eta):
+        self.size = len(eta)
+        _check_ring(spec, self.size)  # the memo reads patterns, never the ring
         self.spec = spec
         self.eta = list(eta)
-        self.size = len(eta)
         self.reach = spec.dep_radius + spec.max_offset
-        self.jumps = [[] for _ in range(self.size)]
+        self.jumps = [()] * self.size
         self.totals = [0.0] * self.size
-        for x in range(self.size):
-            self._refresh(x)
+        self._refresh(0, self.size)
 
-    def _refresh(self, x: int):
-        jumps = [(float(r), x, d) for x, d, r in active_jumps(self.spec, self.eta, (x,))]
-        self.jumps[x] = jumps
-        self.totals[x] = sum((r for r, _, _ in jumps), 0.0)
+    def _refresh(self, first: int, count: int):
+        """Refresh the ``count`` sites of the arc that starts at site ``first``."""
+        size, reach, eta = self.size, self.reach, self.eta
+        lo, hi = first - reach, first + count + reach
+        # the arc with reach sites on either side: the patterns of its sites
+        arc = eta[lo:hi] if 0 <= lo and hi <= size else [eta[z % size] for z in range(lo, hi)]
+        memo = self.spec._site_events
+        jumps, totals = self.jumps, self.totals
+        width = 2 * reach + 1
+        for k in range(count):
+            x = (first + k) % size
+            if not arc[k + reach]:
+                jumps[x] = ()
+                totals[x] = 0.0
+                continue
+            key = tuple(arc[k : k + width])
+            entry = memo.get(key)
+            if entry is None:
+                events = tuple((float(r), d) for _, d, r in active_jumps(self.spec, key, (reach,)))
+                entry = memo[key] = (events, sum((r for r, _ in events), 0.0))
+            jumps[x], totals[x] = entry
 
     def apply(self, x: int, d: int):
         size = self.size
@@ -126,24 +156,28 @@ class _SingleEngine:
         eta = self.eta
         eta[x], eta[y] = eta[y], eta[x]
         # the sites within reach of x or of y form one arc of the ring
-        lo = min(x, x + d) - self.reach
-        for k in range(min(abs(d) + 2 * self.reach + 1, size)):
-            self._refresh((lo + k) % size)
+        self._refresh(min(x, x + d) - self.reach, min(abs(d) + 2 * self.reach + 1, size))
 
     def events(self):
-        return list(chain.from_iterable(self.jumps))
+        """Every active jump ``(rate, x, d)``, in site then offset order."""
+        return [(r, x, d) for x, events in enumerate(self.jumps) for r, d in events]
 
     def draw(self, rng: np.random.Generator):
-        return _advance(self.totals, self.jumps, rng)
+        step = _advance(self.totals, self.jumps, rng)
+        if step is None:
+            return None
+        dt, x, (r, d) = step
+        return dt, (r, x, d)
 
     def state(self):
         return tuple(self.eta)
 
 
 def _advance(totals, groups, rng: np.random.Generator):
-    """One Gillespie step: (waiting time, chosen event) or None if stuck.
+    """One Gillespie step: (waiting time, group index, chosen event), or
+    None if stuck.
 
-    ``groups[i]`` lists events ``(rate, *move)`` whose rates add up to
+    ``groups[i]`` lists events ``(rate, ...)`` whose rates add up to
     ``totals[i]``.  The waiting time is drawn first; then one uniform picks
     a group by bisection over the running totals and an event by a walk
     along that group.
@@ -162,8 +196,8 @@ def _advance(totals, groups, rng: np.random.Generator):
     for event in events:
         acc += event[0]
         if u < acc:
-            return dt, event
-    return dt, events[-1]
+            return dt, i, event
+    return dt, i, events[-1]
 
 
 def _sample_grid(t_end: float, sample_dt: Optional[float]):
@@ -257,8 +291,9 @@ class _CoupledEngine:
         self.first = _SingleEngine(spec, pair.first)
         self.second = self.first if pair.first == pair.second else _SingleEngine(spec, pair.second)
         self.size = len(pair.first)
-        #: the entries through a site read the sites this far away
-        self.reach = spec.dep_radius + 3 * spec.max_offset
+        #: a move at site s changes the entries through the sites s + k
+        lo, hi = spec._span
+        self._near = range(-hi, -lo + 1)
         #: per-site composed entries in floats, built when first needed
         self._sites = None
         discrepancies = discrepancy_count(pair.first, pair.second)  # refuses unequal sizes
@@ -284,7 +319,8 @@ class _CoupledEngine:
             dt, (r, x, d) = step
             return dt, (r, (x, d), (x, d))
         events = self.events()  # rebuilt per event: each is a group of its own
-        return _advance([e[0] for e in events], [(e,) for e in events], rng)
+        step = _advance([e[0] for e in events], [(e,) for e in events], rng)
+        return None if step is None else (step[0], step[2])
 
     def events(self):
         if self.first is self.second:
@@ -306,7 +342,7 @@ class _CoupledEngine:
             if g > 0
         ]
         marginals = [
-            [(x, (x + d) % size, r) for r, x, d in engine.events()]
+            [(x, (x + d) % size, r) for x, events in enumerate(engine.jumps) for r, d in events]
             for engine in (self.first, self.second)
         ]
         first, second = residual_rates(xi, zeta, coupled, marginals)
@@ -342,7 +378,7 @@ class _CoupledEngine:
             self._sites = None
         elif self._sites is not None:
             xi, zeta = self.first.eta, self.second.eta
-            for z in {(s + k) % size for s in moved for k in range(-self.reach, self.reach + 1)}:
+            for z in {(s + k) % size for s in moved for k in self._near}:
                 self._sites[z] = _site_entries(self.spec, xi, zeta, z, self.flavor, floats=True)
 
 

@@ -283,6 +283,45 @@ def test_simulate_observable(capsys):
     assert len(lines) == 7
 
 
+def test_simulate_refuses_options_its_run_does_not_read(tmp_path, capsys):
+    # a single chain reads no coupling kind, by flag or from the file
+    start = ("simulate", "traffic2", "0.7", "0.2", "--size", "10", "--count", "5", "--t-end", "1")
+    code, out, err = run(capsys, *start, "--kind", "strict")
+    assert code == 2 and out == ""
+    assert err == "couplex: [execution.kind] kind is read only by coupled runs, not a single chain\n"
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "[run]\ncommand = simulate\n\n[model]\nid = sep\n\n"
+        "[lattice]\nsize = 6\ndensity = 0.5\n\n[execution]\nkind = attractive\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "--config", str(path))
+    assert code == 2 and out == ""
+    assert "[execution.kind] kind is read only by coupled runs, not a single chain" in err
+    # the per-site columns belong to the sample table of a coupled run
+    code, out, err = run(capsys, *start, "--sites")
+    assert code == 2 and out == ""
+    assert err == (
+        "couplex: [output.sites] sites is read only by the sample tables of coupled runs, "
+        "not a single chain\n"
+    )
+    for observable in ("order_time", "discrepancy_curve", "density_profile"):
+        code, out, err = run(capsys, *start, "--coupled", "--sites", "--observable", observable)
+        assert code == 2 and out == ""
+        assert err == (
+            "couplex: [output.sites] sites is read only by the sample tables of coupled runs, "
+            "not observable %s\n" % observable
+        )
+    # both at once: one diagnostic each
+    code, out, err = run(capsys, *start, "--kind", "strict", "--sites")
+    assert code == 2 and out == ""
+    assert err.count("is read only by") == 2
+    # a coupled run reads both
+    code, out, _ = run(capsys, *start, "--coupled", "--kind", "strict", "--sites")
+    assert code == 0
+    assert out.splitlines()[0].startswith("time,discrepancies,ordered,first_0,")
+
+
 def test_simulate_needs_a_start(capsys):
     code, _, err = run(capsys, "simulate", "sep", "--size", "6", "--t-end", "1")
     assert code == 2

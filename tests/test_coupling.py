@@ -340,9 +340,10 @@ def _check_walk(spec, xi, zeta):
 
 
 #: a rule that reads the far end of its windows in both directions: a jump
-#: slows down when the site behind it is occupied.  Through an arrival site,
-#: composed factors then read sites dep_radius + 3 * max_offset away from the
-#: join jump's departure.
+#: slows down when the site behind it is occupied.  Through the arrival site
+#: x + d, the composed factors of the join jump x -> x + d then read site
+#: x + 3d, the far end of the offset's span (``spec._spans``), which here is
+#: dep_radius + 3 * max_offset away from the departure.
 BEHIND = custom_table(
     (1, -1),
     0,
@@ -377,6 +378,74 @@ def test_memoised_walk_matches_ring_composition(spec):
                 spec, xi, zeta, FLAVOR[kind]
             )
             _assert_same_map(coupling_table(spec, xi, zeta, kind).coupled, want, (kind, xi, zeta))
+
+
+def _wide_table():
+    # random rates on every window of two unequal offsets and a wide radius:
+    # each offset's span is narrower than the 2 * (r + 3m) + 1 sites around
+    # the departure, and the two spans differ
+    rng = random.Random(14)
+    return custom_table(
+        (1, -2),
+        2,
+        {
+            (d, "".join(bits)): F(rng.randint(0, 3), 3)
+            for d in (1, -2)
+            for bits in itertools.product("01", repeat=2 * (2 + abs(d)) + 1)
+        },
+    )
+
+
+#: a rule that raises on every window whose two ends are occupied
+RAISES = RateSpec(
+    "raises", (1, -1), 1, lambda window, d: -1 if window[0] == window[-1] == 1 else 1 + window[1]
+)
+
+SPAN_SPECS = MONOTONE_ZOO + (
+    ("traffic2 0.7 0.2", traffic2(0.7, 0.2)),
+    ("behind", BEHIND),  # the BEHIND rule of test_simulate.py too
+    ("wide", _wide_table()),
+    ("raises", RAISES),
+)
+
+
+def _composed(spec, flavor, centre, d, window):
+    """``_compose``'s entries with their value types, or the error it raises."""
+    try:
+        raw, floats = coupling._compose(spec, flavor, centre, d, window)
+    except ValueError as err:
+        return "raises", str(err)
+    return [(e, type(e[4])) for e in raw], [(e, type(e[4])) for e in floats]
+
+
+@pytest.mark.parametrize("flavor", ["overlap", "proportional"])
+@pytest.mark.parametrize("label,spec", SPAN_SPECS, ids=[label for label, _ in SPAN_SPECS])
+def test_composition_reads_only_its_span(label, spec, flavor):
+    # the memo keys the entries of offset d by the sites of spec._spans[d]
+    # alone: on a random pair pattern of the 2 * (r + 3m) + 1 sites around
+    # the departure, _compose gives the entries, value types and errors it
+    # gives on that pattern with every site outside the span empty, and on
+    # the span alone, as the memo calls it
+    rng = random.Random("%s:%s" % (label, flavor))
+    reach = spec.dep_radius + 3 * spec.max_offset
+    outcomes = {"entries": 0, "raises": 0}
+    for d, (lo, hi) in spec._spans.items():
+        assert -reach <= lo < 0 < hi <= reach
+        for _ in range(60):
+            window = [rng.randrange(4) for _ in range(2 * reach + 1)]
+            window[reach] = rng.randrange(1, 4)  # a join-occupied departure
+            window[reach + d] = 0  # and a join-empty target
+            want = _composed(spec, flavor, reach, d, tuple(window))
+            padded = tuple(p if lo <= k - reach <= hi else 0 for k, p in enumerate(window))
+            assert _composed(spec, flavor, reach, d, padded) == want, (d, window)
+            key = tuple(window[reach + lo : reach + hi + 1])
+            assert _composed(spec, flavor, -lo, d, key) == want, (d, window)
+            if want[0] == "raises":
+                outcomes["raises"] += 1
+            elif want[0]:
+                outcomes["entries"] += 1
+    assert outcomes["entries"] > 0
+    assert (outcomes["raises"] > 0) == (spec is RAISES)
 
 
 def test_memo_keeps_flavors_apart():

@@ -289,6 +289,36 @@ def test_strict_coupling_refuses_pair_it_cannot_serve():
     assert str(run_err.value).endswith("at time 0.0")
 
 
+@pytest.mark.parametrize("label,spec", MONOTONE_ZOO, ids=[label for label, _ in MONOTONE_ZOO])
+def test_site_memo_matches_active_jumps_along_runs(label, spec):
+    # each site's memoised events and float total equal a fresh read of its
+    # active jumps, in the same order, after every event of random runs; on
+    # the smallest ring the pattern around a site wraps onto itself
+    rng = random.Random(label)
+    for size in sorted({spec.min_ring_size, spec.min_ring_size + 1, 17, 64}):
+        for count in (1, size // 2, size - 1):
+            eta = [0] * size
+            for x in rng.sample(range(size), count):
+                eta[x] = 1
+            engine = _SingleEngine(spec, eta)
+            gen = np.random.Generator(np.random.Philox(key=[size, count]))
+            for fired in range(30):
+                for x in range(size):
+                    where = (size, count, fired, x)
+                    events = tuple((float(r), d) for _, d, r in active_jumps(spec, engine.eta, (x,)))
+                    assert engine.jumps[x] == events, where
+                    assert engine.totals[x] == sum((r for r, _ in events), 0.0), where
+                step = engine.draw(gen)
+                if step is None:
+                    break
+                engine.apply(*step[1][1:])
+    # at most one key per pattern of the 2 * (dep_radius + max_offset) + 1
+    # sites around an occupied site
+    assert len(spec._site_events) <= 2 ** (spec.min_ring_size - 1)
+    with pytest.raises(ValueError, match="too small"):
+        _SingleEngine(spec, (1,) + (0,) * (spec.min_ring_size - 2))
+
+
 class _Uniforms:
     """Stands in for the generator: one fixed uniform for the waiting time,
     one for the choice of the event."""
@@ -335,7 +365,8 @@ def test_per_site_draw_matches_flat_draw(spec, size, warm):
     ties = 0
     for choice in choices:
         wait = rng.random()
-        dt, event = _advance(engine.totals, engine.jumps, _Uniforms(wait, choice))
+        dt, x, (r, d) = _advance(engine.totals, engine.jumps, _Uniforms(wait, choice))
+        event = (r, x, d)
         old_dt, old_event, cum = _flat_draw(events, wait, choice)
         assert abs(dt - old_dt) <= 1e-12 * old_dt
         target = choice * cum[-1]
@@ -347,8 +378,10 @@ def test_per_site_draw_matches_flat_draw(spec, size, warm):
 
 
 #: a rule that reads the far end of its window: a jump slows down when the
-#: site behind it is occupied, so composed entries read sites
-#: dep_radius + 3 * max_offset away from a join jump's departure
+#: site behind it is occupied, so the composed entries of a join jump
+#: x -> x + d read site x + 3d, the far end of the offset's span
+#: (``spec._spans``), and the composed cache refreshes the sites up to 3
+#: away from a moved site on the side of d
 BEHIND = custom_table(
     (1, -1),
     0,
@@ -385,6 +418,53 @@ def _fresh_events(spec, xi, zeta, kind):
     out += [(r, (x, signed_offset(x, y, size)), None) for x, y, r in first if r > 0]
     out += [(r, None, (x, signed_offset(x, y, size))) for x, y, r in second if r > 0]
     return out
+
+
+def _ahead_table():
+    # random float rates on every window of offsets 1 and 2, so the rates
+    # read every site of their windows and the composed entries out of x
+    # read x - 3 .. x + 2: the refresh must reach 3 sites ahead of a move
+    rng = random.Random(21)
+    return custom_table(
+        (1, 2),
+        0,
+        {
+            (d, "".join(bits)): rng.uniform(0.5, 1.5)
+            for d in (1, 2)
+            for bits in itertools.product("01", repeat=2 * d + 1)
+        },
+    )
+
+
+def test_composed_cache_follows_the_spans():
+    # the per-site composed cache equals a fresh walk after every event on
+    # a rule whose span reaches further behind a departure than ahead of it
+    spec = _ahead_table()
+    assert spec._span == (-3, 2)
+    rng = random.Random(5)
+    checked = 0
+    for kind in ("attractive", "strict"):
+        for _ in range(6):
+            pair = (tuple(rng.randint(0, 1) for _ in range(20)) for _ in range(2))
+            engine = _CoupledEngine(spec, CoupledState(*pair), kind)
+            for fired in range(40):
+                xi, zeta = engine.state()
+                if xi == zeta:
+                    break
+                try:
+                    want = _fresh_events(spec, xi, zeta, kind)
+                except ValueError:
+                    # the coupling cannot serve the pair: move one copy alone
+                    copy = rng.randint(0, 1)
+                    x, d, _ = rng.choice(active_jumps(spec, (xi, zeta)[copy]))
+                    engine.apply(*(((x, d), None) if copy == 0 else (None, (x, d))))
+                    continue
+                assert engine.events() == want, (kind, fired, xi, zeta)
+                checked += 1
+                if not want:
+                    break
+                engine.apply(*rng.choice(want)[1:])
+    assert checked >= 200
 
 
 def _start_pairs(rng, size):

@@ -16,19 +16,21 @@ bits, filled once per call from the spec's rate table for the windows a
 condition reads (departure site occupied, target empty).  Exact rates are
 summed as integers scaled by the common denominator, so every comparison
 stays exact; float rates are summed in float64 in offset order, which gives
-the same sums as adding the Python floats one offset at a time.  The rows
-that are reported are summed again from the rates as the spec gives them,
-so their sides are ints, Fractions or floats as a sum in Python would be.
+the same sums as adding the Python floats one offset at a time.  A reported
+row takes its sides from those sums and from whether a Fraction (or float)
+rate entered them, so they are ints, Fractions or floats as in Python.
 
 The checks run exactly (no tolerance) when every rate read is an int or a
 Fraction, and with an absolute tolerance of 1e-12 once a float enters.  A
 tolerance given for exact rates is compared exactly: ``lhs - rhs >
-Fraction(tol)``.  Each condition's witnesses are the rows of
-:func:`is_monotone` whose ``kind`` names it.
+Fraction(tol)``; a given tolerance must be finite and nonnegative.  Each
+condition's witnesses are the rows of :func:`is_monotone` whose ``kind``
+names it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -92,18 +94,14 @@ class StrictnessReport:
     worst: list = field(default_factory=list)
 
 
-def _arrival_sites(spec: RateSpec, extra: int) -> range:
-    """Window offsets whose occupancies can enter the arrival condition at 0."""
+def _sites(spec: RateSpec, kind: str, extra: int) -> range:
+    """Window offsets whose occupancies can enter a condition at site 0."""
     w = spec._halfwidths
-    lo = min(-d - w[d] for d in spec.jump_offsets)
-    hi = max(-d + w[d] for d in spec.jump_offsets)
-    return range(min(lo, 0) - extra, max(hi, 0) + extra + 1)
-
-
-def _departure_sites(spec: RateSpec, extra: int) -> range:
-    """Window offsets entering the departure condition at 0."""
-    w = max(spec._halfwidths.values())
-    return range(-w - extra, w + extra + 1)
+    if kind == "departure":
+        return range(-max(w.values()) - extra, max(w.values()) + extra + 1)
+    lo = min(0, *(-d - w[d] for d in spec.jump_offsets))
+    hi = max(0, *(-d + w[d] for d in spec.jump_offsets))
+    return range(lo - extra, hi + extra + 1)
 
 
 @dataclass
@@ -113,18 +111,23 @@ class _Rates:
 
     ``tables`` hold them in the units the scan sums in, and ``tol`` is the
     tolerance in those units: a row violates its condition when lhs > rhs +
-    tol.  ``values`` hold the rates as the spec gives them, in object
-    arrays, for rebuilding the rows that are reported.
+    tol.  ``flagged`` marks the rates whose type a sum in Python passes on
+    (Fractions among exact rates, floats otherwise); ``value(s, flag)`` is
+    the side s in the scan's units as such a sum gives it, ``flag`` saying
+    whether a flagged rate entered it; it makes one object per (s, flag).
     """
 
     tables: dict
     tol: object
-    values: dict
+    flagged: dict
+    value: object
 
 
 def _rate_arrays(spec: RateSpec, tol) -> _Rates:
     """The rates of every window a condition reads; ``tol`` None means 0
     for exact rates and ``FLOAT_TOL`` once a float enters."""
+    if tol is not None and not 0 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 0, got %r" % (tol,))
     raw = {}
     for d in spec.jump_offsets:
         w = spec._halfwidths[d]
@@ -134,23 +137,25 @@ def _rate_arrays(spec: RateSpec, tol) -> _Rates:
             if (idx >> w) & 1 and not (idx >> (w + d)) & 1:
                 row[idx] = _lookup(spec, tuple((idx >> j) & 1 for j in range(width)), d)
         raw[d] = row
-    values = {d: np.array(row, dtype=object) for d, row in raw.items()}
     flat = [v for row in raw.values() for v in row]
+    exact = all(isinstance(v, (int, Fraction)) for v in flat)
+    typed = Fraction if exact else float
+    flagged = {d: np.array([isinstance(v, typed) for v in row]) for d, row in raw.items()}
+    tol = (0 if exact else FLOAT_TOL) if tol is None else tol
     # a side sums at most one rate per offset; one more leaves room for tol
     terms = len(raw) + 1
-    if all(isinstance(v, (int, Fraction)) for v in flat):
-        tol = 0 if tol is None else tol
+    if exact:
         scale = math.lcm(*{v.denominator for v in flat})
-        scaled = {d: [v.numerator * (scale // v.denominator) for v in row] for d, row in raw.items()}
-        limit = math.floor(Fraction(tol) * scale)
-        if max(abs(v) for row in scaled.values() for v in row) * terms >= _INT64_LIMIT:
-            return _Rates({d: np.array(row, dtype=object) for d, row in scaled.items()}, limit, values)
-        limit = max(min(limit, _INT64_LIMIT), -_INT64_LIMIT)
-        return _Rates({d: np.array(row, dtype=np.int64) for d, row in scaled.items()}, limit, values)
-    tol = FLOAT_TOL if tol is None else tol
-    if all(isinstance(v, float) or (isinstance(v, int) and abs(v) * terms <= 2**53) for v in flat):
-        return _Rates({d: np.array(row, dtype=np.float64) for d, row in raw.items()}, tol, values)
-    return _Rates(values, tol, values)
+        raw = {d: [v.numerator * (scale // v.denominator) for v in row] for d, row in raw.items()}
+        big = max(abs(v) for row in raw.values() for v in row) * terms >= _INT64_LIMIT
+        dtype, tol = (object if big else np.int64), math.floor(Fraction(tol) * scale)
+        tol = tol if big else max(min(tol, _INT64_LIMIT), -_INT64_LIMIT)
+        value = functools.cache(lambda s, flag: Fraction(s, scale) if flag else s // scale)
+    elif all(type(v) is float or (isinstance(v, int) and abs(v) * terms <= 2**53) for v in flat):
+        dtype, value = np.float64, functools.cache(lambda s, flag: float(s) if flag else int(s))
+    else:  # object tables hold the spec's own rates, so their sums are the sides
+        dtype, value = object, lambda s, flag: s
+    return _Rates({d: np.array(row, dtype=dtype) for d, row in raw.items()}, tol, flagged, value)
 
 
 def _pair_blocks(n: int, center: int, center_value: int):
@@ -177,50 +182,45 @@ def _pair_blocks(n: int, center: int, center_value: int):
         )
 
 
-def _sites(spec: RateSpec, kind: str, extra: int) -> range:
-    return _arrival_sites(spec, extra) if kind == "arrival" else _departure_sites(spec, extra)
-
-
-def _sides(spec: RateSpec, tables: dict, kind: str, lo: int, lower, upper):
-    """Both sides of a condition for each pair of mask arrays over a span
-    starting at offset lo, with rates read from `tables`.
+def _windows(spec: RateSpec, kind: str, lo: int, lower, upper):
+    """Per offset d in order, (d, gain, loss, room): the table indices a
+    condition reads for pairs of mask arrays over a span starting at lo.
 
     Arrival at site 0 (empty in both): a jump x -> 0 with x = -d occupied in
     upper adds g_lo - g_up to lhs when positive and x occupied in lower, and
     g_up to rhs when x is empty in lower.  Departure from site 0 (occupied
     in both): a jump 0 -> d adds g_up - g_lo to lhs when positive and d empty
     in upper, and g_lo to rhs when d is occupied in upper and empty in lower.
-    The tables read 0 on windows whose departure site is empty or target
-    occupied, which folds the remaining cases into the same two sums.
-    Offsets are added in order, as a sum over the offsets would add them.
+    So lhs gains gain - loss when positive and rhs gains loss where ``room``
+    holds.  The tables read 0 on windows whose departure site is empty or
+    target occupied, which folds the remaining cases into the same two sums.
     """
     arrival = kind == "arrival"
-    lhs = rhs = 0
     for d in spec.jump_offsets:
         w = spec._halfwidths[d]
         mask = (1 << (2 * w + 1)) - 1
         x = -d if arrival else 0
         shift = x - w - lo
-        table = tables[d]
-        g_up = table[(upper >> shift) & mask]
-        g_lo = table[(lower >> shift) & mask]
+        up, down = (upper >> shift) & mask, (lower >> shift) & mask
         if arrival:
-            gain, loss = g_lo, g_up
-            room = np.where((lower >> (x - lo)) & 1 == 0, g_up, 0)
+            yield d, down, up, (lower >> (x - lo)) & 1 == 0
         else:
-            gain, loss = g_up, g_lo
-            room = np.where((upper >> (d - lo)) & 1 == 1, g_lo, 0)
-        lhs = lhs + np.where(gain > loss, gain - loss, 0)
-        rhs = rhs + room
-    return lhs, rhs
+            yield d, up, down, (upper >> (d - lo)) & 1 == 1
 
 
 def _scan(spec: RateSpec, rates: _Rates, kind: str, extra: int):
     """Every ordered pair of a condition's span, block by block: yields
-    (lower, upper, lhs, rhs) arrays, the sides in the scan's units."""
+    (lower, upper, lhs, rhs) arrays, the sides in the scan's units.  Offsets
+    are added in order, as a sum over the offsets would add them."""
     sites = _sites(spec, kind, extra)
     for lower, upper in _pair_blocks(len(sites), -sites.start, 0 if kind == "arrival" else 1):
-        yield (lower, upper) + _sides(spec, rates.tables, kind, sites.start, lower, upper)
+        lhs = rhs = 0
+        for d, gain, loss, room in _windows(spec, kind, sites.start, lower, upper):
+            table = rates.tables[d]
+            gain, loss = table[gain], table[loss]
+            lhs = lhs + np.where(gain > loss, gain - loss, 0)
+            rhs = rhs + np.where(room, loss, 0)
+        yield lower, upper, lhs, rhs
 
 
 def _pattern(mask: int, n: int) -> str:
@@ -228,60 +228,62 @@ def _pattern(mask: int, n: int) -> str:
     return format(mask, "0%db" % n)[::-1]
 
 
-def _rows(spec: RateSpec, rates: _Rates, kind: str, sites: range, lower, upper) -> list:
-    """Chosen pairs as (lower pattern, upper pattern, lhs, rhs), the sides
-    summed from the rates as the spec gives them, so exact rates give ints
-    or Fractions and float rates floats, as a sum in Python would."""
-    lhs, rhs = _sides(spec, rates.values, kind, sites.start, lower, upper)
-    n = len(sites)
+def _rows(spec: RateSpec, rates: _Rates, kind: str, sites: range, lower, upper, lhs, rhs) -> list:
+    """Chosen pairs as (lower pattern, upper pattern, lhs, rhs), from their
+    mask arrays and their sides in the scan's units (lists).  A side is
+    flagged when a term :func:`_scan` adds to it reads a flagged rate, so it
+    gets the type a sum in Python of the spec's rates would have."""
+    lhs_flag = rhs_flag = False
+    for d, gain, loss, room in _windows(spec, kind, sites.start, lower, upper):
+        table, flagged = rates.tables[d], rates.flagged[d]
+        lhs_flag = lhs_flag | ((table[gain] > table[loss]) & (flagged[gain] | flagged[loss]))
+        rhs_flag = rhs_flag | (room & flagged[loss])
+    name = functools.cache(lambda mask: _pattern(mask, len(sites)))
+    value = rates.value
     return [
-        (_pattern(m, n), _pattern(u, n), a, b)
-        for m, u, a, b in zip(lower.tolist(), upper.tolist(), lhs.tolist(), rhs.tolist())
+        (name(m), name(u), value(a, fa), value(b, fb))
+        for m, u, a, b, fa, fb in zip(
+            lower.tolist(), upper.tolist(), lhs, rhs, lhs_flag.tolist(), rhs_flag.tolist()
+        )
     ]
 
 
 def _violations(spec: RateSpec, rates: _Rates, kind: str, extra: int) -> list:
     """The violating pairs of a condition as (excess in scan units, Violation)."""
     sites = _sites(spec, kind, extra)
-    lo = sites.start
     out = []
     for lower, upper, lhs, rhs in _scan(spec, rates, kind, extra):
         bad = lhs > rhs + rates.tol
         if bad.any():
-            rows = _rows(spec, rates, kind, sites, lower[bad], upper[bad])
+            sides = lhs[bad].tolist(), rhs[bad].tolist()
+            rows = _rows(spec, rates, kind, sites, lower[bad], upper[bad], *sides)
             out.extend(
-                (excess, Violation(kind, -lo, lo, *row))
+                (excess, Violation(kind, -sites.start, sites.start, *row))
                 for excess, row in zip((lhs - rhs)[bad].tolist(), rows)
             )
     return out
-
-
-def _ranked(violations) -> list:
-    """Violations by decreasing excess, then kind and patterns; the excess
-    in scan units orders as lhs - rhs does."""
-    violations.sort(key=lambda ev: (-ev[0], ev[1].kind, ev[1].lower, ev[1].upper))
-    return [v for _, v in violations]
 
 
 def is_monotone(spec: RateSpec, extra: int = 0, tol=None) -> Verdict:
     """Decide order preservation by an exhaustive scan of ordered local
     pattern pairs."""
     rates = _rate_arrays(spec, tol)
-    witnesses = _ranked(
-        _violations(spec, rates, "arrival", extra) + _violations(spec, rates, "departure", extra)
-    )
-    radius = 2 * (spec.max_offset + spec.dep_radius) + extra
-    return Verdict(not witnesses, witnesses, radius)
+    found = [v for kind in ("arrival", "departure") for v in _violations(spec, rates, kind, extra)]
+    # by decreasing excess, then kind and patterns; the excess in scan units
+    # orders as lhs - rhs does
+    found.sort(key=lambda ev: (-ev[0], ev[1].kind, ev[1].lower, ev[1].upper))
+    witnesses = [v for _, v in found]
+    return Verdict(not witnesses, witnesses, 2 * (spec.max_offset + spec.dep_radius) + extra)
 
 
 def strictness_report(spec: RateSpec, extra: int = 0, tol=None, keep: int = 10) -> StrictnessReport:
     """Slack table of the order conditions.  Requires a monotone spec."""
     rates = _rate_arrays(spec, tol)
     # the smallest binding rows by (slack, kind, lower, upper); at least one
-    # is kept, so that min_slack is read from a rebuilt row
+    # is kept, so that min_slack is read from a built row
     want = max(keep, 1)
     count = 0
-    best = []  # (slack in scan units, kind, lower pattern, upper pattern, masks)
+    best = []  # (slack, kind, lower pattern, upper pattern, masks, sides), scan units
     for kind in ("arrival", "departure"):
         n = len(_sites(spec, kind, extra))
         for lower, upper, lhs, rhs in _scan(spec, rates, kind, extra):
@@ -291,23 +293,21 @@ def strictness_report(spec: RateSpec, extra: int = 0, tol=None, keep: int = 10) 
                 )
             binding = rhs > 0
             count += int(np.count_nonzero(binding))
-            slack, lower, upper = (rhs - lhs)[binding], lower[binding], upper[binding]
-            if len(slack) > want:
-                near = slack <= np.sort(slack)[want - 1]
-                slack, lower, upper = slack[near], lower[near], upper[near]
+            picked = [a[binding] for a in (rhs - lhs, lower, upper, lhs, rhs)]
+            if len(picked[0]) > want:
+                near = picked[0] <= np.sort(picked[0])[want - 1]
+                picked = [a[near] for a in picked]
             best.extend(
-                (s, kind, _pattern(m, n), _pattern(u, n), m, u)
-                for s, m, u in zip(slack.tolist(), lower.tolist(), upper.tolist())
+                (s, kind, _pattern(m, n), _pattern(u, n), m, u, a, b)
+                for s, m, u, a, b in zip(*(a.tolist() for a in picked))
             )
             best.sort(key=lambda row: row[:4])
             del best[want:]
     worst = []
-    for _, kind, _, _, m, u in best:
+    for _, kind, _, _, m, u, a, b in best:
         sites = _sites(spec, kind, extra)
-        [(lo_pattern, up_pattern, lhs, rhs)] = _rows(
-            spec, rates, kind, sites, np.array([m]), np.array([u])
-        )
-        worst.append((rhs - lhs, kind, sites.start, lo_pattern, up_pattern, lhs, rhs))
+        for low, up, lhs, rhs in _rows(spec, rates, kind, sites, np.array([m]), np.array([u]), [a], [b]):
+            worst.append((rhs - lhs, kind, sites.start, low, up, lhs, rhs))
     min_slack = worst[0][0] if worst else None
     strict = bool(best) and best[0][0] > rates.tol
     return StrictnessReport(strict, min_slack, count, worst[:keep])

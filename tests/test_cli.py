@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -586,3 +587,74 @@ def test_simulate_refuses_pair_the_coupling_cannot_serve(capsys):
     assert "exceed the marginal rate at jump" in err
     assert "000111010110" in err and "101100101100" in err
     assert "at time 0.0" in err
+
+
+#: check-monotone --output reports of three specs, exact, float and mixed
+#: Fraction/float: the CSV bytes and the SHA-256 of the JSON bytes
+PINNED_WITNESS_REPORTS = [
+    (
+        ('gg_symmetrized', '1', '0', '1', '0'),
+        "kind,center,lo,lower,upper,lhs,rhs\n"
+        "departure,2,-2,00100,00110,1,0\n"
+        "departure,2,-2,00100,00111,1,0\n"
+        "departure,2,-2,00100,01100,1,0\n"
+        "departure,2,-2,00100,01101,1,0\n"
+        "departure,2,-2,00100,10110,1,0\n"
+        "departure,2,-2,00100,10111,1,0\n"
+        "departure,2,-2,00100,11100,1,0\n"
+        "departure,2,-2,00100,11101,1,0\n"
+        "departure,2,-2,00101,00111,1,0\n"
+        "departure,2,-2,00101,01101,1,0\n"
+        "departure,2,-2,00101,10111,1,0\n"
+        "departure,2,-2,00101,11101,1,0\n"
+        "departure,2,-2,10100,10110,1,0\n"
+        "departure,2,-2,10100,10111,1,0\n"
+        "departure,2,-2,10100,11100,1,0\n"
+        "departure,2,-2,10100,11101,1,0\n"
+        "departure,2,-2,10101,10111,1,0\n"
+        "departure,2,-2,10101,11101,1,0\n",
+        "59622bd681c9e2970127b99711af5bdfc036a1ea368e4d9de8e66089e5c1d2c3",
+    ),
+    (
+        ('traffic2', '0.0', '1.25'),
+        "kind,center,lo,lower,upper,lhs,rhs\n"
+        "arrival,4,-4,00100,00110,1.25,1\n"
+        "arrival,4,-4,00100,01110,1.25,1\n"
+        "arrival,4,-4,00100,10110,1.25,1\n"
+        "arrival,4,-4,00100,11110,1.25,1\n"
+        "arrival,4,-4,01100,01110,1.25,1\n"
+        "arrival,4,-4,01100,11110,1.25,1\n"
+        "arrival,4,-4,10100,10110,1.25,1\n"
+        "arrival,4,-4,10100,11110,1.25,1\n"
+        "arrival,4,-4,11100,11110,1.25,1\n",
+        "e456a19647c0f52a7ebe172a2c848e9475fddcd6b8653060152359594803f593",
+    ),
+    (
+        ('gg_symmetrized', '3/2', '0.5', '3/2', '1'),
+        "kind,center,lo,lower,upper,lhs,rhs\n"
+        "departure,2,-2,10101,10111,1.0,0.5\n"
+        "departure,2,-2,10101,11101,1.0,0.5\n",
+        "39eff1876fd16361a2b1629a2395f8c91957580bdcfdd308cb472da63044c682",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, csv_text, json_sha256",
+    PINNED_WITNESS_REPORTS,
+    ids=[" ".join(argv) for argv, _, _ in PINNED_WITNESS_REPORTS],
+)
+def test_check_monotone_output_is_pinned(capsys, tmp_path, argv, csv_text, json_sha256):
+    for fmt in ("csv", "json"):
+        path = tmp_path / ("report." + fmt)
+        code, _, _ = run(capsys, "check-monotone", *argv, "--format", fmt, "--output", str(path))
+        assert code == 1
+        if fmt == "csv":
+            assert path.read_bytes() == csv_text.encode()
+        else:
+            rows = [line.split(",") for line in csv_text.splitlines()]
+            witnesses = json.loads(path.read_text())["witnesses"]
+            assert [{k: str(v) for k, v in w.items()} for w in witnesses] == [
+                dict(zip(rows[0], row)) for row in rows[1:]
+            ]
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha256

@@ -381,3 +381,53 @@ def test_tolerance_on_exact_rates_is_compared_exactly():
         for tol in (float(excess), float(excess) * (1 + 1e-15), float(excess) * (1 - 1e-15)):
             kept = [w for w in base if w.excess > F(tol)]
             assert is_monotone(spec, tol=tol).witnesses == kept
+
+
+@pytest.mark.parametrize("spec", [traffic2(0, F(5, 4)), traffic2(0.0, 1.25)], ids=repr)
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -0.5, F(-1, 3), -1])
+def test_invalid_tol_is_refused(spec, tol):
+    for decide in (is_monotone, strictness_report):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            decide(spec, tol=tol)
+
+
+def _whole_fraction_rule():
+    # Fractions with denominator 1 beside plain ints: the common scale is 1
+    def evaluate(window, d):
+        if d == 1:
+            return F(3) if window[0] else 1
+        return 2 if window[1] else F(1)
+
+    return RateSpec("whole fractions", (1, 2), 0, evaluate)
+
+
+def test_fraction_sides_follow_the_rate_types_not_the_scale():
+    spec = _whole_fraction_rule()
+    witnesses = is_monotone(spec).witnesses
+    sides = [v for w in witnesses for v in (w.lhs, w.rhs)]
+    assert all(F(v).denominator == 1 for v in sides)
+    assert {type(v) for v in sides} == {F, int}
+    _assert_matches_loop(spec, extra=1)
+    _assert_matches_loop(spec)
+    report = strictness_report(sep({1: F(2), -1: 1}), keep=10**6)
+    assert {type(v) for row in report.worst for v in row[5:]} == {F, int}
+    _assert_matches_loop(sep({1: F(2), -1: 1}), keeps=(0, 10, 10**6))
+
+
+def _bool_float_rule():
+    # bool and int rates on some windows, floats on others
+    def evaluate(window, d):
+        if d == 1:
+            return True if window[0] else 2
+        return 0.5 * window[3] if window[1] else 0
+
+    return RateSpec("bool and float", (1, 2), 0, evaluate)
+
+
+def test_float_rule_sides_summing_only_ints_stay_ints():
+    spec = _bool_float_rule()
+    assert monotone._rate_arrays(spec, None).tables[1].dtype == float
+    witnesses = is_monotone(spec).witnesses
+    assert {(type(w.lhs), type(w.rhs)) for w in witnesses} == {(int, int), (int, float), (float, int)}
+    _assert_matches_loop(spec)
+    _assert_matches_loop(spec, extra=1, tol=0.25)

@@ -510,7 +510,16 @@ def _cmd_golden_suite(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
-    _merged(args, "zoo")
+    cfg = _merged(args, "zoo")
+    # a file's format equal to the default cannot be told from no format
+    fmt = args.format or (cfg.format if cfg.format != RunConfig.format else None)
+    _refuse_unread(
+        "zoo",
+        [
+            ("output", "path", cfg.path, "runs that write a report", False),
+            ("output", "format", fmt, "runs that write a report", False),
+        ],
+    )
     for ident in model_ids():
         print(model_signature(ident))
     return OK

@@ -29,12 +29,9 @@ none); 6 and 5 sites for traffic2's offsets 1 and 2.  So the entries through the
 of one site (``_site_entries``) are memoised per flavor, offset and the
 pair pattern of that offset's span in the spec's ``_compositions``, which
 lives as long as the spec.  The tables here walk them over the ring
-(``_kind_sites``); the coupled simulator of :mod:`couplex.simulate`
+(:func:`coupling_table`); the coupled simulator of :mod:`couplex.simulate`
 keeps them per site, in floats, and refreshes only the sites whose spans
 hold a site a jump moved.
-The rates are translation invariant, so a pair turned along the ring has
-the same entries, moved: :func:`turned_transitions` builds the tables of all
-turns of a pair from one walk.
 
 Tables hold only the moves a pair can make: :func:`_compose` keeps a
 composed entry only when both of its jumps are active (departure occupied,
@@ -44,10 +41,8 @@ stored for each copy's active jumps (:func:`couplex.models.active_jumps`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Optional
 
 from .lattice import (
@@ -397,22 +392,6 @@ def residual_rates(xi, zeta, coupled: dict, marginals) -> tuple:
     return tuple(out)
 
 
-def _marginals(spec: RateSpec, xi, zeta) -> list:
-    """Each copy's active jumps ``(x, y, r)``, in site then offset order:
-    one list per copy."""
-    size = len(xi)
-    return [[(x, (x + d) % size, r) for x, d, r in active_jumps(spec, eta)] for eta in (xi, zeta)]
-
-
-def _finish(xi, zeta, kind: str, coupled: dict, marginals: list) -> CouplingTable:
-    """Attach each copy's residual (uncoupled) rates on its active jumps."""
-    table = CouplingTable(kind, len(xi), coupled)
-    first, second = residual_rates(xi, zeta, coupled, marginals)
-    table.residual_first = {(x, y): r for x, y, r in first}
-    table.residual_second = {(x, y): r for x, y, r in second}
-    return table
-
-
 def _uncoupled(kind: str, ordered: bool) -> bool:
     """True if the kind couples no move of a pair that is ``ordered`` or
     not: the increasing coupling leaves an unordered pair uncoupled."""
@@ -426,19 +405,6 @@ def _flavor(kind: str) -> str:
     return FLAVOR[kind]
 
 
-def _kind_sites(spec: RateSpec, xi, zeta, kind: str) -> list:
-    """The per-site composed entries (:func:`_site_entries`) of the pair
-    under the kind, in site order; all empty where the kind leaves the pair
-    uncoupled.  On a ring of at least ``min_ring_size`` sites a pattern's
-    entries land on distinct ring sites, so the memo serves small rings too.
-    """
-    flavor = _flavor(kind)
-    _check_ring(spec, len(xi))
-    if _uncoupled(kind, is_ordered(xi, zeta)):
-        return [[]] * len(xi)
-    return [_site_entries(spec, xi, zeta, x, flavor) for x in range(len(xi))]
-
-
 def coupling_table(spec: RateSpec, xi, zeta, kind: str) -> CouplingTable:
     """Build the coupling table of the requested kind.
 
@@ -446,22 +412,51 @@ def coupling_table(spec: RateSpec, xi, zeta, kind: str) -> CouplingTable:
     with overlap factors, for every pair; ``increasing`` likewise on an
     ordered pair, where the join is the upper copy, and with an empty coupled
     map on an unordered pair; ``strict`` with proportional factors.
+
+    The coupled map adds the per-site composed entries
+    (:func:`_site_entries`) in site order; on a ring of at least
+    ``min_ring_size`` sites a pattern's entries land on distinct ring sites,
+    so the memo serves small rings too.
     """
-    return _built(spec, xi, zeta, kind)[2]
+    flavor = _flavor(kind)
+    size = len(xi)
+    _check_ring(spec, size)
+    coupled = {}
+    if not _uncoupled(kind, is_ordered(xi, zeta)):
+        coupled = _sum_entries(_site_entries(spec, xi, zeta, x, flavor) for x in range(size))
+    marginals = [[(x, (x + d) % size, r) for x, d, r in active_jumps(spec, eta)] for eta in (xi, zeta)]
+    first, second = residual_rates(xi, zeta, coupled, marginals)
+    return CouplingTable(
+        kind, size, coupled, {(x, y): r for x, y, r in first}, {(x, y): r for x, y, r in second}
+    )
 
 
-def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTable | None = None):
+def _moves(table: CouplingTable):
+    """Yield the table's positive-rate moves ``(move, first_jump,
+    second_jump, rate)``: coupled, then the first copy's, then the second's."""
+    for (x1, y1, x2, y2), g in table.coupled.items():
+        if g > 0:
+            yield "coupled", (x1, y1), (x2, y2), g
+    for jump, r in table.residual_first.items():
+        if r > 0:
+            yield "first", jump, None, r
+    for jump, r in table.residual_second.items():
+        if r > 0:
+            yield "second", None, jump, r
+
+
+def coupled_transitions(spec: RateSpec, xi, zeta, kind: str):
     """All positive-rate moves of the coupled chain out of (xi, zeta).
 
     Returns (table, audits); the table holds only moves of the pair, so the
     audit rates are the coupled generator rates.
     """
-    if table is None:
-        table = coupling_table(spec, xi, zeta, kind)
+    table = coupling_table(spec, xi, zeta, kind)
     start_ordered = is_ordered(xi, zeta)
     audits = []
-
-    def push(move, j1, j2, r, new_xi, new_zeta):
+    for move, j1, j2, r in _moves(table):
+        new_xi = apply_jump(xi, *j1) if j1 else tuple(xi)
+        new_zeta = apply_jump(zeta, *j2) if j2 else tuple(zeta)
         target = CoupledState(new_xi, new_zeta)
         # the pair changes only at the jump sites
         sites = {*(j1 or ()), *(j2 or ())}
@@ -476,70 +471,7 @@ def coupled_transitions(spec: RateSpec, xi, zeta, kind: str, table: CouplingTabl
                 sum((new_xi[s] != new_zeta[s]) - (xi[s] != zeta[s]) for s in sites),
             )
         )
-
-    for (x1, y1, x2, y2), g in table.coupled.items():
-        if g > 0:
-            push(
-                "coupled",
-                (x1, y1),
-                (x2, y2),
-                g,
-                apply_jump(xi, x1, y1),
-                apply_jump(zeta, x2, y2),
-            )
-    for (x, y), r in table.residual_first.items():
-        if r > 0:
-            push("first", (x, y), None, r, apply_jump(xi, x, y), tuple(zeta))
-    for (x, y), r in table.residual_second.items():
-        if r > 0:
-            push("second", None, (x, y), r, tuple(xi), apply_jump(zeta, x, y))
     return table, audits
-
-
-def _built(spec: RateSpec, xi, zeta, kind: str):
-    """``(per_site, marginals, table)`` of the pair: its per-site composed
-    entries (:func:`_kind_sites`), each copy's active jumps
-    (:func:`_marginals`) and its coupling table."""
-    per_site = _kind_sites(spec, xi, zeta, kind)
-    marginals = _marginals(spec, xi, zeta)
-    return per_site, marginals, _finish(xi, zeta, kind, _sum_entries(per_site), marginals)
-
-
-def _turned_tables(spec: RateSpec, xi, zeta, kind: str, shifts):
-    """Yield ``(pair, table)`` for each k of ``shifts``: the pair (xi, zeta)
-    turned k sites along the ring (site x to x + k), and its coupling table.
-
-    The rates are translation invariant, so the turned pair's entries at
-    site x + k are the pair's entries at site x, moved, and so are its
-    active jumps.  Its table is built from those, walked from site
-    t = L - k as a walk over the turned pair starts, so its sums are added
-    in the same order and come out bit for bit, floats included.
-    """
-    size = len(xi)
-    per_site, marginals, table = _built(spec, xi, zeta, kind)
-    for k in shifts:
-        t = (size - k) % size  # the site the turn takes to site 0
-        pair = (xi[t:] + xi[:t], zeta[t:] + zeta[:t])
-        if not k:
-            yield pair, table
-            continue
-        coupled = {
-            ((x1 + k) % size, (y1 + k) % size, (x2 + k) % size, (y2 + k) % size): g
-            for (x1, y1, x2, y2), g in _sum_entries(per_site[t:] + per_site[:t]).items()
-        }
-        rates = []
-        for jumps in marginals:
-            cut = bisect_left(jumps, t, key=itemgetter(0))  # the first jump out of site t
-            rates.append([((x + k) % size, (y + k) % size, r) for x, y, r in jumps[cut:] + jumps[:cut]])
-        yield pair, _finish(*pair, kind, coupled, rates)
-
-
-def turned_transitions(spec: RateSpec, xi, zeta, kind: str, shifts):
-    """Yield ``(pair, audits)`` for each k of ``shifts``: the pair (xi, zeta)
-    turned k sites along the ring, and :func:`coupled_transitions` of it,
-    from the tables of :func:`_turned_tables`."""
-    for pair, table in _turned_tables(spec, xi, zeta, kind, shifts):
-        yield pair, coupled_transitions(spec, *pair, kind, table)[1]
 
 
 # ---------------------------------------------------------------------------

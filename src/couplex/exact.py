@@ -7,15 +7,8 @@ numpy arrays are materialized only for linear solves.  The stationary law of a
 closed class solves the replaced-row system: Q^T on the class with its last
 equation replaced by the normalisation sum(pi) = 1, by one LU factorisation.
 
-The rates are translation invariant, so the coupled chain commutes with
-rotations of the ring (Kemeny & Snell, *Finite Markov Chains*, 1960,
-ch. VI).  The audits, ``marginal_errors`` and ``coupled_generator`` therefore
-compute each rotation orbit of pairs from its first pair in enumeration
-order (208 of 1024 pairs at L = 5, 700 of 4096 at L = 6): the first pair's
-composed entries and marginal rates, moved, give each turned pair's table,
-added up in the order a build of that pair adds them.  Violation lists,
-generator rows and marginal gaps come out in the order and with the values
-of a pair-by-pair scan, floats included.
+The coupled layer builds each pair's coupling table directly and enumerates
+at most ``4**COUPLED_SIZE_CAP`` pairs.
 """
 
 from __future__ import annotations
@@ -31,11 +24,12 @@ import numpy as np
 
 from .lattice import CoupledState, apply_jump, is_ordered
 from .models import RateSpec, active_jumps
-from .coupling import turned_transitions
+from .coupling import _moves, coupled_transitions, coupling_table
 
 #: largest single-chain state space enumerated: it admits every sector of a
 #: 14-site ring (at most C(14, 7) = 3432 states, a 94 MB dense matrix)
 SINGLE_STATE_CAP = 3432
+#: largest ring of the coupled layer: 4**6 = 4096 pairs
 COUPLED_SIZE_CAP = 6
 #: a solved weight below -_NEGATIVE_TOL times the largest weight is an error,
 #: not rounding, and raises instead of being clipped
@@ -98,7 +92,6 @@ class StationaryDistribution:
     states: list
     weights: np.ndarray
     residual: float
-    sector: Optional[object] = None
 
 
 def ring_configs(size: int, count: Optional[int] = None):
@@ -144,11 +137,19 @@ def pair_states(size: int, counts: Optional[tuple] = None):
             yield (xi, zeta)
 
 
+def _check_coupled_size(size: int) -> None:
+    """Refuse a ring with more pairs than the coupled layer's cap."""
+    if size > COUPLED_SIZE_CAP:
+        raise ValueError(
+            "exact coupled enumeration of %d pairs (L=%d) exceeds the cap of %d pairs (L=%d)"
+            % (4**size, size, 4**COUPLED_SIZE_CAP, COUPLED_SIZE_CAP)
+        )
+
+
 def _orbits(states: list) -> list:
-    """The rotation orbits of the pairs in ``states``, as lists of
-    ``(index, k)``: ``states[index]`` is the orbit's first pair turned k
-    sites along the ring.  Orbits come in the order of their first pairs,
-    which lead them with k = 0; only turns found in ``states`` are listed."""
+    """The rotation orbits of the pairs in ``states``, as lists of indices
+    into ``states``.  Orbits come in the order of their first pairs, which
+    lead them; only turns found in ``states`` are listed."""
     index = {s: i for i, s in enumerate(states)}
     seen = [False] * len(states)
     orbits = []
@@ -156,24 +157,14 @@ def _orbits(states: list) -> list:
         if seen[i]:
             continue
         seen[i] = True
-        orbit = [(i, 0)]
+        orbit = [i]
         for k in range(1, len(xi)):
             j = index.get((xi[-k:] + xi[:-k], zeta[-k:] + zeta[:-k]))
             if j is not None and not seen[j]:
                 seen[j] = True
-                orbit.append((j, k))
+                orbit.append(j)
         orbits.append(orbit)
     return orbits
-
-
-def _orbit_moves(spec: RateSpec, states: list, orbit: list, kind: str):
-    """Yield ``(index, audits)`` for the pairs of one orbit, in orbit
-    order: the positive-rate moves of ``states[index]`` as
-    :func:`coupled_transitions` lists them, from the orbit's first pair
-    (:func:`turned_transitions`)."""
-    moves = turned_transitions(spec, *states[orbit[0][0]], kind, [k for _, k in orbit])
-    for (i, _), (_, audits) in zip(orbit, moves):
-        yield i, audits
 
 
 def coupled_generator(
@@ -182,26 +173,20 @@ def coupled_generator(
     kind: str,
     states: Optional[list] = None,
 ) -> GeneratorMatrix:
-    """Generator of the coupled pair chain under the given coupling kind.
-
-    The rows of each rotation orbit of ``states`` come from its first pair
-    (:func:`turned_transitions`), with the order and values that a
-    pair-by-pair build gives.  ``states`` need not be closed under rotation:
-    an orbit holds the turns of its first pair that ``states`` lists; by
-    default ``states`` is every pair of the ring (:func:`pair_states`).
-    """
-    if size > COUPLED_SIZE_CAP:
-        raise ValueError("exact coupled enumeration capped at L=%d" % COUPLED_SIZE_CAP)
+    """Generator of the coupled pair chain under the given coupling kind,
+    on ``states`` (by default every pair of the ring, :func:`pair_states`).
+    Each row adds the rates of the pair's moves by target, in move order."""
+    _check_coupled_size(size)
     if states is None:
         states = list(pair_states(size))
     index = {s: i for i, s in enumerate(states)}
-    rows = [None] * len(states)
-    for orbit in _orbits(states):
-        for i, audits in _orbit_moves(spec, states, orbit, kind):
-            row = rows[i] = {}
-            for a in audits:
-                j = index[a.target]
-                row[j] = row[j] + a.rate if j in row else a.rate
+    rows = []
+    for xi, zeta in states:
+        row = {}
+        for _, j1, j2, r in _moves(coupling_table(spec, xi, zeta, kind)):
+            j = index[(apply_jump(xi, *j1) if j1 else xi, apply_jump(zeta, *j2) if j2 else zeta)]
+            row[j] = row[j] + r if j in row else r
+        rows.append(row)
     return GeneratorMatrix(states, rows, index)
 
 
@@ -398,72 +383,64 @@ def _violations(spec: RateSpec, states: list, kind: str, broken) -> list:
     """Every positive-rate move ``a`` with ``broken(a)`` out of the pairs in
     ``states``, in pair order and then move order.
 
-    Whether a move breaks the order or adds discrepancies does not change
-    when the pair is turned, so an orbit whose first pair has no such move
-    has none (with float rates, up to a residual that a turn's rounding
-    moves across the cut-off below which residuals count as 0); otherwise
-    each turned pair's moves are listed as well.
+    The rates are translation invariant, so whether a move breaks the order
+    or adds discrepancies does not change when the pair is turned along the
+    ring (Kemeny & Snell, *Finite Markov Chains*, 1960, ch. VI): an orbit
+    whose first pair has no such move has none (with float rates, up to a
+    residual that a turn's rounding moves across the cut-off below which
+    residuals count as 0).  The other pairs of an orbit are read only when
+    its first pair has such a move.
     """
     found = [()] * len(states)
     for orbit in _orbits(states):
-        for i, audits in _orbit_moves(spec, states, orbit, kind):
+        for i in orbit:
             found[i] = [
                 AuditViolation(
                     CoupledState(*states[i]), a.move, a.first_jump, a.second_jump, a.rate, a.target
                 )
-                for a in audits
+                for a in coupled_transitions(spec, *states[i], kind)[1]
                 if broken(a)
             ]
-            if not found[orbit[0][0]]:
+            if not found[orbit[0]]:
                 break  # a clean first pair has a clean orbit
     return [v for pair in found for v in pair]
 
 
 def audit_order_preservation(spec: RateSpec, size: int, kind: str = "increasing"):
     """Scan every ordered pair for positive-rate moves that break the order."""
+    _check_coupled_size(size)
     ordered = [s for s in pair_states(size) if is_ordered(*s)]
     return _violations(spec, ordered, kind, lambda a: not a.order_preserving)
 
 
 def audit_discrepancy_monotone(spec: RateSpec, size: int, kind: str = "attractive"):
     """Scan every pair for positive-rate moves that increase discrepancies."""
+    _check_coupled_size(size)
     return _violations(spec, list(pair_states(size)), kind, lambda a: a.discrepancy_delta > 0)
 
 
 def marginal_errors(spec: RateSpec, size: int, kind: str):
     """Largest gap between each marginal of the coupled chain and the single
-    chain, over all pairs and jumps.  Exact zero for exact specs.
-
-    Float gaps of a turned pair can differ from the pair's in the last bits
-    (its coupled mass is added in another order), so every pair is read,
-    each orbit from its first pair (:func:`turned_transitions`); the maximum
-    is taken in pair order.
-    """
-    states = list(pair_states(size))
-    gaps = [()] * len(states)
-    wants = {}  # the single chain's rates, per configuration
-    for orbit in _orbits(states):
-        for i, audits in _orbit_moves(spec, states, orbit, kind):
-            xi, zeta = states[i]
-            first = {}
-            second = {}
-            for a in audits:
-                for jump, got in ((a.first_jump, first), (a.second_jump, second)):
-                    if jump is not None:
-                        got[jump] = got[jump] + a.rate if jump in got else a.rate
-            gaps[i] = []
-            for eta, got in ((xi, first), (zeta, second)):
-                if eta not in wants:
-                    wants[eta] = {(x, (x + d) % size): r for x, d, r in active_jumps(spec, eta)}
-                want = wants[eta]
-                for key in set(want) | set(got):
-                    w, g = want.get(key, 0), got.get(key, 0)
-                    if w != g:  # a zero gap never raises the maximum
-                        gaps[i].append(abs(w - g))
+    chain, over all pairs and jumps, taken in pair order.  Exact zero for
+    exact specs."""
+    _check_coupled_size(size)
     worst = 0
-    for pair in gaps:
-        for gap in pair:
-            worst = max(worst, gap)
+    wants = {}  # the single chain's rates, per configuration
+    for xi, zeta in pair_states(size):
+        first = {}
+        second = {}
+        for _, j1, j2, r in _moves(coupling_table(spec, xi, zeta, kind)):
+            for jump, got in ((j1, first), (j2, second)):
+                if jump is not None:
+                    got[jump] = got[jump] + r if jump in got else r
+        for eta, got in ((xi, first), (zeta, second)):
+            if eta not in wants:
+                wants[eta] = {(x, (x + d) % size): r for x, d, r in active_jumps(spec, eta)}
+            want = wants[eta]
+            for key in set(want) | set(got):
+                w, g = want.get(key, 0), got.get(key, 0)
+                if w != g:  # a zero gap never raises the maximum
+                    worst = max(worst, abs(w - g))
     return worst
 
 

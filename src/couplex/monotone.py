@@ -303,11 +303,16 @@ def strictness_report(spec: RateSpec, extra: int = 0, tol=None, keep: int = 10) 
             )
             best.sort(key=lambda row: row[:4])
             del best[want:]
-    worst = []
-    for _, kind, _, _, m, u, a, b in best:
+    worst = [None] * len(best)
+    for kind in ("arrival", "departure"):
+        at = [i for i, row in enumerate(best) if row[1] == kind]
+        if not at:
+            continue
         sites = _sites(spec, kind, extra)
-        for low, up, lhs, rhs in _rows(spec, rates, kind, sites, np.array([m]), np.array([u]), [a], [b]):
-            worst.append((rhs - lhs, kind, sites.start, low, up, lhs, rhs))
+        m, u, a, b = ([best[i][k] for i in at] for k in (4, 5, 6, 7))
+        rows = _rows(spec, rates, kind, sites, np.array(m), np.array(u), a, b)
+        for i, (low, up, lhs, rhs) in zip(at, rows):
+            worst[i] = (rhs - lhs, kind, sites.start, low, up, lhs, rhs)
     min_slack = worst[0][0] if worst else None
     strict = bool(best) and best[0][0] > rates.tol
     return StrictnessReport(strict, min_slack, count, worst[:keep])

@@ -30,6 +30,22 @@ def test_zoo_lists_models(capsys):
     assert any(line.startswith("traffic2(") for line in lines)
 
 
+def test_zoo_refuses_output_options(tmp_path, capsys):
+    target = tmp_path / "models.json"
+    code, out, err = run(capsys, "zoo", "--output", str(target), "--format", "json")
+    assert code == 2 and out == ""
+    assert err == (
+        "couplex: [output.path] path is read only by runs that write a report, not zoo\n"
+        "couplex: [output.format] format is read only by runs that write a report, not zoo\n"
+    )
+    assert not target.exists()
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\ncommand = zoo\n\n[output]\nformat = json\n", encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(path))
+    assert code == 2 and out == ""
+    assert err == "couplex: [output.format] format is read only by runs that write a report, not zoo\n"
+
+
 def test_check_monotone_exit_codes(capsys):
     code, out, _ = run(capsys, "check-monotone", "traffic2", "alpha=0.3", "beta=0.7")
     assert code == 0
@@ -142,6 +158,15 @@ def test_exact_extinction_of_blocked_specs(capsys):
     code, out, err = run(capsys, "exact", "traffic2", "0", "2", "--task", "extinction", "--size", "6")
     assert code == 2 and out == ""
     assert "in the pair 100000 / 010000" in err
+
+
+def test_exact_refuses_a_ring_above_the_coupled_cap(capsys):
+    code, out, err = run(capsys, "exact", "sep", "--task", "audit-order", "--size", "7")
+    assert code == 2 and out == ""
+    assert err == (
+        "couplex: exact coupled enumeration of 16384 pairs (L=7) exceeds the cap of "
+        "4096 pairs (L=6)\n"
+    )
 
 
 def test_exact_refuses_options_its_task_does_not_read(tmp_path, capsys):

@@ -26,7 +26,6 @@ from couplex import (
     two_step,
 )
 from couplex import coupling
-from couplex.coupling import FLAVOR, _site_entries, turned_transitions
 from couplex.exact import AuditViolation, GeneratorMatrix, closed_classes, stationary_distributions
 from couplex.golden import MONOTONE_ZOO
 from couplex.lattice import CoupledState
@@ -258,6 +257,22 @@ def test_generator_arrays_match_the_rows(gen, classes):
         assert abs(dist.residual - _loop_residual(gen, dist.weights)) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: audit_order_preservation(sep(), 7),
+        lambda: audit_discrepancy_monotone(sep(), 7),
+        lambda: marginal_errors(sep(), 7, "strict"),
+        lambda: coupled_generator(sep(), 7, "strict"),
+        lambda: discrepancy_extinction(sep(), 7),
+    ],
+    ids=["audit-order", "audit-discrepancy", "marginal", "generator", "extinction"],
+)
+def test_coupled_layer_caps_the_pair_count(call):
+    with pytest.raises(ValueError, match=r"16384 pairs \(L=7\) exceeds the cap of 4096 pairs \(L=6\)"):
+        call()
+
+
 def test_single_generator_caps_the_state_count():
     assert single_generator(sep(), 14, 7).dimension == 3432
     with pytest.raises(ValueError, match="16384 states exceeds the cap of 3432"):
@@ -348,12 +363,16 @@ def test_discrepancy_extinction_of_a_blocked_non_monotone_spec():
 def test_discrepancy_extinction_raises_where_the_coupling_fails():
     with pytest.raises(ValueError, match="in the pair 100000 / 010000"):
         discrepancy_extinction(traffic2(0, 2), 6, "strict")
+    # the pair the coupling cannot serve is comparable: extinction builds
+    # the rows of every pair of a sector, so it refuses
+    with pytest.raises(ValueError, match="in the pair 10000 / 10110"):
+        discrepancy_extinction(gg_symmetrized(0, 0, 1, 2), 5, "strict")
 
 
 # ---------------------------------------------------------------------------
 # Oracle: the direct per-pair loop, one coupled_transitions call per pair.
-# The audits, marginal_errors and coupled_generator work on rotation
-# representatives; they must give exactly what this loop gives.
+# The audits skip the other pairs of a clean rotation orbit; they,
+# marginal_errors and coupled_generator must give exactly what this loop gives.
 
 
 def _direct_moves(spec, states, kind):
@@ -499,26 +518,3 @@ def test_generator_on_states_not_closed_under_rotation(spec, states, kind):
     gen = coupled_generator(spec, len(states[0][0]), kind, states=states)
     want = _direct_rows(states, _direct_moves(spec, states, kind))
     assert _typed_items(gen.rows) == _typed_items(want)
-
-
-def _typed_moves(audits):
-    return [(a, type(a.rate)) for a in audits]
-
-
-@pytest.mark.parametrize("kind", ["attractive", "strict"])
-def test_turned_float_tables_where_several_sites_feed_one_key(kind):
-    # float gg: a coupled key of an unordered pair can be fed by the join
-    # jumps of two sites, so a turned pair adds its entries in another site
-    # order; each turn must still equal a direct build of the turned pair
-    spec = gg_symmetrized(1.5, 0.75, 1.0, 1.25)
-    fed = 0
-    for xi, zeta in pair_states(5):
-        sites = {}
-        for x in range(5):
-            for key, _ in _site_entries(spec, xi, zeta, x, FLAVOR[kind]):
-                sites.setdefault(key, set()).add(x)
-        fed += any(len(s) > 1 for s in sites.values())
-        for pair, audits in turned_transitions(spec, xi, zeta, kind, range(5)):
-            want = coupled_transitions(spec, *pair, kind)[1]
-            assert _typed_moves(audits) == _typed_moves(want), (xi, zeta, pair)
-    assert fed == 150

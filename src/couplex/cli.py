@@ -20,7 +20,9 @@ explicit flags override file values.  ``couplex --config FILE`` alone runs
 the command named inside the file.  Exit status: 0 for success with a
 positive verdict, 1 when the run succeeded but the verdict is negative
 (model not monotone, audit violations, failed criteria, broken pathwise
-invariants), 2 for usage, configuration, or runtime errors.
+invariants), 2 for usage, configuration, or runtime errors.  A setting the
+run does not read (``_READS``), from a flag or a file key, is such an error,
+with one diagnostic per setting, raised before any work.
 
 Files are written atomically (temporary file in the target directory, then
 rename), and CSV output for a fixed seed is byte-identical across runs.
@@ -39,7 +41,9 @@ import tempfile
 import numpy as np
 
 from .config import (
+    COMMANDS,
     FORMATS,
+    SECTIONS,
     TASKS,
     ConfigError,
     Diagnostic,
@@ -114,10 +118,7 @@ def _rows_payload(rows) -> list:
 
 
 def _write_rows(rows, cfg: RunConfig) -> None:
-    if cfg.format == "json":
-        _emit(_json_text(_rows_payload(rows)), cfg.path)
-    else:
-        _emit(_csv_text(rows), cfg.path)
+    _emit(_json_text(_rows_payload(rows)) if cfg.format == "json" else _csv_text(rows), cfg.path)
 
 
 def _num(value) -> str:
@@ -140,16 +141,9 @@ def _parse_params(model, tokens, base: dict) -> dict:
             raise ConfigError([Diagnostic("model", "id", "positional parameters need a model")])
         names = model_parameter_names(model)
         if len(positional) > len(names):
-            raise ConfigError(
-                [
-                    Diagnostic(
-                        "model",
-                        "params",
-                        "%d positional parameters but %s takes at most %d"
-                        % (len(positional), model, len(names)),
-                    )
-                ]
-            )
+            message = "%d positional parameters but %s takes at most %d" % (
+                len(positional), model, len(names))
+            raise ConfigError([Diagnostic("model", "params", message)])
         for name, token in zip(names, positional):
             params[name] = parse_param_value(token)
     for token in tokens:
@@ -162,19 +156,12 @@ def _parse_params(model, tokens, base: dict) -> dict:
 def _merged(args, command: str) -> RunConfig:
     path = getattr(args, "config", None)
     if path:
-        cfg = load_config(path)
+        cfg, given = load_config(path)
         if cfg.command != command:
-            raise ConfigError(
-                [
-                    Diagnostic(
-                        "run",
-                        "command",
-                        "config file drives %r but %r was invoked" % (cfg.command, command),
-                    )
-                ]
-            )
+            message = "config file drives %r but %r was invoked" % (cfg.command, command)
+            raise ConfigError([Diagnostic("run", "command", message)])
     else:
-        cfg = RunConfig(command=command)
+        cfg, given = RunConfig(command=command), set()
     model = getattr(args, "model", None)
     tokens = list(getattr(args, "params", None) or [])
     if model is not None and "=" in model:
@@ -186,8 +173,13 @@ def _merged(args, command: str) -> RunConfig:
         cfg.model = model
     if tokens:
         cfg.params = _parse_params(cfg.model, tokens, cfg.params)
+    if model is not None or tokens:
+        given.add("id")
+    # every other flag's dest is the name of its setting
+    given.update(name for name, value in vars(args).items() if name in _SECTIONS and value is not None)
     problems = []
-    for name in ("size", "density", "seed", "replicas", "t_end", "sample_dt", "kind", "task", "format"):
+    for name in ("size", "density", "seed", "replicas", "t_end", "sample_dt", "kind", "task", "coupled",
+                 "path", "format"):
         value = getattr(args, name, None)
         if value is not None:
             problem = check_value(name, value)
@@ -196,18 +188,101 @@ def _merged(args, command: str) -> RunConfig:
             setattr(cfg, name, value)
     if problems:
         raise ConfigError(problems)
-    output = getattr(args, "output", None)
-    if output is not None:
-        cfg.path = output
-    coupled = getattr(args, "coupled", None)
-    if coupled is not None:
-        cfg.coupled = coupled
     for name in ("first", "second"):
         bits = getattr(args, name, None)
         if bits is not None:
             setattr(cfg, name, parse_configuration(bits))
+    unread = _unread(command, *_run(cfg, getattr(args, "observable", None)), given)
+    if unread:
+        raise ConfigError(unread)
     _check_lattice(cfg)
     return cfg
+
+
+# ---------------------------------------------------------------------------
+# What each run reads
+
+#: What each run reads, declared once.  A run is a command, refined by task
+#: for exact and by single, coupled or observable for simulate (see _run).
+#: Each command maps the settings it reads, by flag or file key, to None if
+#: every run of it reads the setting, else to the refinements that do and
+#: the phrase that names them in a refusal.
+_READS = {
+    "check-monotone": dict.fromkeys(("id", "path", "format")),
+    "coupling-table": dict.fromkeys(("id", "first", "second", "kind", "path", "format")),
+    "exact": {
+        **dict.fromkeys(("id", "size", "task", "path", "format")),
+        "count": (("stationary",), "task stationary"),
+        "density": (("stationary",), "task stationary"),
+        "kind": (TASKS[1:], "tasks " + ", ".join(TASKS[1:])),
+        "tol": (("extinction",), "task extinction"),
+    },
+    "simulate": {
+        **dict.fromkeys(("id", "size", "first", "second", "count", "density", "coupled", "seed", "replicas",
+                         "t_end", "sample_dt", "path", "format")),
+        "kind": (("coupled", "observable"), "coupled runs"),
+        "sites": (("coupled",), "the sample tables of coupled runs"),
+    },
+    "golden-suite": dict.fromkeys(("path", "format")),
+    "zoo": {},
+}
+
+#: the phrase naming the readers of a setting that no run of a command
+#: reads, where it is not the list of the commands that read it
+_PHRASES = {"path": "runs that write a report", "format": "runs that write a report"}
+
+#: starting options left unread by a higher one given with them
+_OUTRANKED = {
+    ("simulate", "count"): ("first",),
+    ("simulate", "density"): ("first", "count"),
+    ("exact", "density"): ("count",),
+}
+
+#: runs whose stdout has one fixed form, so that they read format only with a path
+_FIXED_STDOUT = (("check-monotone", None), ("golden-suite", None), ("exact", "extinction"))
+
+#: the section of every setting, in the order refusals list them
+_SECTIONS = {"id": "model", **SECTIONS, "count": "lattice", "tol": "execution", "sites": "output"}
+
+
+def _run(cfg: RunConfig, observable) -> tuple:
+    """The refinement of a run's command, and the run's name in refusals."""
+    if cfg.command == "exact":
+        return cfg.task, cfg.task or "exact"
+    if cfg.command != "simulate":
+        return None, cfg.command
+    if not (cfg.coupled or cfg.second is not None):
+        return "single", "a single chain"
+    if observable:
+        return "observable", "observable %s" % observable
+    return "coupled", "a coupled run"
+
+
+def _unread(command: str, refinement, label: str, given) -> list:
+    """One diagnostic for each setting in ``given`` that the run does not
+    read: ``command`` refined by ``refinement`` (None: not refined, or no
+    task yet) and named ``label``.  A setting no run of the command reads
+    names the command instead."""
+    reads = _READS[command]
+    unread = []
+    for name, section in _SECTIONS.items():
+        if name not in given:
+            continue
+        outranks = _OUTRANKED.get((command, name), ())
+        higher = [other for other in outranks if other in given]
+        if name not in reads:
+            commands = ", ".join(c for c in COMMANDS if name in _READS[c])
+            why = _PHRASES.get(name, commands), command
+        elif reads[name] and refinement is not None and refinement not in reads[name][0]:
+            why = reads[name][1], label
+        elif higher:
+            why = "runs without " + " or ".join(outranks), "%s with %s" % (label, higher[0])
+        elif name == "format" and "path" not in given and (command, refinement) in _FIXED_STDOUT:
+            why = "runs with path", label + " without path"
+        else:
+            continue
+        unread.append(Diagnostic(section, name, "%s is read only by %s, not %s" % (name, *why)))
+    return unread
 
 
 def _check_lattice(cfg: RunConfig) -> None:
@@ -240,6 +315,9 @@ def _need(value, what: str):
 
 def _cmd_check_monotone(args) -> int:
     cfg = _merged(args, "check-monotone")
+    if args.witnesses < 0:
+        message = "witnesses must be at least 0, got %d" % args.witnesses
+        raise ConfigError([Diagnostic("output", "witnesses", message)])
     spec = build_spec(cfg)
     verdict = is_monotone(spec)
     label = "%s(%s)" % (spec.name, _params_label(spec.params))
@@ -292,36 +370,11 @@ def _cmd_coupling_table(args) -> int:
     return OK
 
 
-def _refuse_unread(run: str, options) -> None:
-    """Refuse every option given to a run that does not read it, one
-    diagnostic each.  ``options`` holds ``(section, name, value, readers,
-    read)``: ``readers`` names the runs that read the option, and ``read``
-    says whether this run, described by ``run``, is one of them."""
-    unread = [
-        Diagnostic(section, name, "%s is read only by %s, not %s" % (name, readers, run))
-        for section, name, value, readers, read in options
-        if value is not None and not read
-    ]
-    if unread:
-        raise ConfigError(unread)
-
-
 def _cmd_exact(args) -> int:
     cfg = _merged(args, "exact")
     spec = build_spec(cfg)
     size = _need(cfg.size, "lattice size")
     task = _need(cfg.task, "task")
-    stationary = task == "stationary"
-    _refuse_unread(
-        task,
-        [
-            ("lattice", "count", args.count, "task stationary", stationary),
-            ("lattice", "density", cfg.density, "task stationary", stationary),
-            ("execution", "kind", cfg.kind, "tasks audit-order, audit-discrepancy, extinction",
-             not stationary),
-            ("execution", "tol", args.tol, "task extinction", task == "extinction"),
-        ],
-    )
     if args.tol is not None and not 0 <= args.tol < 1:
         raise ConfigError([Diagnostic("execution", "tol", "tol must lie in [0, 1), got %r" % args.tol)])
     if task == "stationary":
@@ -400,14 +453,6 @@ def _cmd_simulate(args) -> int:
         cfg.size = len(cfg.first)
     size = _need(cfg.size, "lattice size")
     coupled = bool(cfg.coupled) or cfg.second is not None
-    _refuse_unread(
-        "observable %s" % args.observable if coupled else "a single chain",
-        [
-            ("execution", "kind", cfg.kind, "coupled runs", coupled),
-            ("output", "sites", args.sites or None, "the sample tables of coupled runs",
-             coupled and not args.observable),
-        ],
-    )
     many = cfg.replicas > 1
     rows = None
     total = 0
@@ -510,16 +555,7 @@ def _cmd_golden_suite(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
-    cfg = _merged(args, "zoo")
-    # a file's format equal to the default cannot be told from no format
-    fmt = args.format or (cfg.format if cfg.format != RunConfig.format else None)
-    _refuse_unread(
-        "zoo",
-        [
-            ("output", "path", cfg.path, "runs that write a report", False),
-            ("output", "format", fmt, "runs that write a report", False),
-        ],
-    )
+    _merged(args, "zoo")
     for ident in model_ids():
         print(model_signature(ident))
     return OK
@@ -541,7 +577,7 @@ _HANDLERS = {
 
 def _add_common(sub, model: bool = True) -> None:
     sub.add_argument("--config", metavar="FILE", default=argparse.SUPPRESS, help="INI file with defaults")
-    sub.add_argument("--output", metavar="FILE", help="write the report here (atomic)")
+    sub.add_argument("--output", metavar="FILE", dest="path", help="write the report here (atomic)")
     sub.add_argument("--format", choices=FORMATS, help="report format")
     if model:
         sub.add_argument("model", nargs="?", help="built-in model id (see `couplex zoo`)")
@@ -596,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--observable", choices=OBSERVABLES, help="tabulate one observable instead of raw samples"
     )
-    sub.add_argument("--sites", action="store_true", help="include per-site columns in coupled output")
+    sub.add_argument("--sites", action="store_true", default=None, help="include per-site columns in coupled output")
 
     sub = subs.add_parser("golden-suite", help="run the acceptance battery")
     _add_common(sub, model=False)
@@ -618,7 +654,7 @@ def main(argv=None) -> int:
                 parser.print_usage(sys.stderr)
                 print("couplex: a subcommand or --config is required", file=sys.stderr)
                 return ERROR
-            command = load_config(args.config).command
+            command = load_config(args.config)[0].command
             args = parser.parse_args([command, "--config", args.config])
         return _HANDLERS[command](args)
     except ConfigError as exc:

@@ -1,4 +1,4 @@
-"""Run configuration: INI parsing, validation, canonical serialization.
+"""Run configuration: INI parsing and validation.
 
 A run is described by an INI file with up to five sections::
 
@@ -13,20 +13,20 @@ Scalar parameters are written as integers (``2``), exact rationals (``7/10``)
 or floats (``0.7``); the spelling decides the arithmetic mode.  Jump laws are
 mappings ``1:1/2, -1:1/2`` and custom rate tables are indented line triples
 ``offset pattern rate``.  Unknown sections or keys are errors, never silently
-ignored.  ``parse_config(serialize_config(c))`` returns an equal config.
+ignored; :func:`parse_config` also returns the settings a file sets, so that
+the command line can refuse those its run does not read.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .coupling import KINDS
-from .lattice import Config, format_configuration, parse_configuration
+from .lattice import Config, parse_configuration
 from .models import make_model, model_ids
 
 COMMANDS = (
@@ -82,9 +82,6 @@ class RunConfig:
     format: str = "csv"
 
 
-_DEFAULTS = RunConfig()
-
-
 def parse_number(text: str):
     """Parse a scalar: '2' -> int, '7/10' -> Fraction, '0.7' -> float."""
     text = text.strip()
@@ -136,19 +133,6 @@ def parse_param_value(text: str):
     return parse_number(text)
 
 
-def format_param_value(value) -> str:
-    if isinstance(value, dict):
-        keys = sorted(value)
-        if keys and isinstance(keys[0], tuple):  # custom rate table
-            lines = ["%d %s %s" % (d, pat, format_number(value[(d, pat)])) for d, pat in keys]
-            return "\n" + "\n".join("    " + ln for ln in lines)
-        return ", ".join("%d:%s" % (k, format_number(value[k])) for k in keys)
-    if isinstance(value, tuple):
-        text = ", ".join(str(v) for v in value)
-        return text + "," if len(value) == 1 else text
-    return format_number(value)
-
-
 _KNOWN = {
     "run": ("command",),
     "lattice": ("size", "density", "first", "second"),
@@ -156,7 +140,8 @@ _KNOWN = {
     "output": ("path", "format"),
 }
 
-_SECTION = {option: section for section, options in _KNOWN.items() for option in options}
+#: the section of every key of [lattice], [execution] and [output]
+SECTIONS = {option: section for section in ("lattice", "execution", "output") for option in _KNOWN[section]}
 
 
 def _parse_bool(text: str) -> bool:
@@ -177,16 +162,6 @@ _CONVERT = {
     "t_end": float,
     "sample_dt": float,
     "coupled": _parse_bool,
-}
-
-#: per-key writer of the INI text; keys without one are written with str
-_WRITE = {
-    "density": repr,
-    "first": format_configuration,
-    "second": format_configuration,
-    "t_end": repr,
-    "sample_dt": repr,
-    "coupled": lambda _: "true",
 }
 
 
@@ -213,11 +188,12 @@ def check_value(option: str, value) -> Optional[Diagnostic]:
     ok, message = _CHECKS.get(option, (None, None))
     if ok is None or ok(value):
         return None
-    return Diagnostic(_SECTION[option], option, message % (value,))
+    return Diagnostic(SECTIONS[option], option, message % (value,))
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse INI text into a RunConfig, raising ConfigError on any problem."""
+def parse_config(text: str) -> tuple:
+    """Parse INI text into a RunConfig and the names of the settings the
+    text sets (``id`` for a model), raising ConfigError on any problem."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -226,6 +202,7 @@ def parse_config(text: str) -> RunConfig:
 
     problems = []
     cfg = RunConfig()
+    given = set()
 
     for section in parser.sections():
         if section not in _KNOWN and section != "model":
@@ -261,6 +238,7 @@ def parse_config(text: str) -> RunConfig:
         problems.append(Diagnostic("run", None, "missing required section"))
 
     if parser.has_section("model"):
+        given.add("id")
         if parser.has_option("model", "id"):
             model_id = parser.get("model", "id").strip()
             if model_id not in model_ids():
@@ -293,40 +271,17 @@ def parse_config(text: str) -> RunConfig:
         for option in _KNOWN[section]:
             if parser.has_option(section, option):
                 setattr(cfg, option, grab(section, option))
+                given.add(option)
 
     if problems:
         raise ConfigError(problems)
-    return cfg
+    return cfg, given
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str) -> tuple:
+    """:func:`parse_config` of the file at ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config(handle.read())
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical INI text: fixed section/key order, defaults omitted."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.add_section("run")
-    parser.set("run", "command", cfg.command)
-    if cfg.model is not None:
-        parser.add_section("model")
-        parser.set("model", "id", cfg.model)
-        for key in sorted(cfg.params):
-            parser.set("model", key, format_param_value(cfg.params[key]))
-    for section in ("lattice", "execution", "output"):
-        values = {
-            option: _WRITE.get(option, str)(getattr(cfg, option))
-            for option in _KNOWN[section]
-            if getattr(cfg, option) != getattr(_DEFAULTS, option)
-        }
-        if values:
-            parser.add_section(section)
-            for option, text in values.items():
-                parser.set(section, option, text)
-    buffer = io.StringIO()
-    parser.write(buffer)
-    return buffer.getvalue()
 
 
 def build_spec(cfg: RunConfig):

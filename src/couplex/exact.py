@@ -94,12 +94,19 @@ class StationaryDistribution:
     residual: float
 
 
+def _check_count(size: int, count: Optional[int]) -> None:
+    """Refuse a particle-number sector that the ring cannot hold."""
+    if count is not None and not 0 <= count <= size:
+        raise ValueError("count must lie in [0, %d]" % size)
+
+
 def ring_configs(size: int, count: Optional[int] = None):
     """All configurations of the ring, or one particle-number sector."""
     if count is None:
         for bits in itertools.product((0, 1), repeat=size):
             yield bits
     else:
+        _check_count(size, count)
         for occupied in itertools.combinations(range(size), count):
             bits = [0] * size
             for x in occupied:
@@ -108,6 +115,7 @@ def ring_configs(size: int, count: Optional[int] = None):
 
 
 def single_generator(spec: RateSpec, size: int, count: Optional[int] = None) -> GeneratorMatrix:
+    _check_count(size, count)
     n = 2**size if count is None else math.comb(size, count)
     if n > SINGLE_STATE_CAP:
         raise ValueError(

@@ -35,6 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,7 @@ _DIGIT_UPPER = np.array([0, 1, 1], dtype=np.int64)
 _INT64_LIMIT = 1 << 62
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One ordered pattern pair breaking an order condition."""
 
     kind: str  # "arrival" or "departure"

@@ -348,6 +348,151 @@ def test_simulate_refuses_options_its_run_does_not_read(tmp_path, capsys):
     assert out.splitlines()[0].startswith("time,discrepancies,ordered,first_0,")
 
 
+SEP = "[model]\nid = sep\n\n"
+NO_PATH = "format is read only by runs with path, not %s without path"
+
+#: runs given settings they do not read, by flag or by file key: the
+#: arguments ("{ini}" stands for the file), the file, whether the run reads
+#: --output (the test then gives it), and the refusals, one per setting
+UNREAD = {
+    "check-monotone format flag": (
+        ["check-monotone", "sep", "--format", "json"],
+        None,
+        False,
+        ["[output.format] " + NO_PATH % "check-monotone"],
+    ),
+    "check-monotone format file": (
+        ["--config", "{ini}"],
+        "[run]\ncommand = check-monotone\n\n" + SEP + "[output]\nformat = csv\n",
+        False,
+        ["[output.format] " + NO_PATH % "check-monotone"],
+    ),
+    "exact extinction format flag": (
+        ["exact", "sep", "--size", "5", "--task", "extinction", "--format", "csv"],
+        None,
+        False,
+        ["[output.format] " + NO_PATH % "extinction"],
+    ),
+    "golden-suite format flag": (
+        ["golden-suite", "--format", "json"],
+        None,
+        False,
+        ["[output.format] " + NO_PATH % "golden-suite"],
+    ),
+    "simulate count and density under first flag": (
+        ["simulate", "sep", "--first", "110000", "--density", "0.9", "--count", "1"],
+        None,
+        True,
+        [
+            "[lattice.density] density is read only by runs without first or count, "
+            "not a single chain with first",
+            "[lattice.count] count is read only by runs without first, not a single chain with first",
+        ],
+    ),
+    "simulate density under count flag": (
+        ["simulate", "--size", "6", "--count", "2", "--density", "0.9", "sep"],
+        None,
+        True,
+        [
+            "[lattice.density] density is read only by runs without first or count, "
+            "not a single chain with count",
+        ],
+    ),
+    "simulate count under first file": (
+        ["simulate", "--config", "{ini}", "--count", "1", "--coupled"],
+        "[run]\ncommand = simulate\n\n" + SEP + "[lattice]\nfirst = 110000\n",
+        True,
+        ["[lattice.count] count is read only by runs without first, not a coupled run with first"],
+    ),
+    "exact stationary density under count flag": (
+        ["exact", "sep", "--task", "stationary", "--size", "4", "--count", "2", "--density", "0.5"],
+        None,
+        True,
+        ["[lattice.density] density is read only by runs without count, not stationary with count"],
+    ),
+    "check-monotone lattice and execution file": (
+        ["check-monotone", "--config", "{ini}"],
+        "[run]\ncommand = check-monotone\n\n" + SEP + "[lattice]\nsize = 5\n\n"
+        "[execution]\nseed = 0\nkind = strict\nreplicas = 1\n",
+        True,
+        [
+            "[lattice.size] size is read only by exact, simulate, not check-monotone",
+            "[execution.seed] seed is read only by simulate, not check-monotone",
+            "[execution.replicas] replicas is read only by simulate, not check-monotone",
+            "[execution.kind] kind is read only by coupling-table, exact, simulate, not check-monotone",
+        ],
+    ),
+    "coupling-table lattice and execution file": (
+        ["coupling-table", "--config", "{ini}"],
+        "[run]\ncommand = coupling-table\n\n" + SEP + "[lattice]\nfirst = 1010\nsecond = 1100\n"
+        "density = 0.5\n\n[execution]\nseed = 1\ntask = stationary\nt_end = 3\n",
+        True,
+        [
+            "[lattice.density] density is read only by exact, simulate, not coupling-table",
+            "[execution.seed] seed is read only by simulate, not coupling-table",
+            "[execution.t_end] t_end is read only by simulate, not coupling-table",
+            "[execution.task] task is read only by exact, not coupling-table",
+        ],
+    ),
+    "golden-suite model, lattice and execution file": (
+        ["golden-suite", "--config", "{ini}", "--criteria", "speed-models"],
+        "[run]\ncommand = golden-suite\n\n" + SEP + "[lattice]\nsize = 5\n\n[execution]\ncoupled = false\n",
+        True,
+        [
+            "[model.id] id is read only by check-monotone, coupling-table, exact, simulate, not golden-suite",
+            "[lattice.size] size is read only by exact, simulate, not golden-suite",
+            "[execution.coupled] coupled is read only by simulate, not golden-suite",
+        ],
+    ),
+    "zoo model, lattice and execution file": (
+        ["--config", "{ini}"],
+        "[run]\ncommand = zoo\n\n" + SEP + "[lattice]\nsize = 5\n\n[execution]\nseed = 3\n",
+        False,
+        [
+            "[model.id] id is read only by check-monotone, coupling-table, exact, simulate, not zoo",
+            "[lattice.size] size is read only by exact, simulate, not zoo",
+            "[execution.seed] seed is read only by simulate, not zoo",
+        ],
+    ),
+    "simulate task file": (
+        ["simulate", "--config", "{ini}"],
+        "[run]\ncommand = simulate\n\n" + SEP + "[lattice]\nsize = 6\ndensity = 0.5\n\n"
+        "[execution]\ntask = extinction\n",
+        True,
+        ["[execution.task] task is read only by exact, not simulate"],
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, ini, writes, diagnostics", UNREAD.values(), ids=UNREAD.keys())
+def test_runs_refuse_settings_they_do_not_read(tmp_path, capsys, argv, ini, writes, diagnostics):
+    # refused before any work, whether the setting came from a flag or a file
+    path = tmp_path / "run.ini"
+    if ini is not None:
+        path.write_text(ini, encoding="utf-8")
+    target = tmp_path / "report"
+    argv = [str(path) if a == "{ini}" else a for a in argv] + (["--output", str(target)] if writes else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert not target.exists()
+    assert err.splitlines() == ["couplex: " + d for d in diagnostics]
+
+
+def test_check_monotone_refuses_a_negative_witness_count(capsys):
+    code, out, err = run(capsys, "check-monotone", "gg_symmetrized", "1", "0", "1", "0", "--witnesses", "-1")
+    assert code == 2 and out == ""
+    assert err == "couplex: [output.witnesses] witnesses must be at least 0, got -1\n"
+    code, out, _ = run(capsys, "check-monotone", "gg_symmetrized", "1", "0", "1", "0", "--witnesses", "0")
+    assert code == 1 and out.splitlines() == ["gg_symmetrized(alpha=1, beta=0, gamma=1, delta=0): not monotone"]
+
+
+def test_exact_refuses_a_sector_the_ring_cannot_hold(capsys):
+    for count in ("7", "-1"):
+        code, out, err = run(capsys, "exact", "sep", "--task", "stationary", "--size", "5", "--count", count)
+        assert code == 2 and out == ""
+        assert err == "couplex: count must lie in [0, 5]\n"
+
+
 def test_simulate_needs_a_start(capsys):
     code, _, err = run(capsys, "simulate", "sep", "--size", "6", "--t-end", "1")
     assert code == 2

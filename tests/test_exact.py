@@ -279,6 +279,15 @@ def test_single_generator_caps_the_state_count():
         single_generator(sep(), 14)
 
 
+@pytest.mark.parametrize("count", [-1, 6])
+def test_sector_counts_outside_the_ring_are_refused(count):
+    # an empty sector would give a header-only table, a negative count the
+    # error of math.comb; both name the range instead
+    for call in (lambda: single_generator(sep(), 5, count), lambda: list(pair_states(5, (1, count)))):
+        with pytest.raises(ValueError, match=r"^count must lie in \[0, 5\]$"):
+            call()
+
+
 def test_audit_order_preservation_oracles():
     assert audit_order_preservation(sep(), 5, "increasing") == []
     assert audit_order_preservation(traffic2(F(1, 2), F(1, 2)), 5, "increasing") == []

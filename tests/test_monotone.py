@@ -96,6 +96,16 @@ def test_witnesses_are_deterministic_and_sorted():
     assert ranked[0].excess == max(w.excess for w in first)
 
 
+def test_violation_is_an_immutable_value():
+    w = Violation("arrival", 4, -4, "00100", "00110", F(5, 4), 1)
+    assert (w.kind, w.center, w.lo, w.lower, w.upper, w.lhs, w.rhs) == tuple(w)
+    assert w.excess == F(1, 4)
+    twin = Violation("arrival", 4, -4, "00100", "00110", F(5, 4), 1)
+    assert w == twin and hash(w) == hash(twin) and len({w, twin}) == 1
+    with pytest.raises(AttributeError):
+        w.lhs = 0
+
+
 def test_strictness_oracles():
     assert strictness_report(sep()).strict
     assert strictness_report(sep()).min_slack == 1

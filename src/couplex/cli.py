@@ -177,6 +177,9 @@ def _merged(args, command: str) -> RunConfig:
         given.add("id")
     # every other flag's dest is the name of its setting
     given.update(name for name, value in vars(args).items() if name in _SECTIONS and value is not None)
+    observable = getattr(args, "observable", None)
+    if observable:
+        given.add(observable)
     problems = []
     for name in ("size", "density", "seed", "replicas", "t_end", "sample_dt", "kind", "task", "coupled",
                  "path", "format"):
@@ -192,7 +195,7 @@ def _merged(args, command: str) -> RunConfig:
         bits = getattr(args, name, None)
         if bits is not None:
             setattr(cfg, name, parse_configuration(bits))
-    unread = _unread(command, *_run(cfg, getattr(args, "observable", None)), given)
+    unread = _unread(command, *_run(cfg, observable), given)
     if unread:
         raise ConfigError(unread)
     _check_lattice(cfg)
@@ -203,10 +206,11 @@ def _merged(args, command: str) -> RunConfig:
 # What each run reads
 
 #: What each run reads, declared once.  A run is a command, refined by task
-#: for exact and by single, coupled or observable for simulate (see _run).
-#: Each command maps the settings it reads, by flag or file key, to None if
-#: every run of it reads the setting, else to the refinements that do and
-#: the phrase that names them in a refusal.
+#: for exact and for simulate by single, coupled or the observable of a
+#: coupled run (see _run).  Each command maps the settings it reads, by flag
+#: or file key, to None if every run of it reads the setting, else to the
+#: refinements that do and the phrase that names them in a refusal.  An
+#: observable counts as a setting of its own name.
 _READS = {
     "check-monotone": dict.fromkeys(("id", "path", "format")),
     "coupling-table": dict.fromkeys(("id", "first", "second", "kind", "path", "format")),
@@ -219,9 +223,11 @@ _READS = {
     },
     "simulate": {
         **dict.fromkeys(("id", "size", "first", "second", "count", "density", "coupled", "seed", "replicas",
-                         "t_end", "sample_dt", "path", "format")),
-        "kind": (("coupled", "observable"), "coupled runs"),
+                         "t_end", "path", "format", "density_profile")),
+        "sample_dt": (("single", "coupled", "density_profile", "order_time"), "runs that keep samples"),
+        "kind": (("coupled", *OBSERVABLES), "coupled runs"),
         "sites": (("coupled",), "the sample tables of coupled runs"),
+        **dict.fromkeys(("order_time", "discrepancy_curve"), (OBSERVABLES, "coupled runs")),
     },
     "golden-suite": dict.fromkeys(("path", "format")),
     "zoo": {},
@@ -242,7 +248,10 @@ _OUTRANKED = {
 _FIXED_STDOUT = (("check-monotone", None), ("golden-suite", None), ("exact", "extinction"))
 
 #: the section of every setting, in the order refusals list them
-_SECTIONS = {"id": "model", **SECTIONS, "count": "lattice", "tol": "execution", "sites": "output"}
+_SECTIONS = {
+    "id": "model", **SECTIONS, "count": "lattice", "tol": "execution", "sites": "output",
+    **dict.fromkeys(OBSERVABLES, "output"),
+}
 
 
 def _run(cfg: RunConfig, observable) -> tuple:
@@ -254,7 +263,7 @@ def _run(cfg: RunConfig, observable) -> tuple:
     if not (cfg.coupled or cfg.second is not None):
         return "single", "a single chain"
     if observable:
-        return "observable", "observable %s" % observable
+        return observable, "observable %s" % observable
     return "coupled", "a coupled run"
 
 
@@ -281,7 +290,8 @@ def _unread(command: str, refinement, label: str, given) -> list:
             why = "runs with path", label + " without path"
         else:
             continue
-        unread.append(Diagnostic(section, name, "%s is read only by %s, not %s" % (name, *why)))
+        option = "observable" if name in OBSERVABLES else name
+        unread.append(Diagnostic(section, option, "%s is read only by %s, not %s" % (name, *why)))
     return unread
 
 

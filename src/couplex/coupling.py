@@ -6,8 +6,9 @@ moves performed by one copy alone.  All three come from one construction:
 for each active jump of the join configuration (the sitewise maximum of the
 two copies), a coupling of (xi, join) is composed with one of (join, zeta),
 splitting in proportion to the join's rate.  The factors of an ordered pair
-lower <= upper are read off the discrepancy sets of each departure/arrival
-site and their partial rate sums; the kinds differ only in the factor flavor
+lower <= upper are read off the discrepancy sets that :func:`_sets` lists,
+with their rates, around each departure/arrival site, and off the partial
+sums of those rates; the kinds differ only in the factor flavor
 (``FLAVOR``) and in which pairs they couple:
 
 * ``attractive`` — overlap factors, for every pair; under it the number of
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .lattice import (
@@ -63,54 +65,6 @@ KINDS = tuple(FLAVOR)
 #: in float arithmetic, residuals within this distance of 0 count as 0 and
 #: residuals further below 0 raise
 _RESIDUAL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class DiscrepancySets:
-    """Ordered discrepancy-site lists around one site, for a pair xi <= zeta.
-
-    For ``role="departure"`` (site doubly occupied): ``main`` holds the
-    targets that carry a discrepancy (empty in xi, occupied in zeta) and are
-    reachable in xi; ``bar`` holds the doubly empty targets where zeta's rate
-    exceeds xi's.  For ``role="arrival"`` (site doubly empty): ``main`` holds
-    the doubly occupied sources whose xi-rate exceeds zeta's; ``bar`` holds
-    the discrepancy sources that can feed the site in zeta.  Both lists are
-    sorted by signed offset from the site.
-    """
-
-    site: int
-    role: str
-    main: tuple
-    bar: tuple
-
-
-@dataclass(frozen=True)
-class PartialSumSeries:
-    """Nondecreasing partial sums starting at 0, with clamped indexing."""
-
-    partials: tuple
-
-    @classmethod
-    def from_terms(cls, terms) -> "PartialSumSeries":
-        acc = 0
-        out = [acc]
-        for t in terms:
-            acc = acc + t
-            out.append(acc)
-        return cls(tuple(out))
-
-    def at(self, n: int):
-        """n-th partial sum; indices beyond the end return the limit."""
-        if n < 0:
-            raise IndexError("partial-sum index must be >= 0")
-        return self.partials[min(n, len(self.partials) - 1)]
-
-    def increment(self, n: int):
-        return self.partials[n] - self.partials[n - 1]
-
-    @property
-    def limit(self):
-        return self.partials[-1]
 
 
 @dataclass
@@ -153,78 +107,49 @@ def _jumps(spec: RateSpec, size: int):
     ]
 
 
-def build_sets(spec: RateSpec, xi, zeta, site: int, role: str) -> DiscrepancySets:
-    """Discrepancy sets around `site` for an ordered pair xi <= zeta.
+def _sets(spec: RateSpec, lower, upper, site: int, departure: bool):
+    """The discrepancy sets around ``site`` for an ordered pair lower <= upper,
+    each a list of ``(site, term)`` in signed-offset order, term > 0.
 
-    Occupancy prerequisites that fail (departure site not doubly occupied,
-    arrival site not doubly empty) yield empty sets.
+    Departure (``site`` doubly occupied): ``main`` holds the discrepancy
+    targets (empty in lower, occupied in upper) with lower's rate; ``bar``
+    the doubly empty targets where upper's rate exceeds lower's, with the
+    excess.  Arrival (``site`` doubly empty): ``main`` holds the doubly
+    occupied sources where lower's rate exceeds upper's, with the excess;
+    ``bar`` the discrepancy sources with upper's rate.  The caller ensures
+    the order and the occupancy of ``site``.
     """
-    if role not in ("departure", "arrival"):
-        raise ValueError("role must be 'departure' or 'arrival', got %r" % role)
-    if not leq(xi, zeta):
-        raise ValueError("build_sets requires xi <= zeta")
-    size = len(xi)
+    size = len(lower)
     main = []
     bar = []
-    if role == "departure":
-        if xi[site] == 1 and zeta[site] == 1:
-            for d in sorted(spec.jump_offsets):
-                y = (site + d) % size
-                if xi[y] == 0 and zeta[y] == 1 and rate(spec, xi, site, y) > 0:
-                    main.append(y)
-                elif (
-                    xi[y] == 0
-                    and zeta[y] == 0
-                    and rate(spec, zeta, site, y) > rate(spec, xi, site, y)
-                ):
-                    bar.append(y)
+    if departure:
+        for d in spec.jump_offsets:
+            y = (site + d) % size
+            if lower[y]:
+                continue
+            if upper[y]:
+                low = rate(spec, lower, site, y)
+                if low > 0:
+                    main.append((y, low))
+            else:
+                high, low = rate(spec, upper, site, y), rate(spec, lower, site, y)
+                if high > low:
+                    bar.append((y, high - low))
     else:
-        if xi[site] == 0 and zeta[site] == 0:
-            # sources sit at site - d; ascend by their signed offset -d
-            for d in sorted(spec.jump_offsets, reverse=True):
-                x = (site - d) % size
-                if (
-                    xi[x] == 1
-                    and zeta[x] == 1
-                    and rate(spec, xi, x, site) > rate(spec, zeta, x, site)
-                ):
-                    main.append(x)
-                elif xi[x] == 0 and zeta[x] == 1 and rate(spec, zeta, x, site) > 0:
-                    bar.append(x)
-    return DiscrepancySets(site, role, tuple(main), tuple(bar))
-
-
-def partial_sums(spec: RateSpec, xi, zeta, sets: DiscrepancySets):
-    """The pair of partial-sum series attached to the discrepancy sets.
-
-    Departure role: (xi-rates over `main`, rate excesses over `bar`).
-    Arrival role: (rate excesses over `main`, zeta-rates over `bar`).
-    """
-    s = sets.site
-    if sets.role == "departure":
-        main = PartialSumSeries.from_terms(rate(spec, xi, s, y) for y in sets.main)
-        bar = PartialSumSeries.from_terms(
-            rate(spec, zeta, s, y) - rate(spec, xi, s, y) for y in sets.bar
-        )
-    else:
-        main = PartialSumSeries.from_terms(
-            rate(spec, xi, x, s) - rate(spec, zeta, x, s) for x in sets.main
-        )
-        bar = PartialSumSeries.from_terms(rate(spec, zeta, x, s) for x in sets.bar)
+        # sources sit at site - d; ascend by their signed offset -d
+        for d in reversed(spec.jump_offsets):
+            x = (site - d) % size
+            if not upper[x]:
+                continue
+            if lower[x]:
+                low, high = rate(spec, lower, x, site), rate(spec, upper, x, site)
+                if low > high:
+                    main.append((x, low - high))
+            else:
+                high = rate(spec, upper, x, site)
+                if high > 0:
+                    bar.append((x, high))
     return main, bar
-
-
-def h_term(m: int, n: int, s: PartialSumSeries, t: PartialSumSeries):
-    """Overlap of the m-th increment of `s` with the n-th increment of `t`,
-    as intervals laid end to end from 0.  Always nonnegative."""
-    if m < 1 or n < 1:
-        raise ValueError("h_term indices start at 1")
-    return (
-        min(s.at(m), t.at(n))
-        - min(s.at(m - 1), t.at(n))
-        - min(s.at(m), t.at(n - 1))
-        + min(s.at(m - 1), t.at(n - 1))
-    )
 
 
 def _left_factors(spec: RateSpec, lower, upper, x: int, y: int, flavor: str):
@@ -239,29 +164,32 @@ def _left_factors(spec: RateSpec, lower, upper, x: int, y: int, flavor: str):
     g = min(low, high)
     if g > 0:
         out.append(((x, y), g))
-    if lower[x] == 1:
+    departure = lower[x] == 1
+    if departure:
         # (x,y) can only be the doubly-empty slot of x's departure sets
         if lower[y] == 1 or high <= low:
             return out
-        site, slot, role = x, y, "departure"
+        site, slot = x, y
     else:
         # (x,y) can only be the discrepancy slot of y's arrival sets
         if high <= 0:
             return out
-        site, slot, role = y, x, "arrival"
-    sets = build_sets(spec, lower, upper, site, role)
-    if not sets.main:
+        site, slot = y, x
+    main, bar = _sets(spec, lower, upper, site, departure)
+    if not main:
         return out
-    n = sets.bar.index(slot) + 1
-    main, bar = partial_sums(spec, lower, upper, sets)
-    norm = (main if role == "departure" else bar).limit or 1
-    for m, a in enumerate(sets.main, 1):
+    n = [b for b, _ in bar].index(slot) + 1
+    s = list(accumulate((term for _, term in main), initial=0))
+    t = list(accumulate((term for _, term in bar), initial=0))
+    norm = (s if departure else t)[-1] or 1
+    for m, (a, _) in enumerate(main, 1):
         if flavor == "overlap":
-            g = h_term(m, n, main, bar)
+            # overlap of s's m-th and t's n-th increments, laid end to end from 0
+            g = min(s[m], t[n]) - min(s[m - 1], t[n]) - min(s[m], t[n - 1]) + min(s[m - 1], t[n - 1])
         else:
-            g = _ratio(main.increment(m) * bar.increment(n), norm)
+            g = _ratio((s[m] - s[m - 1]) * (t[n] - t[n - 1]), norm)
         if g > 0:
-            out.append(((site, a) if role == "departure" else (a, site), g))
+            out.append(((site, a) if departure else (a, site), g))
     return out
 
 

@@ -360,6 +360,8 @@ def check_sector_uniform_stationary(
     """Whether the uniform measure on each particle-number sector is
     stationary: per state, total inflow must equal total outflow.  The
     worst state is the first with the largest gap, None when none has one."""
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 0, got %r" % (tol,))
     counts = range(size + 1) if count is None else [count]
     reports = []
     for n in counts:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -33,6 +34,27 @@ def _check_nonnegative(name: str, value) -> None:
         raise ValueError("parameter %s must be finite, got %r" % (name, value))
     if value < 0:
         raise ValueError("parameter %s must be nonnegative, got %r" % (name, value))
+
+
+def _offset(d) -> int:
+    """A jump displacement as an int; ValueError unless it is an integer."""
+    if not isinstance(d, numbers.Integral):
+        raise ValueError("jump displacement must be an integer, got %r" % (d,))
+    return int(d)
+
+
+def _jump_law(model: str, name: str, law: Mapping) -> dict:
+    """The jump law ``law`` of a model with int displacements; ValueError for
+    a displacement that is 0 or not an integer, or a weight that is negative
+    or not finite."""
+    out = {}
+    for d, v in law.items():
+        d = _offset(d)
+        if d == 0:
+            raise ValueError("%s: displacement 0 is not allowed" % model)
+        _check_nonnegative("%s[%d]" % (name, d), v)
+        out[d] = v
+    return out
 
 
 class RateSpec:
@@ -65,7 +87,7 @@ class RateSpec:
         evaluate: Callable,
         params: Mapping | None = None,
     ):
-        offsets = tuple(sorted(set(int(d) for d in jump_offsets)))
+        offsets = tuple(sorted(set(_offset(d) for d in jump_offsets)))
         if not offsets or any(d == 0 for d in offsets):
             raise ValueError("jump offsets must be nonzero and nonempty: %r" % (jump_offsets,))
         if dep_radius < 0:
@@ -226,11 +248,7 @@ def sep(p: Mapping[int, Number] | None = None) -> RateSpec:
     """
     if p is None:
         p = {1: 1}
-    p = {int(d): v for d, v in p.items()}
-    for d, v in p.items():
-        if d == 0:
-            raise ValueError("sep: displacement 0 is not allowed")
-        _check_nonnegative("p[%d]" % d, v)
+    p = _jump_law("sep", "p", p)
     if not any(v > 0 for v in p.values()):
         raise ValueError("sep: at least one displacement needs a positive rate")
     offsets = tuple(d for d, v in p.items() if v > 0)
@@ -272,11 +290,7 @@ def speed_change_increasing(
     """
     if q is None:
         q = {1: 1, -1: 1}
-    q = {int(d): v for d, v in q.items()}
-    for d, v in q.items():
-        if d == 0:
-            raise ValueError("speed_change_increasing: displacement 0 not allowed")
-        _check_nonnegative("q[%d]" % d, v)
+    q = _jump_law("speed_change_increasing", "q", q)
     support = tuple(d for d, v in q.items() if v > 0)
     if not support:
         raise ValueError("speed_change_increasing: q must have positive support")
@@ -338,11 +352,7 @@ def two_star_step(p: Mapping[int, Number] | None = None) -> RateSpec:
     """
     if p is None:
         p = {1: 1}
-    p = {int(d): v for d, v in p.items()}
-    for d, v in p.items():
-        if d == 0:
-            raise ValueError("two_star_step: displacement 0 not allowed")
-        _check_nonnegative("p[%d]" % d, v)
+    p = _jump_law("two_star_step", "p", p)
     total = sum(p.values())
     if total != 1 and not (isinstance(total, float) and abs(total - 1) <= 1e-12):
         raise ValueError("two_star_step: p must sum to 1, got %r" % (total,))
@@ -413,10 +423,10 @@ def custom_table(
     occupancy written left to right as a '0'/'1' string of length
     2*(dep_radius+|d|)+1.  Patterns not listed get rate 0.
     """
-    offsets = tuple(sorted(set(int(d) for d in offsets)))
+    offsets = tuple(sorted(set(_offset(d) for d in offsets)))
     entries = {}
     for (d, pattern), value in table.items():
-        d = int(d)
+        d = _offset(d)
         if d not in offsets:
             raise ValueError("table entry for unknown offset %d" % d)
         want = 2 * (dep_radius + abs(d)) + 1

@@ -264,9 +264,15 @@ def _violations(spec: RateSpec, rates: _Rates, kind: str, extra: int) -> list:
     return out
 
 
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError("%s must be an int >= 0, got %r" % (name, value))
+
+
 def is_monotone(spec: RateSpec, extra: int = 0, tol=None) -> Verdict:
     """Decide order preservation by an exhaustive scan of ordered local
-    pattern pairs."""
+    pattern pairs, ``extra`` sites wider on each side than the rates read."""
+    _check_count("extra", extra)
     rates = _rate_arrays(spec, tol)
     found = [v for kind in ("arrival", "departure") for v in _violations(spec, rates, kind, extra)]
     # by decreasing excess, then kind and patterns; the excess in scan units
@@ -277,7 +283,10 @@ def is_monotone(spec: RateSpec, extra: int = 0, tol=None) -> Verdict:
 
 
 def strictness_report(spec: RateSpec, extra: int = 0, tol=None, keep: int = 10) -> StrictnessReport:
-    """Slack table of the order conditions.  Requires a monotone spec."""
+    """Slack table of the order conditions, keeping the ``keep`` rows of
+    least slack.  Requires a monotone spec."""
+    _check_count("extra", extra)
+    _check_count("keep", keep)
     rates = _rate_arrays(spec, tol)
     # the smallest binding rows by (slack, kind, lower, upper); at least one
     # is kept, so that min_slack is read from a built row

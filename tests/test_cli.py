@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from couplex import cli
 from couplex.cli import main
 
 
@@ -454,6 +455,35 @@ UNREAD = {
             "[execution.seed] seed is read only by simulate, not zoo",
         ],
     ),
+    "simulate order_time single flag": (
+        ["simulate", "sep", "--size", "64", "--density", "0.5", "--seed", "1", "--t-end", "3000",
+         "--observable", "order_time"],
+        None,
+        True,
+        ["[output.observable] order_time is read only by coupled runs, not a single chain"],
+    ),
+    "simulate discrepancy_curve single file": (
+        ["simulate", "--config", "{ini}", "--observable", "discrepancy_curve"],
+        "[run]\ncommand = simulate\n\n" + SEP + "[lattice]\nsize = 6\ndensity = 0.5\n",
+        True,
+        ["[output.observable] discrepancy_curve is read only by coupled runs, not a single chain"],
+    ),
+    "simulate discrepancy_curve sample_dt flag": (
+        ["simulate", "traffic2", "0.7", "0.2", "--size", "10", "--count", "5", "--t-end", "3", "--coupled",
+         "--seed", "4", "--observable", "discrepancy_curve", "--sample-dt", "0.5"],
+        None,
+        True,
+        ["[execution.sample_dt] sample_dt is read only by runs that keep samples, "
+         "not observable discrepancy_curve"],
+    ),
+    "simulate discrepancy_curve sample_dt file": (
+        ["simulate", "--config", "{ini}", "--observable", "discrepancy_curve"],
+        "[run]\ncommand = simulate\n\n[model]\nid = traffic2\nalpha = 0.7\nbeta = 0.2\n\n"
+        "[lattice]\nsize = 10\ndensity = 0.5\n\n[execution]\nt_end = 3\nsample_dt = 5\ncoupled = true\n",
+        True,
+        ["[execution.sample_dt] sample_dt is read only by runs that keep samples, "
+         "not observable discrepancy_curve"],
+    ),
     "simulate task file": (
         ["simulate", "--config", "{ini}"],
         "[run]\ncommand = simulate\n\n" + SEP + "[lattice]\nsize = 6\ndensity = 0.5\n\n"
@@ -476,6 +506,29 @@ def test_runs_refuse_settings_they_do_not_read(tmp_path, capsys, argv, ini, writ
     assert code == 2 and out == ""
     assert not target.exists()
     assert err.splitlines() == ["couplex: " + d for d in diagnostics]
+
+
+def test_observables_of_coupled_runs_are_refused_before_simulating(monkeypatch, capsys):
+    # a single chain cannot serve order_time or discrepancy_curve: the run
+    # stops before it simulates, and the observables it serves still run
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    start = ("simulate", "sep", "--size", "8", "--count", "4", "--t-end", "2", "--sample-dt", "1")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "simulate_single", fail)
+        for observable in ("order_time", "discrepancy_curve"):
+            code, out, err = run(capsys, *start, "--observable", observable)
+            assert code == 2 and out == ""
+            assert err == (
+                "couplex: [output.observable] %s is read only by coupled runs, not a single chain\n"
+                % observable
+            )
+    code, out, _ = run(capsys, *start, "--observable", "density_profile")
+    assert code == 0 and out.startswith("site,density\n")
+    for observable, head in (("order_time", "order_time\n"), ("discrepancy_curve", "event,discrepancies\n")):
+        code, out, _ = run(capsys, *start[:-2], "--coupled", "--observable", observable)
+        assert code == 0 and out.startswith(head)
 
 
 def test_check_monotone_refuses_a_negative_witness_count(capsys):

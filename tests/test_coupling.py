@@ -27,13 +27,7 @@ from couplex import (
     two_step,
 )
 from couplex import coupling
-from couplex.coupling import (
-    FLAVOR,
-    PartialSumSeries,
-    build_sets,
-    h_term,
-    partial_sums,
-)
+from couplex.coupling import FLAVOR, _sets
 from couplex.exact import pair_states
 from couplex.golden import MONOTONE_ZOO, ordered_pairs
 from couplex.lattice import is_active, join
@@ -206,75 +200,49 @@ def test_cross_check_compares_every_open_entry(monkeypatch):
             assert report.equal and report.mismatches == []
 
 
-def test_build_sets_frozen_example():
+def test_sets_frozen_example():
     spec = MODELS["sep-sym"]
     xi = (0, 0, 1, 0, 0, 0)
     zeta = (0, 1, 1, 0, 1, 0)
-    dep = build_sets(spec, xi, zeta, 2, "departure")
-    assert dep.main == (1,) and dep.bar == ()
-    arr = build_sets(spec, xi, zeta, 3, "arrival")
-    assert arr.main == () and arr.bar == (4,)
+    assert _sets(spec, xi, zeta, 2, True) == ([(1, F(1, 2))], [])
+    assert _sets(spec, xi, zeta, 3, False) == ([], [(4, F(1, 2))])
 
 
-def test_build_sets_membership_conditions():
+def test_sets_membership_conditions():
+    # a candidate site is listed, with the rate or excess its condition
+    # names, exactly when it meets that condition; sets keep offset order
     spec = MODELS["gg"]
     xi = (0, 1, 1, 0, 0, 0, 1, 0)
     zeta = (0, 1, 1, 0, 1, 0, 1, 1)
     assert leq(xi, zeta)
+    listed = {"main": 0, "bar": 0}
     for site in range(8):
-        if xi[site] == 1 and zeta[site] == 1:
-            sets = build_sets(spec, xi, zeta, site, "departure")
-            for y in sets.main:
-                assert xi[y] == 0 and zeta[y] == 1 and rate(spec, xi, site, y) > 0
-            for y in sets.bar:
-                assert xi[y] == 0 and zeta[y] == 0
-                assert rate(spec, zeta, site, y) > rate(spec, xi, site, y)
-        if xi[site] == 0 and zeta[site] == 0:
-            sets = build_sets(spec, xi, zeta, site, "arrival")
-            for x in sets.main:
-                assert xi[x] == 1 and zeta[x] == 1
-                assert rate(spec, xi, x, site) > rate(spec, zeta, x, site)
-            for x in sets.bar:
-                assert xi[x] == 0 and zeta[x] == 1 and rate(spec, zeta, x, site) > 0
-
-
-def test_partial_sums_are_nondecreasing():
-    spec = MODELS["gg"]
-    xi = (0, 1, 1, 0, 0, 0, 1, 0)
-    zeta = (0, 1, 1, 0, 1, 0, 1, 1)
-    for site in range(8):
-        for role, both in (("departure", 1), ("arrival", 0)):
-            if xi[site] == both and zeta[site] == both:
-                sets = build_sets(spec, xi, zeta, site, role)
-                s, t = partial_sums(spec, xi, zeta, sets)
-                for series in (s, t):
-                    steps = series.partials
-                    assert steps[0] == 0
-                    assert all(a <= b for a, b in zip(steps, steps[1:]))
-
-
-series_strategy = st.lists(
-    st.fractions(min_value=0, max_value=3, max_denominator=6), min_size=0, max_size=5
-).map(PartialSumSeries.from_terms)
-
-
-@given(series_strategy, series_strategy, st.integers(1, 7), st.integers(1, 7))
-def test_h_term_nonnegative(s, t, m, n):
-    assert h_term(m, n, s, t) >= 0
-
-
-@given(series_strategy, series_strategy, st.integers(1, 6))
-def test_h_term_rows_sum_to_clamped_increment(s, t, m):
-    # summing the overlap over all n recovers the part of s's m-th increment
-    # that lies below t's limit
-    total = sum(h_term(m, n, s, t) for n in range(1, len(t.partials) + 1))
-    assert total == min(s.at(m), t.limit) - min(s.at(m - 1), t.limit)
-
-
-def test_h_term_rejects_zero_indices():
-    series = PartialSumSeries.from_terms([1, 2])
-    with pytest.raises(ValueError):
-        h_term(0, 1, series, series)
+        for departure, both in ((True, 1), (False, 0)):
+            if not xi[site] == zeta[site] == both:
+                continue
+            want_main, want_bar = [], []
+            if departure:
+                for d in spec.jump_offsets:
+                    y = (site + d) % 8
+                    low, high = rate(spec, xi, site, y), rate(spec, zeta, site, y)
+                    if xi[y] == 0 and zeta[y] == 1 and low > 0:
+                        want_main.append((y, low))
+                    if xi[y] == 0 and zeta[y] == 0 and high > low:
+                        want_bar.append((y, high - low))
+            else:
+                for d in reversed(spec.jump_offsets):  # sources ascend by offset -d
+                    x = (site - d) % 8
+                    low, high = rate(spec, xi, x, site), rate(spec, zeta, x, site)
+                    if xi[x] == 1 and zeta[x] == 1 and low > high:
+                        want_main.append((x, low - high))
+                    if xi[x] == 0 and zeta[x] == 1 and high > 0:
+                        want_bar.append((x, high))
+            main, bar = _sets(spec, xi, zeta, site, departure)
+            assert (main, bar) == (want_main, want_bar), (site, departure)
+            assert all(term > 0 for _, term in main + bar)
+            listed["main"] += len(main)
+            listed["bar"] += len(bar)
+    assert min(listed.values()) > 0, listed
 
 
 def test_sep_attractive_is_the_basic_coupling():

@@ -81,6 +81,14 @@ def test_traffic2_uniform_even_when_asymmetric():
     assert report.ok
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1, -1e-12, float("inf")])
+def test_sector_check_refuses_an_invalid_tol(tol):
+    # NaN or a negative tol failed every sector, and inf passed every one
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        check_sector_uniform_stationary(two_star_step(), 6, tol=tol)
+    assert check_sector_uniform_stationary(two_star_step(), 6, count=3, tol=0).sector == 3
+
+
 def test_reducible_chain_handling():
     gen = single_generator(gg_symmetrized(1, 0, 1, 0), 5, 2)
     with pytest.warns(UserWarning, match="reducible"):

@@ -147,6 +147,34 @@ def test_evaluate_refuses_bad_windows_and_rates():
         traffic2(1, 2).evaluate((0, 0, 0, 1, 0, 0, 0), 3)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda law: sep(law),
+        lambda law: speed_change_increasing(law),
+        lambda law: two_star_step(law),
+    ],
+    ids=["sep", "speed_change_increasing", "two_star_step"],
+)
+def test_jump_laws_are_checked_alike(make):
+    # one check for every jump law: a whole displacement, not 0, and a
+    # nonnegative weight; sep({1.5: 1}) once ran as sep({1: 1})
+    name = make({1: 1}).name
+    with pytest.raises(ValueError, match=r"jump displacement must be an integer, got 1\.5"):
+        make({1.5: 1})
+    with pytest.raises(ValueError, match="^%s: displacement 0 is not allowed$" % name):
+        make({0: F(1, 2), 1: F(1, 2)})
+    with pytest.raises(ValueError, match=r"must be nonnegative, got -1"):
+        make({1: 2, -1: -1})
+
+
+def test_offsets_must_be_integers():
+    with pytest.raises(ValueError, match="jump displacement must be an integer, got 1.5"):
+        RateSpec("half", (1.5,), 0, lambda window, d: 1)
+    with pytest.raises(ValueError, match="jump displacement must be an integer, got '1'"):
+        custom_table((1,), 0, {("1", "010"): 1})
+
+
 def test_custom_table_lookup():
     table = {(1, format(k, "03b")): F(k, 4) for k in range(8)}
     spec = custom_table((1,), 0, table)

@@ -401,6 +401,24 @@ def test_invalid_tol_is_refused(spec, tol):
             decide(spec, tol=tol)
 
 
+@pytest.mark.parametrize("extra", [-1, 0.5, 1.0, True, None])
+def test_invalid_extra_is_refused(extra):
+    # a negative extra once gave monotone=True with no witness to
+    # traffic2(0, 2), which is not monotone
+    for decide in (is_monotone, strictness_report):
+        with pytest.raises(ValueError, match="extra must be an int >= 0"):
+            decide(traffic2(0, 2), extra=extra)
+
+
+@pytest.mark.parametrize("keep", [-1, 2.0, None])
+def test_invalid_keep_is_refused(keep):
+    # keep=-1 once gave an empty worst list
+    with pytest.raises(ValueError, match="keep must be an int >= 0"):
+        strictness_report(two_step(), keep=keep)
+    report = strictness_report(two_step(), keep=0)
+    assert report.worst == [] and report.min_slack is not None
+
+
 def _whole_fraction_rule():
     # Fractions with denominator 1 beside plain ints: the common scale is 1
     def evaluate(window, d):

@@ -4,8 +4,11 @@ Everything here enumerates states explicitly: single-copy chains over all
 configurations of a ring (or one particle-number sector), and coupled chains
 over configuration pairs.  Generators are kept sparse (dict of rows); dense
 numpy arrays are materialized only for linear solves.  The stationary law of a
-closed class solves the replaced-row system: Q^T on the class with its last
-equation replaced by the normalisation sum(pi) = 1, by one LU factorisation.
+closed class solves the replaced-row system: Q^T with its last equation
+replaced by the normalisation sum(pi) = 1, by one LU factorisation.  A single
+chain's rates do not change when the ring turns one site, so the law of a
+class that some turn maps onto itself is constant on the rotation orbits it
+holds, and the system is solved on those orbits, one unknown each.
 
 The coupled layer builds each pair's coupling table directly and enumerates
 at most ``4**COUPLED_SIZE_CAP`` pairs.
@@ -27,7 +30,8 @@ from .models import RateSpec, active_jumps
 from .coupling import _moves, coupled_transitions, coupling_table
 
 #: largest single-chain state space enumerated: it admits every sector of a
-#: 14-site ring (at most C(14, 7) = 3432 states, a 94 MB dense matrix)
+#: 14-site ring (at most C(14, 7) = 3432 states); a closed class is solved with
+#: one unknown per rotation orbit, at most 246 of them at the cap
 SINGLE_STATE_CAP = 3432
 #: largest ring of the coupled layer: 4**6 = 4096 pairs
 COUPLED_SIZE_CAP = 6
@@ -42,12 +46,15 @@ class GeneratorMatrix:
 
     ``rows[i]`` maps target state index -> off-diagonal rate; the diagonal is
     minus the row sum.  ``states`` are hashable state labels and
-    ``state_index`` the inverse lookup.
+    ``state_index`` the inverse lookup.  ``turn``, when given, is an index
+    array: ``turn[i]`` is the index of ``states[i]`` turned one site, and the
+    rates must not change under it.
     """
 
     states: list
     rows: list
     state_index: dict = field(default_factory=dict)
+    turn: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.state_index:
@@ -71,19 +78,28 @@ class GeneratorMatrix:
         exits = np.array([float(sum(row.values())) for row in self.rows])
         return rows, cols, vals, exits
 
-    def to_dense(self, members=None) -> np.ndarray:
-        """Dense generator, or its block on the state indices ``members`` in
-        that order; the diagonal is always minus the full exit rate."""
+    def to_dense(self, members=None, columns=None) -> np.ndarray:
+        """Dense generator, or its block with rows the state indices
+        ``members`` in that order; each diagonal entry adds minus the row's
+        full exit rate.
+
+        Column k is ``members[k]``, or, given ``columns`` (an index array
+        over all states, -1 for none, that maps ``members[k]`` to k), the sum
+        of the columns of the states it maps to k.
+        """
         rows, cols, vals, exits = self.entries
         if members is None:
             members = range(self.dimension)
         members = np.asarray(members, dtype=np.intp)
+        n = len(members)
         pos = np.full(self.dimension, -1, dtype=np.intp)
-        pos[members] = np.arange(len(members))
-        keep = (pos[rows] >= 0) & (pos[cols] >= 0)
-        q = np.zeros((len(members), len(members)))
-        q[pos[rows[keep]], pos[cols[keep]]] = vals[keep]
-        q[np.diag_indices(len(members))] = -exits[members]
+        pos[members] = np.arange(n)
+        if columns is None:
+            columns = pos
+        keep = (pos[rows] >= 0) & (columns[cols] >= 0)
+        q = np.zeros((n, n))
+        np.add.at(q, (pos[rows[keep]], columns[cols[keep]]), vals[keep])
+        q[np.diag_indices(n)] -= exits[members]
         return q
 
 
@@ -129,9 +145,10 @@ def single_generator(spec: RateSpec, size: int, count: Optional[int] = None) -> 
         row = {}
         for x, d, r in active_jumps(spec, eta):
             j = index[apply_jump(eta, x, (x + d) % size)]
-            row[j] = row.get(j, 0) + r
+            row[j] = row[j] + r if j in row else r
         rows.append(row)
-    return GeneratorMatrix(states, rows, index)
+    turn = np.array([index[eta[-1:] + eta[:-1]] for eta in states], dtype=np.intp)
+    return GeneratorMatrix(states, rows, index, turn)
 
 
 def pair_states(size: int, counts: Optional[tuple] = None):
@@ -273,20 +290,45 @@ def closed_classes(gen: GeneratorMatrix) -> list:
 
 
 def _solve_on_class(gen: GeneratorMatrix, members: list) -> np.ndarray:
-    """Stationary law on one closed class, in the order of ``members``.
+    """Stationary law on one closed class, in the order of ``members``
+    (ascending state indices).
 
     A closed class is irreducible, so Q^T restricted to it has rank n - 1.
     Replacing its last equation by the normalisation sum(pi) = 1 gives a
     nonsingular system, solved by one LU factorisation (Stewart,
     *Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 2).
+
+    The system is solved on orbits.  With ``gen.turn``, let h be the smallest
+    power of the turn that maps the class's first member into the class:
+    turn**h maps the class onto itself and keeps the rates, so the law is
+    constant on the orbits of turn**h in the class, and the lumped chain of
+    those orbits is a Markov chain (Kemeny & Snell, *Finite Markov Chains*,
+    1960, ch. VI).  Its row k is the first member of orbit k, its column k
+    sums the rates into orbit k, and each state gets its orbit's weight
+    divided by the orbit's size.  Without a turn every orbit is one state.
     Rounding-sized negative weights are clipped to 0; a singular system, a
     weight below -_NEGATIVE_TOL times the largest, or a sum that is not
     positive raises ``ValueError``.
     """
+    members = np.asarray(members, dtype=np.intp)
     n = len(members)
-    a = gen.to_dense(members).T
+    first = members  # the smallest index on each member's orbit
+    if gen.turn is not None:
+        inside = np.zeros(gen.dimension, dtype=bool)
+        inside[members] = True
+        step = gen.turn
+        while not inside[step[members[0]]]:
+            step = gen.turn[step]
+        turned = step[members]
+        while not np.array_equal(turned, members):
+            first = np.minimum(first, turned)
+            turned = step[turned]
+    leads, orbit, sizes = np.unique(first, return_inverse=True, return_counts=True)
+    columns = np.full(gen.dimension, -1, dtype=np.intp)
+    columns[members] = orbit
+    a = gen.to_dense(leads, columns).T
     a[-1] = 1.0
-    b = np.zeros(n)
+    b = np.zeros(len(leads))
     b[-1] = 1.0
     try:
         pi = np.linalg.solve(a, b)
@@ -306,8 +348,8 @@ def _solve_on_class(gen: GeneratorMatrix, members: list) -> np.ndarray:
             "against a largest weight of %r" % (n, float(pi.min()), float(pi.max()))
         )
     pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    return pi
+    weights = pi[orbit] / sizes[orbit]
+    return weights / weights.sum()
 
 
 def stationary_distributions(gen: GeneratorMatrix) -> list:

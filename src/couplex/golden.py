@@ -643,12 +643,12 @@ def _crit_cross_formulation():
             report = oneD_cross_check(spec, xi, zeta)
             checked += 1
             if not report.equal:
-                return False, "%s: prefix and set/series tables differ at %s / %s" % (
+                return False, "%s: prefix-sum oracle and coupling_table differ at %s / %s" % (
                     label,
                     xi,
                     zeta,
                 )
-    return True, "3 models, %d ordered pairs: prefix construction == set/series construction, exact" % checked
+    return True, "3 models, %d ordered pairs: prefix-sum oracle == coupling_table, exact" % checked
 
 
 def _crit_sector_uniform():

@@ -184,27 +184,34 @@ def test_stationary_solve_matches_lstsq(gen, classes):
         assert dists[0].weights[2] == 1.0
 
 
+def _turned(eta, k):
+    return eta[-k:] + eta[:-k]
+
+
 def test_stationary_solve_fails_loudly(monkeypatch):
-    gen = single_generator(sep(), 5, 2)
+    # the solve runs on the sector's 10 rotation orbits; messages name the
+    # class's 70 states
+    gen = single_generator(sep(), 8, 4)
 
     def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
-    with pytest.raises(ValueError, match="closed class of 10 states: Singular matrix"):
+    with pytest.raises(ValueError, match="closed class of 70 states: Singular matrix"):
         stationary_distributions(gen)
 
     def one_negative(a, b):
+        assert len(b) == 10
         weights = np.full(len(b), 0.1)
         weights[3] = -0.5
         return weights
 
     monkeypatch.setattr(np.linalg, "solve", one_negative)
-    with pytest.raises(ValueError, match="10 states gave weight -0.5 against a largest weight of 0.1"):
+    with pytest.raises(ValueError, match="70 states gave weight -0.5 against a largest weight of 0.1"):
         stationary_distributions(gen)
 
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.zeros(len(b)))
-    with pytest.raises(ValueError, match="10 states gave weights summing to 0.0"):
+    with pytest.raises(ValueError, match="70 states gave weights summing to 0.0"):
         stationary_distributions(gen)
 
     def rounding_negative(a, b):
@@ -214,8 +221,86 @@ def test_stationary_solve_fails_loudly(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", rounding_negative)
     (dist,) = stationary_distributions(gen)
-    assert dist.weights[3] == 0.0
+    # orbits come in the order of their first states; the fourth is led by state 3
+    orbit = {gen.state_index[_turned(gen.states[3], k)] for k in range(8)}
+    assert list(np.flatnonzero(dist.weights == 0.0)) == sorted(orbit)
     assert abs(dist.weights.sum() - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "spec, size, count, classes, powers",
+    [
+        # one class, kept by every turn; 101010101010 has an orbit of 2
+        (two_star_step({1: F(4, 5), 2: F(1, 5)}), 12, 6, 1, {1}),
+        # 9 closed classes, each kept by turn**3 or only by turn**6
+        (gg_symmetrized(1, 0, 1, 0), 6, 2, 9, {3, 6}),
+    ],
+    ids=["two_star_step", "gg-reducible"],
+)
+def test_stationary_weights_are_equal_along_rotation_orbits(spec, size, count, classes, powers):
+    gen = single_generator(spec, size, count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dists = stationary_distributions(gen)
+    members = closed_classes(gen)
+    assert len(dists) == len(members) == classes
+    kept_by = set()
+    for dist, cls in zip(dists, members):
+        inside = set(cls)
+        turns = [
+            k for k in range(1, size + 1)
+            if gen.state_index[_turned(gen.states[cls[0]], k)] in inside
+        ]
+        kept_by.add(turns[0])
+        for k in turns:
+            for i in cls:
+                assert dist.weights[gen.state_index[_turned(gen.states[i], k)]] == dist.weights[i]
+        assert np.max(np.abs(dist.weights - _lstsq_stationary(gen, cls))) <= 1e-12
+    assert kept_by == powers
+
+
+@pytest.mark.parametrize(
+    "rows, turn",
+    [
+        ([{1: 1.0}, {0: 3.0}, {3: 1.0}, {2: 3.0}, {0: 0.5, 2: 0.5}], [2, 3, 0, 1, 4]),
+        ([{1: 2.0}, {0: 2.0}, {3: 2.0}, {2: 2.0}, {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5}], [2, 3, 1, 0, 4]),
+    ],
+    ids=["swap", "four-cycle"],
+)
+def test_a_turn_that_swaps_two_closed_classes(rows, turn):
+    # the turn maps the closed class {0, 1} onto {2, 3} and back, so each is
+    # solved under turn**2: the identity on states for "swap", one orbit of
+    # two states per class for "four-cycle"; state 4 is transient
+    gen = GeneratorMatrix(list(range(5)), rows, turn=np.array(turn))
+    with pytest.warns(UserWarning, match="2 closed classes"):
+        dists = stationary_distributions(gen)
+    classes = closed_classes(gen)
+    assert sorted(classes) == [[0, 1], [2, 3]]
+    for dist, cls in zip(dists, classes):
+        assert np.max(np.abs(dist.weights - _lstsq_stationary(gen, cls))) <= 1e-12
+        assert dist.residual <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [single_generator(traffic2(F(7, 10), F(1, 5)), 10, 5), single_generator(gg_symmetrized(1, 0, 1, 0), 6, 2)],
+    ids=["traffic2", "gg-reducible"],
+)
+def test_without_a_turn_each_state_is_its_own_orbit(gen):
+    # the whole-class replaced-row solve, bit for bit
+    plain = GeneratorMatrix(gen.states, gen.rows, gen.state_index)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dists = stationary_distributions(plain)
+    for dist, cls in zip(dists, closed_classes(gen)):
+        a = _dense_block(gen, cls).T
+        a[-1] = 1.0
+        b = np.zeros(len(cls))
+        b[-1] = 1.0
+        pi = np.clip(np.linalg.solve(a, b), 0.0, None)
+        want = np.zeros(gen.dimension)
+        want[cls] = pi / pi.sum()
+        assert np.array_equal(dist.weights, want)
 
 
 def _dense_transient(gen, start, t):

@@ -37,6 +37,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -397,7 +398,12 @@ def _cmd_exact(args) -> int:
         rows = [("sector", "component", "state", "weight")]
         for count in counts:
             gen = single_generator(spec, size, count)
-            for member, dist in enumerate(stationary_distributions(gen)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                dists = stationary_distributions(gen)
+            for warning in caught:  # one diagnostic line per reducible sector
+                print("couplex: sector %d: %s" % (count, warning.message), file=sys.stderr)
+            for member, dist in enumerate(dists):
                 for state, weight in zip(dist.states, dist.weights):
                     if weight > 0:
                         rows.append((count, member, format_configuration(state), repr(float(weight))))

@@ -11,7 +11,8 @@ class that some turn maps onto itself is constant on the rotation orbits it
 holds, and the system is solved on those orbits, one unknown each.
 
 The coupled layer builds each pair's coupling table directly and enumerates
-at most ``4**COUPLED_SIZE_CAP`` pairs.
+at most ``4**COUPLED_SIZE_CAP`` pairs; discrepancy extinction is solved on
+its rotation orbits, one row per orbit (see :class:`ExtinctionReport`).
 """
 
 from __future__ import annotations
@@ -172,46 +173,37 @@ def _check_coupled_size(size: int) -> None:
 
 
 def _orbits(states: list) -> list:
-    """The rotation orbits of the pairs in ``states``, as lists of indices
-    into ``states``.  Orbits come in the order of their first pairs, which
-    lead them; only turns found in ``states`` are listed."""
+    """The rotation orbits of ``states``, pairs closed under rotation, as
+    ascending lists of indices into ``states``, in the order of their first
+    pairs."""
     index = {s: i for i, s in enumerate(states)}
     seen = [False] * len(states)
     orbits = []
     for i, (xi, zeta) in enumerate(states):
-        if seen[i]:
-            continue
-        seen[i] = True
-        orbit = [i]
-        for k in range(1, len(xi)):
-            j = index.get((xi[-k:] + xi[:-k], zeta[-k:] + zeta[:-k]))
-            if j is not None and not seen[j]:
+        if not seen[i]:
+            orbit = sorted({index[(xi[k:] + xi[:k], zeta[k:] + zeta[:k])] for k in range(len(xi))})
+            for j in orbit:
                 seen[j] = True
-                orbit.append(j)
-        orbits.append(orbit)
+            orbits.append(orbit)
     return orbits
 
 
-def coupled_generator(
-    spec: RateSpec,
-    size: int,
-    kind: str,
-    states: Optional[list] = None,
-) -> GeneratorMatrix:
-    """Generator of the coupled pair chain under the given coupling kind,
-    on ``states`` (by default every pair of the ring, :func:`pair_states`).
-    Each row adds the rates of the pair's moves by target, in move order."""
+def _row(spec: RateSpec, kind: str, xi: tuple, zeta: tuple, column: dict) -> dict:
+    """The row of the pair (xi, zeta): its move rates added by ``column[target]``."""
+    row = {}
+    for _, j1, j2, r in _moves(coupling_table(spec, xi, zeta, kind)):
+        j = column[(apply_jump(xi, *j1) if j1 else xi, apply_jump(zeta, *j2) if j2 else zeta)]
+        row[j] = row[j] + r if j in row else r
+    return row
+
+
+def coupled_generator(spec: RateSpec, size: int, kind: str) -> GeneratorMatrix:
+    """Generator of the coupled pair chain under the given coupling kind, on
+    every pair of the ring (:func:`pair_states`)."""
     _check_coupled_size(size)
-    if states is None:
-        states = list(pair_states(size))
+    states = list(pair_states(size))
     index = {s: i for i, s in enumerate(states)}
-    rows = []
-    for xi, zeta in states:
-        row = {}
-        for _, j1, j2, r in _moves(coupling_table(spec, xi, zeta, kind)):
-            j = index[(apply_jump(xi, *j1) if j1 else xi, apply_jump(zeta, *j2) if j2 else zeta)]
-            row[j] = row[j] + r if j in row else r
-        rows.append(row)
+    rows = [_row(spec, kind, xi, zeta, index) for xi, zeta in states]
     return GeneratorMatrix(states, rows, index)
 
 
@@ -502,19 +494,23 @@ def marginal_errors(spec: RateSpec, size: int, kind: str):
 
 @dataclass
 class ExtinctionReport:
+    """``worst_pair`` is the first pair in enumeration order with the smallest
+    probability, None only when no pair is checked, and ``min_probability``
+    that probability capped at 1.0.  Probabilities are floats even for exact
+    rates: where they are 1 up to rounding, the solve's last bits pick it."""
+
     min_probability: float
     worst_pair: Optional[CoupledState]
     pairs_checked: int
 
 
 def _reaching(rows, targets) -> set:
-    """The states that reach a state of ``targets`` along positive rates,
-    by one backward search; ``targets`` are included."""
+    """The states that reach a state of ``targets`` along the rows' rates,
+    all positive, by one backward search; ``targets`` are included."""
     into = [[] for _ in rows]
     for i, row in enumerate(rows):
-        for j, r in row.items():
-            if r > 0:
-                into[j].append(i)
+        for j in row:
+            into[j].append(i)
     seen = set(targets)
     stack = list(seen)
     while stack:
@@ -537,37 +533,35 @@ def discrepancy_extinction(spec: RateSpec, size: int, kind: str = "strict") -> E
     that is 0 in some patterns and positive in others is no obstacle: the
     search decides what the rates allow.  A coupling that cannot serve a
     pair raises its own ``ValueError``, which names the pair.
+
+    Both the chain and "comparable" are unchanged by a turn of the ring, so
+    the rotation orbits form a Markov chain (Kemeny & Snell, 1960, ch. VI):
+    each orbit of a sector with an unordered pair gets its first pair's row,
+    rates added by target orbit.
     """
-    min_prob = 1.0
-    worst = None
-    checked = 0
+    _check_coupled_size(size)
+    smallest, worst, checked = math.inf, None, 0
     for n1 in range(size + 1):
         for n2 in range(size + 1):
             states = list(pair_states(size, (n1, n2)))
-            unordered = [s for s in states if not is_ordered(s[0], s[1])]
-            if not unordered:
+            orbits = _orbits(states)
+            leads = [states[orbit[0]] for orbit in orbits]
+            members = [k for k, s in enumerate(leads) if not is_ordered(*s)]
+            if not members:
                 continue
-            gen = coupled_generator(spec, size, kind, states=states)
-            members = [gen.state_index[s] for s in unordered]
-            inside = set(members)
-            n = len(members)
+            orbit_of = {states[i]: k for k, orbit in enumerate(orbits) for i in orbit}
+            gen = GeneratorMatrix(leads, [_row(spec, kind, *s, orbit_of) for s in leads])
+            # row sums are minus the flow into comparable pairs
             a = gen.to_dense(members)
-            b = np.zeros(n)
-            for k, i in enumerate(members):
-                for j, r in gen.rows[i].items():
-                    if j not in inside:
-                        b[k] -= float(r)  # flow into comparable pairs
-            # the system on the pairs that reach a comparable pair is
-            # nonsingular; the others, zero-outflow pairs among them, stay 0
-            reaching = _reaching(gen.rows, [i for i in range(gen.dimension) if i not in inside])
-            live = [k for k, i in enumerate(members) if i in reaching]
-            h = np.zeros(n)
+            # the system on the orbits that reach a comparable pair is
+            # nonsingular; the others, zero-outflow orbits among them, stay 0
+            reaching = _reaching(gen.rows, [k for k, s in enumerate(leads) if is_ordered(*s)])
+            live = [m for m, k in enumerate(members) if k in reaching]
+            h = np.zeros(len(members))
             if live:
-                sub = np.ix_(live, live)
-                h[live] = np.linalg.solve(a[sub], b[live])
-            for k, s in enumerate(unordered):
-                checked += 1
-                if h[k] < min_prob:
-                    min_prob = float(h[k])
-                    worst = CoupledState(*s)
-    return ExtinctionReport(min_prob, worst, checked)
+                h[live] = np.linalg.solve(a[np.ix_(live, live)], a[live].sum(axis=1))
+            checked += sum(len(orbits[k]) for k in members)
+            m = int(np.argmin(h))  # the first orbit, so the first pair, with the minimum
+            if h[m] < smallest:
+                smallest, worst = float(h[m]), CoupledState(*leads[members[m]])
+    return ExtinctionReport(min(1.0, smallest), worst, checked)

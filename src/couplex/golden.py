@@ -569,7 +569,7 @@ def _crit_sep_basic_coupling():
             if coupling_table(spec, xi, zeta, "increasing").coupled != want:
                 issues.append((label, "increasing", xi, zeta))
         hand = sep_basic_rows(law, size, states, index)
-        engine = coupled_generator(spec, size, "attractive", states=states)
+        engine = coupled_generator(spec, size, "attractive")
         for i, (a, b) in enumerate(zip(hand, engine.rows)):
             if a != b:
                 issues.append((label, "generator", states[i]))

@@ -117,6 +117,19 @@ def test_exact_stationary(capsys):
     assert all(line.startswith("2,0,") for line in lines[1:])
 
 
+def test_exact_stationary_names_each_reducible_sector(capsys):
+    code, out, err = run(
+        capsys, "exact", "gg_symmetrized", "1", "0", "1", "0", "--task", "stationary", "--size", "6"
+    )
+    assert code == 0
+    assert out.startswith("sector,component,state,weight\n")
+    assert err.splitlines() == [
+        "couplex: sector %d: chain is reducible: %d closed classes; returning one "
+        "stationary distribution per class" % pair
+        for pair in ((1, 6), (2, 9), (3, 2))
+    ]
+
+
 def test_exact_audit_exit_codes(capsys):
     code, out, err = run(capsys, "exact", "sep", "--task", "audit-order", "--size", "5")
     assert code == 0

@@ -25,7 +25,7 @@ from couplex import (
     two_star_step,
     two_step,
 )
-from couplex import coupling
+from couplex import coupling, exact
 from couplex.exact import AuditViolation, GeneratorMatrix, closed_classes, stationary_distributions
 from couplex.golden import MONOTONE_ZOO
 from couplex.lattice import CoupledState
@@ -408,6 +408,38 @@ def test_discrepancy_extinction_sep():
     assert report.worst_pair is not None
 
 
+def test_extinction_names_a_worst_pair_whenever_it_checks_one():
+    # every probability is 1 up to rounding, so the worst pair is the first
+    # pair with the smallest one, not None when none falls below 1.0
+    report = discrepancy_extinction(sep(), 3, "strict")
+    assert report.pairs_checked == 18
+    assert report.min_probability == 1.0
+    assert report.worst_pair == ((1, 0, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize("size, tables", [(5, 180), (6, 648)])
+def test_extinction_builds_one_table_per_orbit(size, tables, monkeypatch):
+    # one coupling table per rotation orbit of the sectors that hold an
+    # unordered pair: 900 and 3844 tables pair by pair
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return coupling.coupling_table(*args)
+
+    monkeypatch.setattr(exact, "coupling_table", counting)
+    discrepancy_extinction(sep(), size, "strict")
+    assert len(calls) == tables
+
+
+def _sector_generator(full, states):
+    """The rows of ``full`` at the pairs ``states``, a closed sector,
+    renumbered in the order of ``states``."""
+    pos = {full.state_index[s]: k for k, s in enumerate(states)}
+    rows = [{pos[j]: r for j, r in full.rows[full.state_index[s]].items()} for s in states]
+    return GeneratorMatrix(states, rows)
+
+
 def _hitting_by_iteration(gen, unordered, steps=4000):
     """Oracle: the hitting probability of the comparable pairs as the limit
     of the jump chain's n-step hitting probabilities, from 0 up (Norris,
@@ -437,7 +469,7 @@ def test_discrepancy_extinction_with_unreachable_pairs(kind):
     # a particle on an even site and one on an odd site never meet
     states = list(pair_states(6, (1, 1)))
     unordered = {s for s in states if not is_ordered(*s)}
-    h = _hitting_by_iteration(coupled_generator(spec, 6, kind, states=states), unordered)
+    h = _hitting_by_iteration(_sector_generator(coupled_generator(spec, 6, kind), states), unordered)
     assert h[states.index(report.worst_pair)] == 0
     assert sorted({round(float(v), 9) for v in h}) == [0.0, 1.0]
 
@@ -458,7 +490,9 @@ def test_discrepancy_extinction_of_a_blocked_non_monotone_spec():
     assert report.worst_pair == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
     states = list(pair_states(6, (1, 1)))
     unordered = {s for s in states if not is_ordered(*s)}
-    h = _hitting_by_iteration(coupled_generator(spec, 6, "strict", states=states), unordered)
+    h = _hitting_by_iteration(
+        _sector_generator(coupled_generator(spec, 6, "strict"), states), unordered
+    )
     assert h[states.index(report.worst_pair)] == 0
 
 
@@ -466,7 +500,8 @@ def test_discrepancy_extinction_raises_where_the_coupling_fails():
     with pytest.raises(ValueError, match="in the pair 100000 / 010000"):
         discrepancy_extinction(traffic2(0, 2), 6, "strict")
     # the pair the coupling cannot serve is comparable: extinction builds
-    # the rows of every pair of a sector, so it refuses
+    # the row of the first pair of every orbit of a sector, comparable or
+    # not, so it refuses
     with pytest.raises(ValueError, match="in the pair 10000 / 10110"):
         discrepancy_extinction(gg_symmetrized(0, 0, 1, 2), 5, "strict")
 
@@ -583,6 +618,84 @@ def test_rotation_reduction_matches_direct_loop_at_six_sites(kind):
     _assert_reduced_matches_direct(traffic2(F(7, 10), F(1, 5)), 6, kind)
 
 
+# ---------------------------------------------------------------------------
+# Oracle: extinction pair by pair, without rotation orbits.  Each sector's
+# rows come from the per-pair loop above, in the sector's pair order, so a
+# coupling that cannot serve a pair raises where a pair-by-pair build
+# raises; the full generator would name another pair of the same orbit,
+# since it enumerates the ring's pairs in another order.
+
+
+def _extinction_by_pairs(spec, size, kind):
+    """The hitting probability of the comparable pairs from every unordered
+    pair: a backward search from the comparable pairs, 0 where it does not
+    arrive, and one dense solve on the other unordered pairs of a sector."""
+    probability = {}
+    for n1 in range(size + 1):
+        for n2 in range(size + 1):
+            states = list(pair_states(size, (n1, n2)))
+            target = [is_ordered(*s) for s in states]
+            if all(target):
+                continue
+            rows = _direct_rows(states, _direct_moves(spec, states, kind))
+            into = [[] for _ in states]
+            for i, row in enumerate(rows):
+                for j in row:
+                    into[j].append(i)
+            seen = {i for i, t in enumerate(target) if t}
+            stack = list(seen)
+            while stack:
+                for i in into[stack.pop()]:
+                    if i not in seen:
+                        seen.add(i)
+                        stack.append(i)
+            live = [i for i in seen if not target[i]]
+            column = {i: k for k, i in enumerate(live)}
+            q = np.zeros((len(live), len(live)))
+            b = np.zeros(len(live))
+            for k, i in enumerate(live):
+                for j, r in rows[i].items():
+                    q[k, k] -= float(r)
+                    if target[j]:
+                        b[k] -= float(r)
+                    elif j in column:
+                        q[k, column[j]] += float(r)
+            h = np.linalg.solve(q, b) if live else []
+            for i, s in enumerate(states):
+                if not target[i]:
+                    probability[s] = float(h[column[i]]) if i in column else 0.0
+    return probability
+
+
+def _assert_extinction_matches_pairs(spec, size, kind):
+    try:
+        want = _extinction_by_pairs(spec, size, kind)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            discrepancy_extinction(spec, size, kind)
+        assert str(got.value) == str(err)
+        return
+    report = discrepancy_extinction(spec, size, kind)
+    lowest = min(want.values())
+    assert report.pairs_checked == len(want)
+    assert abs(report.min_probability - min(1.0, lowest)) <= 1e-12
+    assert abs(want[report.worst_pair] - lowest) <= 1e-12
+    if lowest == 0:
+        assert report.min_probability == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "spec", [s for _, s in DIFFERENTIAL_MODELS], ids=[l for l, _ in DIFFERENTIAL_MODELS]
+)
+def test_extinction_on_orbits_matches_pairs(spec, kind):
+    _assert_extinction_matches_pairs(spec, 5, kind)
+
+
+def test_extinction_on_orbits_matches_pairs_at_six_sites():
+    _assert_extinction_matches_pairs(gg_symmetrized(1, 0, 1, 0), 6, "strict")
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_marginal_errors_with_clipped_residuals(kind, monkeypatch):
     # a wide float cut-off clips small residuals to 0: the coupled chain
@@ -594,29 +707,3 @@ def test_marginal_errors_with_clipped_residuals(kind, monkeypatch):
     assert want > 0.1
     got = marginal_errors(spec, 5, kind)
     assert got == want and type(got) is type(want)
-
-
-def _even(eta):
-    return not any(eta[1::2])
-
-
-@pytest.mark.parametrize(
-    "spec, states",
-    [
-        # jumps of 2 keep particles on even sites, a set a turn by one site
-        # leaves: orbits are cut in half
-        (
-            sep({2: F(1), -2: F(1, 3)}),
-            [s for s in pair_states(6, (2, 1)) if _even(s[0]) and _even(s[1])],
-        ),
-        # closed under rotation, but the first pair of an orbit is another one
-        (traffic2(F(7, 10), F(1, 5)), list(pair_states(5, (2, 3)))[::-1]),
-        (traffic2(0.7, 0.2), list(pair_states(5, (3, 2)))[::-1]),
-    ],
-    ids=["parity-subset", "reversed-sector", "reversed-sector-float"],
-)
-@pytest.mark.parametrize("kind", KINDS)
-def test_generator_on_states_not_closed_under_rotation(spec, states, kind):
-    gen = coupled_generator(spec, len(states[0][0]), kind, states=states)
-    want = _direct_rows(states, _direct_moves(spec, states, kind))
-    assert _typed_items(gen.rows) == _typed_items(want)

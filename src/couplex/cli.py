@@ -220,7 +220,6 @@ _READS = {
         "count": (("stationary",), "task stationary"),
         "density": (("stationary",), "task stationary"),
         "kind": (TASKS[1:], "tasks " + ", ".join(TASKS[1:])),
-        "tol": (("extinction",), "task extinction"),
     },
     "simulate": {
         **dict.fromkeys(("id", "size", "first", "second", "count", "density", "coupled", "seed", "replicas",
@@ -250,7 +249,7 @@ _FIXED_STDOUT = (("check-monotone", None), ("golden-suite", None), ("exact", "ex
 
 #: the section of every setting, in the order refusals list them
 _SECTIONS = {
-    "id": "model", **SECTIONS, "count": "lattice", "tol": "execution", "sites": "output",
+    "id": "model", **SECTIONS, "count": "lattice", "sites": "output",
     **dict.fromkeys(OBSERVABLES, "output"),
 }
 
@@ -386,8 +385,6 @@ def _cmd_exact(args) -> int:
     spec = build_spec(cfg)
     size = _need(cfg.size, "lattice size")
     task = _need(cfg.task, "task")
-    if args.tol is not None and not 0 <= args.tol < 1:
-        raise ConfigError([Diagnostic("execution", "tol", "tol must lie in [0, 1), got %r" % args.tol)])
     if task == "stationary":
         if args.count is not None:
             counts = [args.count]
@@ -445,8 +442,7 @@ def _cmd_exact(args) -> int:
             rows = [("min_probability", "pairs_checked")]
             rows.append((repr(float(report.min_probability)), report.pairs_checked))
             _emit(_csv_text(rows), cfg.path)
-        tol = 1e-8 if args.tol is None else args.tol
-        return OK if report.min_probability >= 1 - tol else NEGATIVE
+        return OK if report.min_probability == 1 else NEGATIVE
     raise ConfigError([Diagnostic("run", "task", "unknown task %r" % task)])
 
 
@@ -630,7 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--count", type=int, help="particle count (stationary: one sector)")
     sub.add_argument("--density", type=float, help="particle density (alternative to --count)")
     sub.add_argument("--kind", choices=KINDS)
-    sub.add_argument("--tol", type=float, help="extinction tolerance (default 1e-8)")
 
     sub = subs.add_parser("simulate", help="sample trajectories")
     _add_common(sub)

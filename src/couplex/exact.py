@@ -3,16 +3,17 @@
 Everything here enumerates states explicitly: single-copy chains over all
 configurations of a ring (or one particle-number sector), and coupled chains
 over configuration pairs.  Generators are kept sparse (dict of rows); dense
-numpy arrays are materialized only for linear solves.  The stationary law of a
-closed class solves the replaced-row system: Q^T with its last equation
-replaced by the normalisation sum(pi) = 1, by one LU factorisation.  A single
-chain's rates do not change when the ring turns one site, so the law of a
-class that some turn maps onto itself is constant on the rotation orbits it
-holds, and the system is solved on those orbits, one unknown each.
+numpy arrays are materialized only for the stationary solve.  The stationary
+law of a closed class solves the replaced-row system: Q^T with its last
+equation replaced by the normalisation sum(pi) = 1, by one LU factorisation.
+A single chain's rates do not change when the ring turns one site, so the law
+of a class that some turn maps onto itself is constant on the rotation orbits
+it holds, and the system is solved on those orbits, one unknown each.
 
 The coupled layer builds each pair's coupling table directly and enumerates
-at most ``4**COUPLED_SIZE_CAP`` pairs; discrepancy extinction is solved on
-its rotation orbits, one row per orbit (see :class:`ExtinctionReport`).
+at most ``4**COUPLED_SIZE_CAP`` pairs; discrepancy extinction is an exact
+reachability verdict on its rotation orbits, one row per orbit, with no
+linear solve (see :func:`discrepancy_extinction`).
 """
 
 from __future__ import annotations
@@ -494,10 +495,10 @@ def marginal_errors(spec: RateSpec, size: int, kind: str):
 
 @dataclass
 class ExtinctionReport:
-    """``worst_pair`` is the first pair in enumeration order with the smallest
-    probability, None only when no pair is checked, and ``min_probability``
-    that probability capped at 1.0.  Probabilities are floats even for exact
-    rates: where they are 1 up to rounding, the solve's last bits pick it."""
+    """``min_probability`` is 0.0 if some unordered pair never reaches a
+    comparable pair, else 1.0: exact, for exact and float rates alike.
+    ``worst_pair`` is the first such pair in sector order, else the first
+    unordered pair checked, and None only when no pair is checked."""
 
     min_probability: float
     worst_pair: Optional[CoupledState]
@@ -522,25 +523,27 @@ def _reaching(rows, targets) -> set:
 
 
 def discrepancy_extinction(spec: RateSpec, size: int, kind: str = "strict") -> ExtinctionReport:
-    """Exact probability that the coupled chain started from each unordered
-    pair ever reaches a comparable pair (all discrepancies of one sign gone).
+    """Whether the coupled chain started from every unordered pair reaches a
+    comparable pair (all discrepancies of one sign gone) with probability 1.
 
-    Works sector by sector (particle numbers are conserved).  The
-    probabilities are the minimal nonnegative solution of the hitting
-    equations (Norris, *Markov Chains*, 1997, Thm 1.3.2): 0 on the unordered
-    pairs that no path of positive rates takes to a comparable pair, found
-    by one backward search, and one linear solve on the others.  A rate
-    that is 0 in some patterns and positive in others is no obstacle: the
-    search decides what the rates allow.  A coupling that cannot serve a
-    pair raises its own ``ValueError``, which names the pair.
+    Works sector by sector (particle numbers are conserved).  A sector is
+    finite and closed, and each of its pairs is unordered or comparable, so
+    the hitting probability of the comparable pairs is 1 from every unordered
+    pair if each one reaches a comparable pair along a path of positive
+    rates, and 0 from one that does not (Norris, *Markov Chains*, 1997,
+    Thm 1.3.2).  One backward search per sector decides which case holds;
+    there is no linear solve.  A rate that is 0 in some patterns and
+    positive in others is no obstacle: the search decides what the rates
+    allow.  A coupling that cannot serve a pair raises its own
+    ``ValueError``, which names the pair.
 
     Both the chain and "comparable" are unchanged by a turn of the ring, so
     the rotation orbits form a Markov chain (Kemeny & Snell, 1960, ch. VI):
     each orbit of a sector with an unordered pair gets its first pair's row,
-    rates added by target orbit.
+    comparable or not, with rates added by target orbit.
     """
     _check_coupled_size(size)
-    smallest, worst, checked = math.inf, None, 0
+    worst, sure, checked = None, True, 0
     for n1 in range(size + 1):
         for n2 in range(size + 1):
             states = list(pair_states(size, (n1, n2)))
@@ -550,18 +553,11 @@ def discrepancy_extinction(spec: RateSpec, size: int, kind: str = "strict") -> E
             if not members:
                 continue
             orbit_of = {states[i]: k for k, orbit in enumerate(orbits) for i in orbit}
-            gen = GeneratorMatrix(leads, [_row(spec, kind, *s, orbit_of) for s in leads])
-            # row sums are minus the flow into comparable pairs
-            a = gen.to_dense(members)
-            # the system on the orbits that reach a comparable pair is
-            # nonsingular; the others, zero-outflow orbits among them, stay 0
-            reaching = _reaching(gen.rows, [k for k, s in enumerate(leads) if is_ordered(*s)])
-            live = [m for m, k in enumerate(members) if k in reaching]
-            h = np.zeros(len(members))
-            if live:
-                h[live] = np.linalg.solve(a[np.ix_(live, live)], a[live].sum(axis=1))
+            rows = [_row(spec, kind, *s, orbit_of) for s in leads]
+            reaching = _reaching(rows, [k for k, s in enumerate(leads) if is_ordered(*s)])
             checked += sum(len(orbits[k]) for k in members)
-            m = int(np.argmin(h))  # the first orbit, so the first pair, with the minimum
-            if h[m] < smallest:
-                smallest, worst = float(h[m]), CoupledState(*leads[members[m]])
-    return ExtinctionReport(min(1.0, smallest), worst, checked)
+            stuck = [k for k in members if k not in reaching]
+            if worst is None or (sure and stuck):
+                worst = CoupledState(*leads[(stuck or members)[0]])
+            sure = sure and not stuck
+    return ExtinctionReport(1.0 if sure else 0.0, worst, checked)

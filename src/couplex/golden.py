@@ -681,7 +681,7 @@ def _crit_extinction():
     ):
         rep = discrepancy_extinction(spec, 6, "strict")
         reports.append((label, rep))
-    ok = all(rep.min_probability >= 1 - 1e-8 for _, rep in reports)
+    ok = all(rep.min_probability == 1 for _, rep in reports)
     detail = "; ".join(
         "%s: reach a comparable pair with prob >= %.10f (%d pairs)"
         % (label, rep.min_probability, rep.pairs_checked)

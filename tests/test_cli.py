@@ -149,7 +149,7 @@ def test_exact_extinction_json(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["min_probability"] >= 1 - 1e-8
+    assert payload["min_probability"] == 1.0
     assert payload["pairs_checked"] == 570
 
 
@@ -167,7 +167,7 @@ def test_exact_extinction_of_blocked_specs(capsys):
     # a hop that the skipped site opens or shuts gets a number, not a refusal
     code, out, err = run(capsys, "exact", "two_step", "--task", "extinction", "--size", "6")
     assert code == 0, err
-    assert json.loads(out)["min_probability"] >= 1 - 1e-8
+    assert json.loads(out)["min_probability"] == 1.0
     # where the strict coupling cannot serve a pair, its error names the pair
     code, out, err = run(capsys, "exact", "traffic2", "0", "2", "--task", "extinction", "--size", "6")
     assert code == 2 and out == ""
@@ -213,20 +213,15 @@ def test_exact_refuses_options_its_task_does_not_read(tmp_path, capsys):
     code, out, err = run(capsys, "--config", str(path))
     assert code == 2 and out == ""
     assert "[execution.kind] kind is read only by tasks" in err
-    # the tolerance is read by the extinction task alone
-    for task in ("stationary", "audit-order", "audit-discrepancy"):
-        code, out, err = run(capsys, "exact", "sep", "--task", task, "--size", "4", "--tol", "0.5")
-        assert code == 2 and out == ""
-        assert err == "couplex: [execution.tol] tol is read only by task extinction, not %s\n" % task
 
 
-def test_exact_refuses_a_tolerance_outside_the_unit_interval(capsys):
-    # a tolerance of 1 or more passes every pair, and a negative or NaN one
-    # fails every pair, whatever the probabilities
-    for tol in ("1", "-0.5", "nan"):
-        code, out, err = run(capsys, "exact", "sep", "--task", "extinction", "--size", "4", "--tol", tol)
-        assert code == 2 and out == ""
-        assert err.startswith("couplex: [execution.tol] tol must lie in [0, 1), got ")
+def test_exact_extinction_has_no_tolerance(capsys):
+    # the verdict is exact, so there is no tolerance to set
+    with pytest.raises(SystemExit) as exit_:
+        main(["exact", "sep", "--task", "extinction", "--size", "4", "--tol", "0.5"])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == ""
+    assert "unrecognized arguments: --tol 0.5" in err
 
 
 def test_exact_requires_task(capsys):

@@ -404,13 +404,13 @@ def test_audit_discrepancy_monotone_oracles():
 def test_discrepancy_extinction_sep():
     report = discrepancy_extinction(sep(), 5, "strict")
     assert report.pairs_checked == 570
-    assert report.min_probability >= 1 - 1e-9
+    assert report.min_probability == 1.0
     assert report.worst_pair is not None
 
 
 def test_extinction_names_a_worst_pair_whenever_it_checks_one():
-    # every probability is 1 up to rounding, so the worst pair is the first
-    # pair with the smallest one, not None when none falls below 1.0
+    # every unordered pair reaches a comparable pair, so the worst pair is
+    # the first unordered pair checked, not None
     report = discrepancy_extinction(sep(), 3, "strict")
     assert report.pairs_checked == 18
     assert report.min_probability == 1.0
@@ -480,7 +480,9 @@ def test_discrepancy_extinction_of_a_blocked_monotone_spec(kind):
     # unordered pair still becomes comparable
     report = discrepancy_extinction(two_step(), 6, kind)
     assert report.pairs_checked == 2702
-    assert report.min_probability >= 1 - 1e-9
+    # the verdict is exact, so the worst pair is the first unordered pair
+    assert report.min_probability == 1.0
+    assert report.worst_pair == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
 
 
 def test_discrepancy_extinction_of_a_blocked_non_monotone_spec():
@@ -677,6 +679,9 @@ def _assert_extinction_matches_pairs(spec, size, kind):
         return
     report = discrepancy_extinction(spec, size, kind)
     lowest = min(want.values())
+    # the smallest hitting probability is 0 or 1, and the report says which
+    assert lowest == 0 or abs(lowest - 1) <= 1e-12
+    assert report.min_probability in (0.0, 1.0)
     assert report.pairs_checked == len(want)
     assert abs(report.min_probability - min(1.0, lowest)) <= 1e-12
     assert abs(want[report.worst_pair] - lowest) <= 1e-12

@@ -429,18 +429,17 @@ def _cmd_exact(args) -> int:
         return OK if not violations else NEGATIVE
     if task == "extinction":
         report = discrepancy_extinction(spec, size, cfg.kind or "strict")
+        worst = None if report.worst_pair is None else [format_configuration(c) for c in report.worst_pair]
         payload = {
             "min_probability": float(report.min_probability),
-            "worst_pair": None
-            if report.worst_pair is None
-            else [format_configuration(c) for c in report.worst_pair],
+            "worst_pair": worst,
             "pairs_checked": report.pairs_checked,
         }
         if cfg.format == "json" or cfg.path is None:
             _emit(_json_text(payload), cfg.path)
         else:
-            rows = [("min_probability", "pairs_checked")]
-            rows.append((repr(float(report.min_probability)), report.pairs_checked))
+            rows = [("min_probability", "pairs_checked", "first", "second")]
+            rows.append((repr(float(report.min_probability)), report.pairs_checked, *(worst or ("", ""))))
             _emit(_csv_text(rows), cfg.path)
         return OK if report.min_probability == 1 else NEGATIVE
     raise ConfigError([Diagnostic("run", "task", "unknown task %r" % task)])

@@ -10,10 +10,11 @@ A single chain's rates do not change when the ring turns one site, so the law
 of a class that some turn maps onto itself is constant on the rotation orbits
 it holds, and the system is solved on those orbits, one unknown each.
 
-The coupled layer builds each pair's coupling table directly and enumerates
-at most ``4**COUPLED_SIZE_CAP`` pairs; discrepancy extinction is an exact
-reachability verdict on its rotation orbits, one row per orbit, with no
-linear solve (see :func:`discrepancy_extinction`).
+The coupled layer builds each pair's coupling table directly.  Its entry
+points enumerate at most ``4**COUPLED_SIZE_CAP`` pairs in one order, that of
+:func:`pair_states`, and all but :func:`coupled_generator` read them on
+rotation orbits; discrepancy extinction is an exact reachability verdict on
+the orbit chain, with no linear solve (see :func:`discrepancy_extinction`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .lattice import CoupledState, apply_jump, is_ordered
-from .models import RateSpec, active_jumps
+from .models import RateSpec, _check_ring, active_jumps
 from .coupling import _moves, coupled_transitions, coupling_table
 
 #: largest single-chain state space enumerated: it admits every sector of a
@@ -153,19 +154,16 @@ def single_generator(spec: RateSpec, size: int, count: Optional[int] = None) -> 
     return GeneratorMatrix(states, rows, index, turn)
 
 
-def pair_states(size: int, counts: Optional[tuple] = None):
-    if counts is None:
-        firsts = seconds = list(ring_configs(size))
-    else:
-        firsts = list(ring_configs(size, counts[0]))
-        seconds = list(ring_configs(size, counts[1]))
-    for xi in firsts:
-        for zeta in seconds:
-            yield (xi, zeta)
+def pair_states(size: int):
+    """Every pair of configurations of the ring, in product order of
+    :func:`ring_configs`: the second copy runs fastest."""
+    return itertools.product(ring_configs(size), repeat=2)
 
 
-def _check_coupled_size(size: int) -> None:
-    """Refuse a ring with more pairs than the coupled layer's cap."""
+def _check_coupled_size(spec: RateSpec, size: int) -> None:
+    """Refuse a ring too small for ``spec`` or with more pairs than the
+    coupled layer's cap."""
+    _check_ring(spec, size)
     if size > COUPLED_SIZE_CAP:
         raise ValueError(
             "exact coupled enumeration of %d pairs (L=%d) exceeds the cap of %d pairs (L=%d)"
@@ -201,7 +199,7 @@ def _row(spec: RateSpec, kind: str, xi: tuple, zeta: tuple, column: dict) -> dic
 def coupled_generator(spec: RateSpec, size: int, kind: str) -> GeneratorMatrix:
     """Generator of the coupled pair chain under the given coupling kind, on
     every pair of the ring (:func:`pair_states`)."""
-    _check_coupled_size(size)
+    _check_coupled_size(spec, size)
     states = list(pair_states(size))
     index = {s: i for i, s in enumerate(states)}
     rows = [_row(spec, kind, xi, zeta, index) for xi, zeta in states]
@@ -453,25 +451,28 @@ def _violations(spec: RateSpec, states: list, kind: str, broken) -> list:
 
 def audit_order_preservation(spec: RateSpec, size: int, kind: str = "increasing"):
     """Scan every ordered pair for positive-rate moves that break the order."""
-    _check_coupled_size(size)
+    _check_coupled_size(spec, size)
     ordered = [s for s in pair_states(size) if is_ordered(*s)]
     return _violations(spec, ordered, kind, lambda a: not a.order_preserving)
 
 
 def audit_discrepancy_monotone(spec: RateSpec, size: int, kind: str = "attractive"):
     """Scan every pair for positive-rate moves that increase discrepancies."""
-    _check_coupled_size(size)
+    _check_coupled_size(spec, size)
     return _violations(spec, list(pair_states(size)), kind, lambda a: a.discrepancy_delta > 0)
 
 
 def marginal_errors(spec: RateSpec, size: int, kind: str):
     """Largest gap between each marginal of the coupled chain and the single
-    chain, over all pairs and jumps, taken in pair order.  Exact zero for
-    exact specs."""
-    _check_coupled_size(size)
+    chain, over all pairs and jumps, read on orbit leads: a turn of the ring
+    turns both alike, so the gaps do not change (up to the float rounding
+    that :func:`_violations` states).  Exact zero for exact specs."""
+    _check_coupled_size(spec, size)
     worst = 0
     wants = {}  # the single chain's rates, per configuration
-    for xi, zeta in pair_states(size):
+    states = list(pair_states(size))
+    for orbit in _orbits(states):
+        xi, zeta = states[orbit[0]]
         first = {}
         second = {}
         for _, j1, j2, r in _moves(coupling_table(spec, xi, zeta, kind)):
@@ -497,8 +498,9 @@ def marginal_errors(spec: RateSpec, size: int, kind: str):
 class ExtinctionReport:
     """``min_probability`` is 0.0 if some unordered pair never reaches a
     comparable pair, else 1.0: exact, for exact and float rates alike.
-    ``worst_pair`` is the first such pair in sector order, else the first
-    unordered pair checked, and None only when no pair is checked."""
+    ``worst_pair`` is the first such pair in :func:`pair_states` order,
+    else the first unordered pair, and None only when no pair is
+    unordered."""
 
     min_probability: float
     worst_pair: Optional[CoupledState]
@@ -526,38 +528,32 @@ def discrepancy_extinction(spec: RateSpec, size: int, kind: str = "strict") -> E
     """Whether the coupled chain started from every unordered pair reaches a
     comparable pair (all discrepancies of one sign gone) with probability 1.
 
-    Works sector by sector (particle numbers are conserved).  A sector is
-    finite and closed, and each of its pairs is unordered or comparable, so
-    the hitting probability of the comparable pairs is 1 from every unordered
+    Particle numbers are conserved, so the chain splits into finite closed
+    sectors, and each pair is unordered or comparable.  The hitting
+    probability of the comparable pairs is therefore 1 from every unordered
     pair if each one reaches a comparable pair along a path of positive
     rates, and 0 from one that does not (Norris, *Markov Chains*, 1997,
-    Thm 1.3.2).  One backward search per sector decides which case holds;
-    there is no linear solve.  A rate that is 0 in some patterns and
-    positive in others is no obstacle: the search decides what the rates
-    allow.  A coupling that cannot serve a pair raises its own
+    Thm 1.3.2).  One backward search over the whole chain decides every
+    sector at once; there is no linear solve.  A rate that is 0 in some
+    patterns and positive in others is no obstacle: the search decides what
+    the rates allow.  A coupling that cannot serve a pair raises its own
     ``ValueError``, which names the pair.
 
     Both the chain and "comparable" are unchanged by a turn of the ring, so
     the rotation orbits form a Markov chain (Kemeny & Snell, 1960, ch. VI):
-    each orbit of a sector with an unordered pair gets its first pair's row,
-    comparable or not, with rates added by target orbit.
+    each orbit gets its first pair's row, comparable or not, with rates
+    added by target orbit.
     """
-    _check_coupled_size(size)
-    worst, sure, checked = None, True, 0
-    for n1 in range(size + 1):
-        for n2 in range(size + 1):
-            states = list(pair_states(size, (n1, n2)))
-            orbits = _orbits(states)
-            leads = [states[orbit[0]] for orbit in orbits]
-            members = [k for k, s in enumerate(leads) if not is_ordered(*s)]
-            if not members:
-                continue
-            orbit_of = {states[i]: k for k, orbit in enumerate(orbits) for i in orbit}
-            rows = [_row(spec, kind, *s, orbit_of) for s in leads]
-            reaching = _reaching(rows, [k for k, s in enumerate(leads) if is_ordered(*s)])
-            checked += sum(len(orbits[k]) for k in members)
-            stuck = [k for k in members if k not in reaching]
-            if worst is None or (sure and stuck):
-                worst = CoupledState(*leads[(stuck or members)[0]])
-            sure = sure and not stuck
-    return ExtinctionReport(1.0 if sure else 0.0, worst, checked)
+    _check_coupled_size(spec, size)
+    states = list(pair_states(size))
+    orbits = _orbits(states)
+    leads = [states[orbit[0]] for orbit in orbits]
+    orbit_of = {states[i]: k for k, orbit in enumerate(orbits) for i in orbit}
+    rows = [_row(spec, kind, *s, orbit_of) for s in leads]
+    ordered = [is_ordered(*s) for s in leads]
+    reaching = _reaching(rows, [k for k, o in enumerate(ordered) if o])
+    members = [k for k, o in enumerate(ordered) if not o]
+    stuck = [k for k in members if k not in reaching]
+    worst = CoupledState(*leads[(stuck or members)[0]]) if members else None
+    checked = sum(len(orbits[k]) for k in members)
+    return ExtinctionReport(0.0 if stuck else 1.0, worst, checked)

@@ -9,6 +9,7 @@ import pytest
 
 from couplex import cli
 from couplex.cli import main
+from couplex.exact import ExtinctionReport
 
 
 def run(capsys, *argv):
@@ -160,7 +161,7 @@ def test_exact_extinction_of_pairs_that_never_become_comparable(capsys):
     assert code == 1, err
     payload = json.loads(out)
     assert payload["min_probability"] == 0
-    assert payload["worst_pair"] == ["100000", "010000"]
+    assert payload["worst_pair"] == ["000001", "000010"]
 
 
 def test_exact_extinction_of_blocked_specs(capsys):
@@ -171,7 +172,34 @@ def test_exact_extinction_of_blocked_specs(capsys):
     # where the strict coupling cannot serve a pair, its error names the pair
     code, out, err = run(capsys, "exact", "traffic2", "0", "2", "--task", "extinction", "--size", "6")
     assert code == 2 and out == ""
-    assert "in the pair 100000 / 010000" in err
+    assert "in the pair 000001 / 000010" in err
+
+
+def test_exact_extinction_csv_names_the_worst_pair(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "extinction.csv"
+    code, out, err = run(
+        capsys, "exact", "sep", "2:1", "--task", "extinction", "--size", "6",
+        "--output", str(target), "--format", "csv",
+    )
+    assert code == 1 and out == "", err
+    assert target.read_text(encoding="utf-8") == (
+        "min_probability,pairs_checked,first,second\n0.0,2702,000001,000010\n"
+    )
+    # no unordered pair, no witness: the columns stay, empty
+    monkeypatch.setattr(cli, "discrepancy_extinction", lambda *args: ExtinctionReport(1.0, None, 0))
+    code, out, err = run(
+        capsys, "exact", "sep", "--task", "extinction", "--size", "3",
+        "--output", str(target), "--format", "csv",
+    )
+    assert code == 0 and out == "", err
+    assert target.read_text(encoding="utf-8") == "min_probability,pairs_checked,first,second\n1.0,0,,\n"
+
+
+def test_exact_refuses_a_ring_too_small_for_the_spec(capsys):
+    # a 1-site ring holds only ordered pairs: a plausible probability 1 once
+    code, out, err = run(capsys, "exact", "sep", "--task", "extinction", "--size", "1")
+    assert code == 2 and out == ""
+    assert err == "couplex: ring of 1 sites is too small for sep (needs >= 3)\n"
 
 
 def test_exact_refuses_a_ring_above_the_coupled_cap(capsys):

@@ -45,10 +45,12 @@ def test_single_generator_shape_and_conservation():
 
 
 def test_pair_states_enumeration():
-    assert len(list(pair_states(3))) == 64
-    sector = list(pair_states(3, (1, 1)))
-    assert len(sector) == 9
-    assert all(sum(a) == 1 and sum(b) == 1 for a, b in sector)
+    states = list(pair_states(3))
+    assert len(states) == 64 == len(set(states))
+    # product order: the second copy runs fastest, each copy in ring_configs order
+    assert states[:3] == [((0, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 1)), ((0, 0, 0), (0, 1, 0))]
+    assert states[8] == ((0, 0, 1), (0, 0, 0))
+    assert states[-1] == ((1, 1, 1), (1, 1, 1))
 
 
 def test_coupled_generator_matches_pair_count():
@@ -366,6 +368,42 @@ def test_coupled_layer_caps_the_pair_count(call):
         call()
 
 
+def _coupled_entry_points(spec, size, kind):
+    return {
+        "audit-order": lambda: audit_order_preservation(spec, size, kind),
+        "audit-discrepancy": lambda: audit_discrepancy_monotone(spec, size, kind),
+        "marginal": lambda: marginal_errors(spec, size, kind),
+        "generator": lambda: coupled_generator(spec, size, kind),
+        "extinction": lambda: discrepancy_extinction(spec, size, kind),
+    }
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_coupled_layer_refuses_a_ring_too_small_for_the_spec(size):
+    # before enumerating: an empty ring has no rotation orbits, and a ring of
+    # only ordered pairs would report a plausible probability 1
+    for call in _coupled_entry_points(sep(), size, "strict").values():
+        with pytest.raises(ValueError, match=r"^ring of %d sites is too small for sep \(needs >= 3\)$" % size):
+            call()
+
+
+@pytest.mark.parametrize(
+    "spec, pair, skip",
+    [
+        # an unordered pair, which the order audit never reads
+        (traffic2(0, 2), "00001 / 00010", {"audit-order"}),
+        # a comparable pair: extinction builds comparable rows too, so it refuses
+        (gg_symmetrized(0, 0, 1, 2), "00001 / 01101", set()),
+    ],
+    ids=["traffic2 0 2", "gg 0 0 1 2"],
+)
+def test_every_entry_point_names_the_same_failing_pair(spec, pair, skip):
+    for name, call in _coupled_entry_points(spec, 5, "strict").items():
+        if name not in skip:
+            with pytest.raises(ValueError, match="in the pair %s$" % pair):
+                call()
+
+
 def test_single_generator_caps_the_state_count():
     assert single_generator(sep(), 14, 7).dimension == 3432
     with pytest.raises(ValueError, match="16384 states exceeds the cap of 3432"):
@@ -376,9 +414,8 @@ def test_single_generator_caps_the_state_count():
 def test_sector_counts_outside_the_ring_are_refused(count):
     # an empty sector would give a header-only table, a negative count the
     # error of math.comb; both name the range instead
-    for call in (lambda: single_generator(sep(), 5, count), lambda: list(pair_states(5, (1, count)))):
-        with pytest.raises(ValueError, match=r"^count must lie in \[0, 5\]$"):
-            call()
+    with pytest.raises(ValueError, match=r"^count must lie in \[0, 5\]$"):
+        single_generator(sep(), 5, count)
 
 
 def test_audit_order_preservation_oracles():
@@ -414,13 +451,18 @@ def test_extinction_names_a_worst_pair_whenever_it_checks_one():
     report = discrepancy_extinction(sep(), 3, "strict")
     assert report.pairs_checked == 18
     assert report.min_probability == 1.0
-    assert report.worst_pair == ((1, 0, 0), (0, 1, 0))
+    assert report.worst_pair == ((0, 0, 1), (0, 1, 0))
 
 
-@pytest.mark.parametrize("size, tables", [(5, 180), (6, 648)])
-def test_extinction_builds_one_table_per_orbit(size, tables, monkeypatch):
-    # one coupling table per rotation orbit of the sectors that hold an
-    # unordered pair: 900 and 3844 tables pair by pair
+@pytest.mark.parametrize("size, tables", [(5, 208), (6, 700)])
+@pytest.mark.parametrize(
+    "call",
+    [lambda size: discrepancy_extinction(sep(), size, "strict"), lambda size: marginal_errors(sep(), size, "strict")],
+    ids=["extinction", "marginal"],
+)
+def test_one_table_per_orbit(call, size, tables, monkeypatch):
+    # one coupling table per rotation orbit of the ring's pairs: 1024 and
+    # 4096 tables pair by pair
     calls = []
 
     def counting(*args):
@@ -428,7 +470,7 @@ def test_extinction_builds_one_table_per_orbit(size, tables, monkeypatch):
         return coupling.coupling_table(*args)
 
     monkeypatch.setattr(exact, "coupling_table", counting)
-    discrepancy_extinction(sep(), size, "strict")
+    call(size)
     assert len(calls) == tables
 
 
@@ -464,10 +506,10 @@ def test_discrepancy_extinction_with_unreachable_pairs(kind):
     spec = sep({2: F(1)})
     report = discrepancy_extinction(spec, 6, kind)
     assert report.min_probability == 0
-    assert report.worst_pair == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+    assert report.worst_pair == ((0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0))
     assert report.pairs_checked == 2702
     # a particle on an even site and one on an odd site never meet
-    states = list(pair_states(6, (1, 1)))
+    states = [s for s in pair_states(6) if sum(s[0]) == sum(s[1]) == 1]
     unordered = {s for s in states if not is_ordered(*s)}
     h = _hitting_by_iteration(_sector_generator(coupled_generator(spec, 6, kind), states), unordered)
     assert h[states.index(report.worst_pair)] == 0
@@ -482,15 +524,15 @@ def test_discrepancy_extinction_of_a_blocked_monotone_spec(kind):
     assert report.pairs_checked == 2702
     # the verdict is exact, so the worst pair is the first unordered pair
     assert report.min_probability == 1.0
-    assert report.worst_pair == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+    assert report.worst_pair == ((0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0))
 
 
 def test_discrepancy_extinction_of_a_blocked_non_monotone_spec():
     spec = gg_symmetrized(1, 0, 1, 0)
     report = discrepancy_extinction(spec, 6, "strict")
     assert report.min_probability == 0
-    assert report.worst_pair == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
-    states = list(pair_states(6, (1, 1)))
+    assert report.worst_pair == ((0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0))
+    states = [s for s in pair_states(6) if sum(s[0]) == sum(s[1]) == 1]
     unordered = {s for s in states if not is_ordered(*s)}
     h = _hitting_by_iteration(
         _sector_generator(coupled_generator(spec, 6, "strict"), states), unordered
@@ -499,12 +541,12 @@ def test_discrepancy_extinction_of_a_blocked_non_monotone_spec():
 
 
 def test_discrepancy_extinction_raises_where_the_coupling_fails():
-    with pytest.raises(ValueError, match="in the pair 100000 / 010000"):
+    with pytest.raises(ValueError, match="in the pair 000001 / 000010"):
         discrepancy_extinction(traffic2(0, 2), 6, "strict")
     # the pair the coupling cannot serve is comparable: extinction builds
-    # the row of the first pair of every orbit of a sector, comparable or
-    # not, so it refuses
-    with pytest.raises(ValueError, match="in the pair 10000 / 10110"):
+    # the row of the first pair of every orbit, comparable or not, so it
+    # refuses
+    with pytest.raises(ValueError, match="in the pair 00001 / 01101"):
         discrepancy_extinction(gg_symmetrized(0, 0, 1, 2), 5, "strict")
 
 
@@ -621,51 +663,55 @@ def test_rotation_reduction_matches_direct_loop_at_six_sites(kind):
 
 
 # ---------------------------------------------------------------------------
-# Oracle: extinction pair by pair, without rotation orbits.  Each sector's
-# rows come from the per-pair loop above, in the sector's pair order, so a
-# coupling that cannot serve a pair raises where a pair-by-pair build
-# raises; the full generator would name another pair of the same orbit,
-# since it enumerates the ring's pairs in another order.
+# Oracle: extinction pair by pair, without rotation orbits.  The rows come
+# from the per-pair loop above, built for every pair in pair_states order, so
+# a coupling that cannot serve a pair raises where a pair-by-pair build
+# raises; they are then split by sector.
 
 
 def _extinction_by_pairs(spec, size, kind):
     """The hitting probability of the comparable pairs from every unordered
     pair: a backward search from the comparable pairs, 0 where it does not
     arrive, and one dense solve on the other unordered pairs of a sector."""
+    every = list(pair_states(size))
+    every_rows = _direct_rows(every, _direct_moves(spec, every, kind))
+    sectors = {}
+    for i, (xi, zeta) in enumerate(every):
+        sectors.setdefault((sum(xi), sum(zeta)), []).append(i)
     probability = {}
-    for n1 in range(size + 1):
-        for n2 in range(size + 1):
-            states = list(pair_states(size, (n1, n2)))
-            target = [is_ordered(*s) for s in states]
-            if all(target):
-                continue
-            rows = _direct_rows(states, _direct_moves(spec, states, kind))
-            into = [[] for _ in states]
-            for i, row in enumerate(rows):
-                for j in row:
-                    into[j].append(i)
-            seen = {i for i, t in enumerate(target) if t}
-            stack = list(seen)
-            while stack:
-                for i in into[stack.pop()]:
-                    if i not in seen:
-                        seen.add(i)
-                        stack.append(i)
-            live = [i for i in seen if not target[i]]
-            column = {i: k for k, i in enumerate(live)}
-            q = np.zeros((len(live), len(live)))
-            b = np.zeros(len(live))
-            for k, i in enumerate(live):
-                for j, r in rows[i].items():
-                    q[k, k] -= float(r)
-                    if target[j]:
-                        b[k] -= float(r)
-                    elif j in column:
-                        q[k, column[j]] += float(r)
-            h = np.linalg.solve(q, b) if live else []
-            for i, s in enumerate(states):
-                if not target[i]:
-                    probability[s] = float(h[column[i]]) if i in column else 0.0
+    for members in sectors.values():
+        states = [every[i] for i in members]
+        target = [is_ordered(*s) for s in states]
+        if all(target):
+            continue
+        pos = {i: k for k, i in enumerate(members)}
+        rows = [{pos[j]: r for j, r in every_rows[i].items()} for i in members]
+        into = [[] for _ in states]
+        for i, row in enumerate(rows):
+            for j in row:
+                into[j].append(i)
+        seen = {i for i, t in enumerate(target) if t}
+        stack = list(seen)
+        while stack:
+            for i in into[stack.pop()]:
+                if i not in seen:
+                    seen.add(i)
+                    stack.append(i)
+        live = [i for i in seen if not target[i]]
+        column = {i: k for k, i in enumerate(live)}
+        q = np.zeros((len(live), len(live)))
+        b = np.zeros(len(live))
+        for k, i in enumerate(live):
+            for j, r in rows[i].items():
+                q[k, k] -= float(r)
+                if target[j]:
+                    b[k] -= float(r)
+                elif j in column:
+                    q[k, column[j]] += float(r)
+        h = np.linalg.solve(q, b) if live else []
+        for i, s in enumerate(states):
+            if not target[i]:
+                probability[s] = float(h[column[i]]) if i in column else 0.0
     return probability
 
 
@@ -684,7 +730,11 @@ def _assert_extinction_matches_pairs(spec, size, kind):
     assert report.min_probability in (0.0, 1.0)
     assert report.pairs_checked == len(want)
     assert abs(report.min_probability - min(1.0, lowest)) <= 1e-12
-    assert abs(want[report.worst_pair] - lowest) <= 1e-12
+    # the worst pair is the first unordered pair in product order of them
+    # with the smallest probability
+    assert report.worst_pair == next(
+        s for s in pair_states(size) if s in want and abs(want[s] - lowest) <= 1e-12
+    )
     if lowest == 0:
         assert report.min_probability == 0
 

@@ -2,10 +2,12 @@
 
 Everything here enumerates states explicitly: single-copy chains over all
 configurations of a ring (or one particle-number sector), and coupled chains
-over configuration pairs.  Generators are kept sparse (dict of rows); dense
-numpy arrays are materialized only for the stationary solve.  The stationary
-law of a closed class solves the replaced-row system: Q^T with its last
-equation replaced by the normalisation sum(pi) = 1, by one LU factorisation.
+over configuration pairs.  Generators are kept sparse (dict of rows, positive
+rates only); dense numpy arrays are materialized only for the stationary solve.
+A single chain's rows hold the float rates of the simulator's per-site pattern
+memo; the coupled layer's keep exact rates exact.  The stationary law of a
+closed class solves the replaced-row system: Q^T with its last equation
+replaced by the normalisation sum(pi) = 1, by one LU factorisation.
 A single chain's rates do not change when the ring turns one site, so the law
 of a class that some turn maps onto itself is constant on the rotation orbits
 it holds, and the system is solved on those orbits, one unknown each.
@@ -24,12 +26,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
 from .lattice import CoupledState, apply_jump, is_ordered
-from .models import RateSpec, _check_ring, active_jumps
+from .models import RateSpec, _check_ring, _fill_site_events, active_jumps
 from .coupling import _moves, coupled_transitions, coupling_table
 
 #: largest single-chain state space enumerated: it admits every sector of a
@@ -47,11 +50,11 @@ _NEGATIVE_TOL = 1e-9
 class GeneratorMatrix:
     """Sparse generator of a finite-state continuous-time chain.
 
-    ``rows[i]`` maps target state index -> off-diagonal rate; the diagonal is
-    minus the row sum.  ``states`` are hashable state labels and
-    ``state_index`` the inverse lookup.  ``turn``, when given, is an index
-    array: ``turn[i]`` is the index of ``states[i]`` turned one site, and the
-    rates must not change under it.
+    ``rows[i]`` maps target state index -> off-diagonal rate, positive only
+    (the class searches rely on it); the diagonal is minus the row sum.
+    ``states`` are hashable state labels and ``state_index`` the inverse
+    lookup.  ``turn``, when given, is an index array: ``turn[i]`` is the index
+    of ``states[i]`` turned one site, and the rates must not change under it.
     """
 
     states: list
@@ -69,16 +72,16 @@ class GeneratorMatrix:
 
     @cached_property
     def entries(self):
-        """The off-diagonal rates as arrays ``(rows, cols, vals)`` in row
-        order, and the exit rates ``float(sum(row.values()))`` per state.
+        """The off-diagonal rates as float arrays ``(rows, cols, vals)`` in
+        row order, and the exit rates ``sum(row.values())`` per state, as floats.
 
         Built once, on first use, and shared by every class of a reducible
         chain; ``rows`` must not change after that.
         """
         rows = np.array([i for i, row in enumerate(self.rows) for _ in row], dtype=np.intp)
         cols = np.array([j for row in self.rows for j in row], dtype=np.intp)
-        vals = np.array([float(r) for row in self.rows for r in row.values()])
-        exits = np.array([float(sum(row.values())) for row in self.rows])
+        vals = np.array([r for row in self.rows for r in row.values()], dtype=float)
+        exits = np.array([sum(row.values()) for row in self.rows], dtype=float)
         return rows, cols, vals, exits
 
     def to_dense(self, members=None, columns=None) -> np.ndarray:
@@ -88,13 +91,17 @@ class GeneratorMatrix:
 
         Column k is ``members[k]``, or, given ``columns`` (an index array
         over all states, -1 for none, that maps ``members[k]`` to k), the sum
-        of the columns of the states it maps to k.
+        of the columns of the states it maps to k.  More than
+        ``4**COUPLED_SIZE_CAP`` rows raise ``ValueError`` before allocating.
         """
-        rows, cols, vals, exits = self.entries
-        if members is None:
-            members = range(self.dimension)
-        members = np.asarray(members, dtype=np.intp)
+        members = np.asarray(range(self.dimension) if members is None else members, dtype=np.intp)
         n = len(members)
+        if n > 4**COUPLED_SIZE_CAP:
+            raise ValueError(
+                "a dense block of %d rows (%d bytes) exceeds the cap of %d rows"
+                % (n, n * n * 8, 4**COUPLED_SIZE_CAP)
+            )
+        rows, cols, vals, exits = self.entries
         pos = np.full(self.dimension, -1, dtype=np.intp)
         pos[members] = np.arange(n)
         if columns is None:
@@ -134,6 +141,9 @@ def ring_configs(size: int, count: Optional[int] = None):
 
 
 def single_generator(spec: RateSpec, size: int, count: Optional[int] = None) -> GeneratorMatrix:
+    """Generator of the single chain, its rows read from the per-site pattern
+    memo in site and offset order; distinct jumps reach distinct targets."""
+    _check_ring(spec, size)  # the memo reads patterns, never the ring
     _check_count(size, count)
     n = 2**size if count is None else math.comb(size, count)
     if n > SINGLE_STATE_CAP:
@@ -143,12 +153,18 @@ def single_generator(spec: RateSpec, size: int, count: Optional[int] = None) -> 
         )
     states = list(ring_configs(size, count))
     index = {s: i for i, s in enumerate(states)}
+    w = spec.dep_radius + spec.max_offset
+    memo = spec._site_events
+    # the pattern of site x: the w sites on either side of it
+    windows = [itemgetter(*[z % size for z in range(x - w, x + w + 1)]) for x in range(size)]
     rows = []
     for eta in states:
-        row = {}
-        for x, d, r in active_jumps(spec, eta):
-            j = index[apply_jump(eta, x, (x + d) % size)]
-            row[j] = row[j] + r if j in row else r
+        keys = [(x, windows[x](eta)) for x in range(size) if eta[x]]
+        row = {
+            index[apply_jump(eta, x, (x + d) % size)]: r
+            for x, key in keys
+            for r, d in (memo.get(key) or _fill_site_events(spec, key))[0]
+        }
         rows.append(row)
     turn = np.array([index[eta[-1:] + eta[:-1]] for eta in states], dtype=np.intp)
     return GeneratorMatrix(states, rows, index, turn)
@@ -213,51 +229,43 @@ def coupled_generator(spec: RateSpec, size: int, kind: str) -> GeneratorMatrix:
 def strongly_connected_components(rows) -> list:
     """Tarjan's algorithm, iterative; returns components as lists of indices."""
     n = len(rows)
-    order = [0] * n
+    order = [0] * n  # 0 until visited
     low = [0] * n
     on_stack = [False] * n
-    visited = [False] * n
     stack = []
     components = []
     counter = itertools.count(1)
     for root in range(n):
-        if visited[root]:
+        if order[root]:
             continue
         work = [(root, iter(rows[root]))]
-        visited[root] = True
         order[root] = low[root] = next(counter)
         stack.append(root)
         on_stack[root] = True
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if rows[v][w] <= 0:
-                    continue
-                if not visited[w]:
-                    visited[w] = True
+                if not order[w]:
                     order[w] = low[w] = next(counter)
                     stack.append(w)
                     on_stack[w] = True
                     work.append((w, iter(rows[w])))
-                    advanced = True
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], order[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == order[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == order[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(comp)
     return components
 
 
@@ -270,12 +278,7 @@ def closed_classes(gen: GeneratorMatrix) -> list:
             comp_of[i] = ci
     closed = []
     for ci, comp in enumerate(comps):
-        if all(
-            comp_of[j] == ci
-            for i in comp
-            for j, r in gen.rows[i].items()
-            if r > 0
-        ):
+        if all(comp_of[j] == ci for i in comp for j in gen.rows[i]):
             closed.append(sorted(comp))
     return closed
 
@@ -400,8 +403,8 @@ def check_sector_uniform_stationary(
     for n in counts:
         gen = single_generator(spec, size, n)
         rows, cols, vals, _ = gen.entries
-        # outflow adds the float rates as inflow does, not the exact exit
-        # rate, so that both sums round alike
+        # outflow adds the float rates as inflow does, not the exit rates
+        # (row sums in row order), so that both sums round alike
         inflow = np.bincount(cols, weights=vals, minlength=gen.dimension)
         outflow = np.bincount(rows, weights=vals, minlength=gen.dimension)
         gaps = np.abs(inflow - outflow)

@@ -114,7 +114,7 @@ class RateSpec:
         )
         #: composed coupling entries per flavor, filled by couplex.coupling
         self._compositions: dict = {}
-        #: event list and float total per site pattern, filled by couplex.simulate
+        #: float events and total per site pattern, filled by _fill_site_events
         self._site_events: dict = {}
 
     def __repr__(self) -> str:
@@ -205,6 +205,15 @@ def active_jumps(spec: RateSpec, eta: Config, sites=None) -> list:
             if r > 0:
                 out.append((x, d, r))
     return out
+
+
+def _fill_site_events(spec: RateSpec, key: tuple) -> tuple:
+    """Fill ``spec._site_events[key]`` for an occupied site with the pattern
+    ``key`` around it: its active jumps ``(float(rate), d)`` in offset order
+    and their float total.  Readers call this on a memo miss only."""
+    events = tuple((float(r), d) for _, d, r in active_jumps(spec, key, (len(key) // 2,)))
+    entry = spec._site_events[key] = (events, sum((r for r, _ in events), 0.0))
+    return entry
 
 
 def _check_ring(spec: RateSpec, size: int) -> None:

@@ -9,8 +9,8 @@ The single-chain engine caches each site's active jumps and the float total
 of their rates.  Both depend only on the occupancy of the
 ``dep_radius + max_offset`` sites on either side of the site, so they are
 read from a memo on the spec keyed by that pattern (``spec._site_events``,
-shared by all runs of the spec), and filled on a miss by
-:func:`couplex.models.active_jumps` on the pattern itself.  A jump x -> x+d
+shared by all runs of the spec and by the exact single chain), and filled
+on a miss by :func:`couplex.models._fill_site_events`.  A jump x -> x+d
 refreshes each site within ``dep_radius + max_offset`` of x or x+d once,
 taking its list and total from the memo, so the totals never drift.  A
 draw bisects the running sums of the site totals to pick a site, then walks
@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .lattice import CoupledState, discrepancy_count, signed_offset
-from .models import RateSpec, _check_ring, active_jumps
+from .models import RateSpec, _check_ring, _fill_site_events
 from .coupling import _flavor, _site_entries, _sum_entries, _uncoupled, residual_rates
 
 
@@ -115,7 +115,7 @@ class _SingleEngine:
     The events and total of an occupied site depend only on the occupancy
     of the ``reach`` sites on either side of it, so they come from a memo
     on the spec (``spec._site_events``) keyed by that pattern, filled by
-    :func:`couplex.models.active_jumps` on the pattern itself.
+    :func:`couplex.models._fill_site_events` on a miss.
     """
 
     def __init__(self, spec: RateSpec, eta):
@@ -144,11 +144,7 @@ class _SingleEngine:
                 totals[x] = 0.0
                 continue
             key = tuple(arc[k : k + width])
-            entry = memo.get(key)
-            if entry is None:
-                events = tuple((float(r), d) for _, d, r in active_jumps(self.spec, key, (reach,)))
-                entry = memo[key] = (events, sum((r for r, _ in events), 0.0))
-            jumps[x], totals[x] = entry
+            jumps[x], totals[x] = memo.get(key) or _fill_site_events(self.spec, key)
 
     def apply(self, x: int, d: int):
         size = self.size

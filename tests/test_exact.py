@@ -25,10 +25,16 @@ from couplex import (
     two_star_step,
     two_step,
 )
-from couplex import coupling, exact
-from couplex.exact import AuditViolation, GeneratorMatrix, closed_classes, stationary_distributions
+from couplex import coupling, exact, simulate
+from couplex.exact import (
+    AuditViolation,
+    GeneratorMatrix,
+    closed_classes,
+    ring_configs,
+    stationary_distributions,
+)
 from couplex.golden import MONOTONE_ZOO
-from couplex.lattice import CoupledState
+from couplex.lattice import CoupledState, apply_jump
 from couplex.models import active_jumps
 
 
@@ -128,7 +134,8 @@ def test_transient_distribution_converges_to_stationary():
 def _dense_block(gen, members):
     """Generator block on ``members`` with the full exit rate on the diagonal,
     built straight from the rows, entry by entry: off-diagonal rates, then
-    minus the exact exit rate rounded once."""
+    minus the row's sum (an exact sum rounded once where the rates are
+    exact)."""
     pos = {i: k for k, i in enumerate(members)}
     q = np.zeros((len(members), len(members)))
     for i, k in pos.items():
@@ -416,6 +423,84 @@ def test_sector_counts_outside_the_ring_are_refused(count):
     # error of math.comb; both name the range instead
     with pytest.raises(ValueError, match=r"^count must lie in \[0, 5\]$"):
         single_generator(sep(), 5, count)
+
+
+def test_single_generator_refuses_a_ring_too_small_for_the_spec():
+    # the rows are read from site patterns, so the ring is checked first;
+    # the sector with no particles reads no pattern at all
+    for count in (0, 1, 2):
+        with pytest.raises(ValueError, match=r"^ring of 2 sites is too small for sep \(needs >= 3\)$"):
+            single_generator(sep(), 2, count)
+
+
+def test_dense_blocks_refuse_by_row_count():
+    # the rows are empty, so nothing of size is built before the refusal
+    gen = GeneratorMatrix(list(range(4097)), [{}] * 4097)
+    message = r"^a dense block of 4097 rows \(134283272 bytes\) exceeds the cap of 4096 rows$"
+    for call in (gen.to_dense, lambda: gen.to_dense(range(4097))):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert gen.to_dense([0, 4096]).shape == (2, 2)
+
+
+def test_single_chain_and_simulator_share_the_site_memo():
+    spec = traffic2(F(7, 10), F(1, 5))
+    single_generator(spec, 7)  # every pattern of the 5 sites around an occupied site
+    keys = set(spec._site_events)
+    assert len(keys) == 2 ** (spec.min_ring_size - 1)
+    for eta in [(1, 0, 1, 1, 0, 0, 1, 0) * 4, (1, 1, 1, 0) * 8]:
+        simulate._SingleEngine(spec, eta)
+    assert simulate.simulate_single(spec, (1, 1, 0) * 11, t_end=20.0, seed=7).total_events > 0
+    assert set(spec._site_events) == keys
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the single chain on the rates as the rule returns them, one
+# active_jumps walk over the whole ring per state.  single_generator's float
+# rows must be these rates rounded once, and its weights must agree.
+
+
+def _exact_row_generator(spec, size, count):
+    states = list(ring_configs(size, count))
+    index = {s: i for i, s in enumerate(states)}
+    rows = [
+        {index[apply_jump(eta, x, (x + d) % size)]: r for x, d, r in active_jumps(spec, eta)}
+        for eta in states
+    ]
+    return GeneratorMatrix(states, rows, index)
+
+
+SINGLE_DIFFERENTIAL_MODELS = (
+    list(MONOTONE_ZOO)
+    + [
+        ("traffic2 %s %s" % (a, b), traffic2(a, b))
+        for a in (0, F(1, 2), F(3, 2))
+        for b in (0, F(7, 10), 2)
+    ]
+    + [("gg 1 0 1 0", gg_symmetrized(1, 0, 1, 0))]
+)
+
+
+@pytest.mark.parametrize(
+    "spec", [s for _, s in SINGLE_DIFFERENTIAL_MODELS], ids=[l for l, _ in SINGLE_DIFFERENTIAL_MODELS]
+)
+def test_float_rows_match_the_exact_rows(spec):
+    for size in (spec.min_ring_size, spec.min_ring_size + 4):
+        for count in range(size + 1):
+            gen = single_generator(spec, size, count)
+            oracle = _exact_row_generator(spec, size, count)
+            assert gen.states == oracle.states
+            for got, want in zip(gen.rows, oracle.rows):
+                assert list(got.items()) == [(j, float(r)) for j, r in want.items()]
+                assert all(type(r) is float for r in got.values())
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                dists = stationary_distributions(gen)
+                wants = stationary_distributions(oracle)
+            assert len(dists) == len(wants)
+            for dist, want in zip(dists, wants):
+                assert np.max(np.abs(dist.weights - want.weights)) <= 1e-12
+                assert dist.residual <= 1e-12
 
 
 def test_audit_order_preservation_oracles():

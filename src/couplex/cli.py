@@ -37,7 +37,6 @@ import json
 import os
 import sys
 import tempfile
-import warnings
 
 import numpy as np
 
@@ -182,17 +181,17 @@ def _merged(args, command: str) -> RunConfig:
     if observable:
         given.add(observable)
     problems = []
-    for name in ("size", "density", "seed", "replicas", "t_end", "sample_dt", "kind", "task", "coupled",
-                 "path", "format"):
+    configurations = ("first", "second")  # parsed once the others pass
+    for name in SECTIONS:
         value = getattr(args, name, None)
-        if value is not None:
+        if value is not None and name not in configurations:
             problem = check_value(name, value)
             if problem is not None:
                 problems.append(problem)
             setattr(cfg, name, value)
     if problems:
         raise ConfigError(problems)
-    for name in ("first", "second"):
+    for name in configurations:
         bits = getattr(args, name, None)
         if bits is not None:
             setattr(cfg, name, parse_configuration(bits))
@@ -394,12 +393,13 @@ def _cmd_exact(args) -> int:
             counts = list(range(size + 1))
         rows = [("sector", "component", "state", "weight")]
         for count in counts:
-            gen = single_generator(spec, size, count)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                dists = stationary_distributions(gen)
-            for warning in caught:  # one diagnostic line per reducible sector
-                print("couplex: sector %d: %s" % (count, warning.message), file=sys.stderr)
+            dists = stationary_distributions(single_generator(spec, size, count))
+            if len(dists) > 1:
+                print(
+                    "couplex: sector %d: chain is reducible: %d closed classes; returning one "
+                    "stationary distribution per class" % (count, len(dists)),
+                    file=sys.stderr,
+                )
             for member, dist in enumerate(dists):
                 for state, weight in zip(dist.states, dist.weights):
                     if weight > 0:

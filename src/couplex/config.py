@@ -105,12 +105,12 @@ def format_number(value) -> str:
 def parse_param_value(text: str):
     """Parse a model-parameter literal.
 
-    Multiline values are rate tables (``offset pattern rate`` per line),
-    values with ':' are jump-law mappings, values with ',' are integer
-    tuples, anything else is a scalar number.
+    Multiline values and single ``offset pattern rate`` lines are rate
+    tables, values with ':' are jump-law mappings, values with ',' are
+    integer tuples, anything else is a scalar number.
     """
     text = text.strip()
-    if "\n" in text:
+    if "\n" in text or (len(text.split()) == 3 and not {":", ","} & set(text)):
         table = {}
         for line in text.splitlines():
             parts = line.split()

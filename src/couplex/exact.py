@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -347,15 +346,10 @@ def _solve_on_class(gen: GeneratorMatrix, members: list) -> np.ndarray:
 
 
 def stationary_distributions(gen: GeneratorMatrix) -> list:
-    """One stationary distribution per closed communicating class."""
-    classes = closed_classes(gen)
-    if len(classes) > 1:
-        warnings.warn(
-            "chain is reducible: %d closed classes; returning one stationary "
-            "distribution per class" % len(classes)
-        )
+    """One stationary distribution per closed communicating class; the chain
+    is reducible exactly when the list holds more than one."""
     out = []
-    for members in classes:
+    for members in closed_classes(gen):
         weights = np.zeros(gen.dimension)
         weights[members] = _solve_on_class(gen, members)
         out.append(StationaryDistribution(gen.states, weights, _balance_residual(gen, weights)))
@@ -382,6 +376,11 @@ def stationary_distribution(gen: GeneratorMatrix) -> StationaryDistribution:
 # Structural checks
 
 
+#: largest gap between a state's float inflow and outflow under the uniform
+#: law that counts as balance
+BALANCE_TOL = 1e-12
+
+
 @dataclass
 class BalanceReport:
     ok: bool
@@ -390,17 +389,13 @@ class BalanceReport:
     sector: Optional[int] = None
 
 
-def check_sector_uniform_stationary(
-    spec: RateSpec, size: int, count: Optional[int] = None, tol: float = 1e-12
-):
+def check_sector_uniform_stationary(spec: RateSpec, size: int) -> list:
     """Whether the uniform measure on each particle-number sector is
-    stationary: per state, total inflow must equal total outflow.  The
+    stationary, one report per sector in particle-number order: per state,
+    total inflow must equal total outflow within ``BALANCE_TOL``.  The
     worst state is the first with the largest gap, None when none has one."""
-    if not 0 <= tol < math.inf:
-        raise ValueError("tol must be finite and >= 0, got %r" % (tol,))
-    counts = range(size + 1) if count is None else [count]
     reports = []
-    for n in counts:
+    for n in range(size + 1):
         gen = single_generator(spec, size, n)
         rows, cols, vals, _ = gen.entries
         # outflow adds the float rates as inflow does, not the exit rates
@@ -411,8 +406,8 @@ def check_sector_uniform_stationary(
         i = int(np.argmax(gaps))
         worst = float(gaps[i])
         worst_state = gen.states[i] if worst > 0 else None
-        reports.append(BalanceReport(worst <= tol, worst, worst_state, n))
-    return reports if count is None else reports[0]
+        reports.append(BalanceReport(worst <= BALANCE_TOL, worst, worst_state, n))
+    return reports
 
 
 @dataclass

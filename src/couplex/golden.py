@@ -37,6 +37,7 @@ import numpy as np
 
 from .coupling import coupling_table, oneD_cross_check
 from .exact import (
+    BALANCE_TOL,
     audit_discrepancy_monotone,
     audit_order_preservation,
     check_sector_uniform_stationary,
@@ -669,7 +670,7 @@ def _crit_sector_uniform():
             scan("traffic2 %g %g" % (a, b), traffic2(a, b))
     detail = "uniform weights balance every sector (L=8): worst imbalance %.2e" % worst
     if bad:
-        detail = "imbalance above 1e-12: %s" % bad[:4]
+        detail = "imbalance above %g: %s" % (BALANCE_TOL, bad[:4])
     return not bad, detail
 
 

@@ -20,10 +20,9 @@ the same sums as adding the Python floats one offset at a time.  A reported
 row takes its sides from those sums and from whether a Fraction (or float)
 rate entered them, so they are ints, Fractions or floats as in Python.
 
-The checks run exactly (no tolerance) when every rate read is an int or a
-Fraction, and with an absolute tolerance of 1e-12 once a float enters.  A
-tolerance given for exact rates is compared exactly: ``lhs - rhs >
-Fraction(tol)``; a given tolerance must be finite and nonnegative.  Each
+Tolerance rule: the checks compare exactly (no tolerance) when every rate
+read is an int or a Fraction, and with an absolute tolerance of
+``FLOAT_TOL`` = 1e-12 once a float enters; no caller sets it.  Each
 condition's witnesses are the rows of :func:`is_monotone` whose ``kind``
 names it.
 """
@@ -33,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -51,7 +50,7 @@ BLOCK_ROWS = 3**BLOCK_DIGITS
 _DIGIT_LOWER = np.array([0, 0, 1], dtype=np.int64)
 _DIGIT_UPPER = np.array([0, 1, 1], dtype=np.int64)
 
-#: exact sums stay in int64 while every scaled side and tolerance is below this
+#: exact sums stay in int64 while every scaled side is below this
 _INT64_LIMIT = 1 << 62
 
 
@@ -75,7 +74,6 @@ class Violation(NamedTuple):
 class Verdict:
     monotone: bool
     witnesses: list
-    window_radius: int
 
 
 @dataclass
@@ -83,15 +81,15 @@ class StrictnessReport:
     """Slack accounting for the order conditions of a monotone spec.
 
     An instance is *binding* when its right side is positive; equalities of
-    the form 0 <= 0 carry no active rate and are ignored.  ``strict`` holds
-    when every binding instance has positive slack rhs - lhs.
+    the form 0 <= 0 carry no active rate and are ignored.  ``min_slack`` is
+    the slack rhs - lhs of the least-slack binding instance, and ``strict``
+    holds when it is above the tolerance.  With no binding instance,
+    ``strict`` is False and ``min_slack`` is None.
     """
 
     strict: bool
     min_slack: object
     binding_count: int
-    #: the smallest-slack binding instances, ascending
-    worst: list = field(default_factory=list)
 
 
 def _sites(spec: RateSpec, kind: str, extra: int) -> range:
@@ -123,11 +121,9 @@ class _Rates:
     value: object
 
 
-def _rate_arrays(spec: RateSpec, tol) -> _Rates:
-    """The rates of every window a condition reads; ``tol`` None means 0
-    for exact rates and ``FLOAT_TOL`` once a float enters."""
-    if tol is not None and not 0 <= tol < math.inf:
-        raise ValueError("tol must be finite and >= 0, got %r" % (tol,))
+def _rate_arrays(spec: RateSpec) -> _Rates:
+    """The rates of every window a condition reads, with the tolerance of
+    the tolerance rule: 0 for exact rates, ``FLOAT_TOL`` once a float enters."""
     raw = {}
     for d in spec.jump_offsets:
         w = spec._halfwidths[d]
@@ -141,15 +137,14 @@ def _rate_arrays(spec: RateSpec, tol) -> _Rates:
     exact = all(isinstance(v, (int, Fraction)) for v in flat)
     typed = Fraction if exact else float
     flagged = {d: np.array([isinstance(v, typed) for v in row]) for d, row in raw.items()}
-    tol = (0 if exact else FLOAT_TOL) if tol is None else tol
-    # a side sums at most one rate per offset; one more leaves room for tol
-    terms = len(raw) + 1
+    tol = 0 if exact else FLOAT_TOL
+    # a side sums at most one rate per offset
+    terms = len(raw)
     if exact:
         scale = math.lcm(*{v.denominator for v in flat})
         raw = {d: [v.numerator * (scale // v.denominator) for v in row] for d, row in raw.items()}
         big = max(abs(v) for row in raw.values() for v in row) * terms >= _INT64_LIMIT
-        dtype, tol = (object if big else np.int64), math.floor(Fraction(tol) * scale)
-        tol = tol if big else max(min(tol, _INT64_LIMIT), -_INT64_LIMIT)
+        dtype = object if big else np.int64
         value = functools.cache(lambda s, flag: Fraction(s, scale) if flag else s // scale)
     elif all(type(v) is float or (isinstance(v, int) and abs(v) * terms <= 2**53) for v in flat):
         dtype, value = np.float64, functools.cache(lambda s, flag: float(s) if flag else int(s))
@@ -264,64 +259,51 @@ def _violations(spec: RateSpec, rates: _Rates, kind: str, extra: int) -> list:
     return out
 
 
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError("%s must be an int >= 0, got %r" % (name, value))
-
-
-def is_monotone(spec: RateSpec, extra: int = 0, tol=None) -> Verdict:
+def is_monotone(spec: RateSpec, extra: int = 0) -> Verdict:
     """Decide order preservation by an exhaustive scan of ordered local
     pattern pairs, ``extra`` sites wider on each side than the rates read."""
-    _check_count("extra", extra)
-    rates = _rate_arrays(spec, tol)
+    if isinstance(extra, bool) or not isinstance(extra, int) or extra < 0:
+        raise ValueError("extra must be an int >= 0, got %r" % (extra,))
+    rates = _rate_arrays(spec)
     found = [v for kind in ("arrival", "departure") for v in _violations(spec, rates, kind, extra)]
     # by decreasing excess, then kind and patterns; the excess in scan units
     # orders as lhs - rhs does
     found.sort(key=lambda ev: (-ev[0], ev[1].kind, ev[1].lower, ev[1].upper))
     witnesses = [v for _, v in found]
-    return Verdict(not witnesses, witnesses, 2 * (spec.max_offset + spec.dep_radius) + extra)
+    return Verdict(not witnesses, witnesses)
 
 
-def strictness_report(spec: RateSpec, extra: int = 0, tol=None, keep: int = 10) -> StrictnessReport:
-    """Slack table of the order conditions, keeping the ``keep`` rows of
-    least slack.  Requires a monotone spec."""
-    _check_count("extra", extra)
-    _check_count("keep", keep)
-    rates = _rate_arrays(spec, tol)
-    # the smallest binding rows by (slack, kind, lower, upper); at least one
-    # is kept, so that min_slack is read from a built row
-    want = max(keep, 1)
+def strictness_report(spec: RateSpec) -> StrictnessReport:
+    """The binding instances of the order conditions and their least slack.
+    Requires a monotone spec."""
+    rates = _rate_arrays(spec)
     count = 0
-    best = []  # (slack, kind, lower pattern, upper pattern, masks, sides), scan units
+    # the least binding row by (slack, kind, lower, upper): (slack, kind,
+    # lower pattern, upper pattern, masks, sides), scan units
+    best = None
     for kind in ("arrival", "departure"):
-        n = len(_sites(spec, kind, extra))
-        for lower, upper, lhs, rhs in _scan(spec, rates, kind, extra):
+        n = len(_sites(spec, kind, 0))
+        for lower, upper, lhs, rhs in _scan(spec, rates, kind, 0):
             if np.any(lhs > rhs + rates.tol):
                 raise ValueError(
                     "strictness_report requires a monotone spec; %s is not" % spec.name
                 )
-            binding = rhs > 0
-            count += int(np.count_nonzero(binding))
-            picked = [a[binding] for a in (rhs - lhs, lower, upper, lhs, rhs)]
-            if len(picked[0]) > want:
-                near = picked[0] <= np.sort(picked[0])[want - 1]
-                picked = [a[near] for a in picked]
-            best.extend(
+            binding = np.flatnonzero(rhs > 0)
+            count += len(binding)
+            if not len(binding):
+                continue
+            slack = (rhs - lhs)[binding]
+            tied = binding[slack == slack.min()]
+            rows = [
                 (s, kind, _pattern(m, n), _pattern(u, n), m, u, a, b)
-                for s, m, u, a, b in zip(*(a.tolist() for a in picked))
-            )
-            best.sort(key=lambda row: row[:4])
-            del best[want:]
-    worst = [None] * len(best)
-    for kind in ("arrival", "departure"):
-        at = [i for i, row in enumerate(best) if row[1] == kind]
-        if not at:
-            continue
-        sites = _sites(spec, kind, extra)
-        m, u, a, b = ([best[i][k] for i in at] for k in (4, 5, 6, 7))
-        rows = _rows(spec, rates, kind, sites, np.array(m), np.array(u), a, b)
-        for i, (low, up, lhs, rhs) in zip(at, rows):
-            worst[i] = (rhs - lhs, kind, sites.start, low, up, lhs, rhs)
-    min_slack = worst[0][0] if worst else None
-    strict = bool(best) and best[0][0] > rates.tol
-    return StrictnessReport(strict, min_slack, count, worst[:keep])
+                for s, m, u, a, b in zip(*(x[tied].tolist() for x in (rhs - lhs, lower, upper, lhs, rhs)))
+            ]
+            if best is not None:
+                rows.append(best)
+            best = min(rows, key=lambda row: row[:4])
+    if best is None:
+        return StrictnessReport(False, None, count)
+    slack, kind, _, _, m, u, a, b = best
+    sites = _sites(spec, kind, 0)
+    ((_, _, lhs, rhs),) = _rows(spec, rates, kind, sites, np.array([m]), np.array([u]), [a], [b])
+    return StrictnessReport(slack > rates.tol, rhs - lhs, count)

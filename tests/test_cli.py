@@ -59,10 +59,35 @@ def test_check_monotone_exit_codes(capsys):
     assert "condition fails" in out
 
 
-def test_check_monotone_strict_flag(capsys):
-    code, out, _ = run(capsys, "check-monotone", "--strict", "sep")
-    assert code == 0
-    assert "strictness: strict" in out
+_CONSTANT_TABLE = "table=" + "\n".join("1 %s 1" % format(k, "03b") for k in range(8))
+
+#: the ``--strict`` line of every monotone MONOTONE_ZOO spec, and of float
+#: specs whose least-slack rows tie between int and float slacks
+PINNED_STRICTNESS = [
+    (("sep",), "strict (6 binding instances, min slack 1)"),
+    (("sep", "p=1:1/2,-1:1/2"), "strict (50 binding instances, min slack 1/2)"),
+    (("two_step",), "not strict (72 binding instances, min slack 0)"),
+    (("two_star_step",), "not strict (72 binding instances, min slack 0)"),
+    (("traffic2", "1/2", "1/2"), "strict (90 binding instances, min slack 1/2)"),
+    (("traffic2", "7/10", "1/5"), "strict (90 binding instances, min slack 1/5)"),
+    (("gg_symmetrized", "2", "1", "1", "2"), "not strict (450 binding instances, min slack 0)"),
+    (("gg_symmetrized", "3/2", "3/4", "1", "5/4"), "strict (450 binding instances, min slack 1/4)"),
+    (("speed_change_decreasing", "2"), "strict (90 binding instances, min slack 3)"),
+    (("speed_change_increasing",), "not strict (50 binding instances, min slack 0)"),
+    (("custom_table", "offsets=1,", "dep_radius=0", _CONSTANT_TABLE), "strict (6 binding instances, min slack 1)"),
+    (("gg_symmetrized", "2.0", "1", "1", "2"), "not strict (450 binding instances, min slack 0)"),
+    (("traffic2", "1.0", "0.0"), "not strict (72 binding instances, min slack 0.0)"),
+    (("traffic2", "0.7", "0.2"), "strict (90 binding instances, min slack 0.2)"),
+]
+
+
+@pytest.mark.parametrize("argv, line", PINNED_STRICTNESS, ids=[" ".join(argv[:3]) for argv, _ in PINNED_STRICTNESS])
+def test_check_monotone_strict_output_is_pinned(capsys, argv, line):
+    code, out, err = run(capsys, "check-monotone", "--strict", *argv)
+    assert code == 0 and err == ""
+    verdict, strictness = out.splitlines()
+    assert verdict.endswith(": monotone")
+    assert strictness == "strictness: " + line
 
 
 def test_positional_and_keyword_params_mix(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from couplex.cli import main
 from couplex.config import (
     ConfigError,
     RunConfig,
@@ -106,6 +107,24 @@ def test_law_and_table_params():
     text += "dep_radius = 0\ntable =%s\n" % lines
     cfg, _ = parse_config(text)
     assert cfg.params == {"offsets": (1,), "dep_radius": 0, "table": {(1, format(k, "03b")): 1 for k in range(8)}}
+
+
+def test_one_line_table_in_ini():
+    # the value reaches the parser as "\n1 110 1", stripped to one line
+    text = "[run]\ncommand = check-monotone\n\n[model]\nid = custom_table\noffsets = 1,\n"
+    text += "dep_radius = 0\ntable =\n    1 110 1\n"
+    cfg, _ = parse_config(text)
+    assert cfg.params == {"offsets": (1,), "dep_radius": 0, "table": {(1, "110"): 1}}
+
+
+def test_one_line_table_as_key_value(capsys):
+    code = main(["check-monotone", "custom_table", "offsets=1,", "dep_radius=0", "table=1 110 1/2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("custom_table(offsets=(1,), dep_radius=0, table={(1, '110'): Fraction(1, 2)}): ")
+    # three fields with ':' or ',' stay a law or a tuple
+    assert parse_param_value("1:1/2, -1:1/2, 2:1") == {1: F(1, 2), -1: F(1, 2), 2: 1}
+    assert parse_param_value("1, 2, 3") == (1, 2, 3)
 
 
 def test_unknown_sections_and_keys_are_collected():

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import itertools
 from fractions import Fraction as F
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from couplex import (
     RateSpec,
     Violation,
+    check_sector_uniform_stationary,
     custom_table,
     gg_symmetrized,
     is_monotone,
@@ -83,9 +86,56 @@ def test_verdict_stable_under_window_growth():
         assert not is_monotone(spec, extra=2).monotone
 
 
-def test_tolerance_can_absorb_violations():
-    assert not is_monotone(traffic2(0.0, 1.25)).monotone
-    assert is_monotone(traffic2(0.0, 1.25), tol=0.5).monotone
+#: traffic2(alpha, beta) is monotone iff |alpha - beta| <= 1; the type of
+#: the witnesses' excess, None for a monotone spec
+TOLERANCE_CASES = [
+    ("exact 1", traffic2(0, 1), None),
+    ("exact 5/4", traffic2(0, F(5, 4)), F),
+    ("float 1.25", traffic2(0.0, 1.25), float),
+    # exact rates compare with no tolerance: an excess of 1e-15 counts
+    ("exact 1+1e-15", traffic2(0, 1 + F(1, 10**15)), F),
+    # float rates compare within FLOAT_TOL = 1e-12
+    ("float 1+1e-15", traffic2(0.0, 1 + 1e-15), None),
+    ("float 1+1e-9", traffic2(0.0, 1 + 1e-9), float),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, excess_type", [case[1:] for case in TOLERANCE_CASES], ids=[case[0] for case in TOLERANCE_CASES]
+)
+def test_tolerance_follows_the_rate_type(spec, excess_type):
+    verdict = is_monotone(spec)
+    assert verdict.monotone == (excess_type is None)
+    assert all(type(w.excess) is excess_type for w in verdict.witnesses)
+    # the strictness report reads the same tolerance
+    if verdict.monotone:
+        assert strictness_report(spec).binding_count > 0
+    else:
+        with pytest.raises(ValueError, match="monotone"):
+            strictness_report(spec)
+
+
+@pytest.mark.parametrize(
+    "check, params",
+    [
+        (is_monotone, ["spec", "extra"]),
+        (strictness_report, ["spec"]),
+        (check_sector_uniform_stationary, ["spec", "size"]),
+    ],
+    ids=lambda value: getattr(value, "__name__", ""),
+)
+def test_checks_take_no_tolerance(check, params):
+    # only is_monotone's extra is optional
+    signature = inspect.signature(check)
+    assert list(signature.parameters) == params
+    optional = [p.name for p in signature.parameters.values() if p.default is not p.empty]
+    assert optional == (["extra"] if check is is_monotone else [])
+
+
+def test_results_carry_no_tolerance_fields():
+    assert [f.name for f in dataclasses.fields(monotone.Verdict)] == ["monotone", "witnesses"]
+    fields = dataclasses.fields(monotone.StrictnessReport)
+    assert [f.name for f in fields] == ["strict", "min_slack", "binding_count"]
 
 
 def test_witnesses_are_deterministic_and_sorted():
@@ -117,14 +167,6 @@ def test_strictness_oracles():
     assert not strictness_report(gg_symmetrized(2, 1, 1, 2)).strict
     assert strictness_report(gg_symmetrized(F(3, 2), F(3, 4), 1, F(5, 4))).min_slack == F(1, 4)
     assert not strictness_report(speed_change_increasing()).strict
-
-
-def test_strictness_keeps_worst_cases():
-    report = strictness_report(two_step(), keep=3)
-    assert not report.strict
-    assert len(report.worst) <= 3
-    assert report.binding_count >= len(report.worst)
-    assert report.worst[0][0] == report.min_slack
 
 
 def test_strictness_requires_monotone():
@@ -179,11 +221,9 @@ def _span_rate(spec, bits, lo, x, d):
     return spec.evaluate(bits[x - w - lo : x + w + 1 - lo], d)
 
 
-def _loop_tol(spec, tol):
-    """``tol``, or the tolerance the rates a condition reads call for: 0
-    when they are all ints or Fractions, FLOAT_TOL once a float enters."""
-    if tol is not None:
-        return tol
+def _loop_tol(spec):
+    """The tolerance the rates a condition reads call for: 0 when they are
+    all ints or Fractions, FLOAT_TOL once a float enters."""
     for d in spec.jump_offsets:
         w = _halfwidth(spec, d)
         for bits in itertools.product((0, 1), repeat=2 * w + 1):
@@ -272,30 +312,27 @@ def _assert_same_witnesses(got, want):
     ]
 
 
-def _assert_matches_loop(spec, extra=0, tol=None, keeps=(10,)):
-    t = _loop_tol(spec, tol)
-    arrival, b1 = _loop_scan(spec, "arrival", extra, t)
-    departure, b2 = _loop_scan(spec, "departure", extra, t)
-    verdict = is_monotone(spec, extra, tol)
+def _assert_matches_loop(spec, extra=0):
+    t = _loop_tol(spec)
+    (arrival, _), (departure, _) = (_loop_scan(spec, kind, extra, t) for kind in ("arrival", "departure"))
+    verdict = is_monotone(spec, extra)
     _assert_same_witnesses(verdict.witnesses, _loop_sorted(arrival + departure))
     assert verdict.monotone == (not arrival and not departure)
-    for keep in keeps:
-        if arrival or departure:
-            with pytest.raises(ValueError, match="monotone"):
-                strictness_report(spec, extra, tol, keep)
-            continue
-        report = strictness_report(spec, extra, tol, keep)
-        binding = sorted(b1 + b2, key=lambda row: (row[0], row[1], row[3], row[4]))
-        assert report.binding_count == len(binding)
-        assert report.worst == binding[:keep]
-        assert [tuple(map(_typed, row)) for row in report.worst] == [
-            tuple(map(_typed, row)) for row in binding[:keep]
-        ]
-        if binding:
-            assert _typed(report.min_slack) == _typed(binding[0][0])
-            assert report.strict == (binding[0][0] > t)
-        else:
-            assert report.min_slack is None and not report.strict
+    # strictness reads the span of the rates themselves, as extra = 0 does
+    (arrival, b1), (departure, b2) = (_loop_scan(spec, kind, 0, t) for kind in ("arrival", "departure"))
+    if arrival or departure:
+        with pytest.raises(ValueError, match="monotone"):
+            strictness_report(spec)
+        return
+    report = strictness_report(spec)
+    # the least-slack row by (slack, kind, lower, upper) gives min_slack its type
+    binding = sorted(b1 + b2, key=lambda row: (row[0], row[1], row[3], row[4]))
+    assert report.binding_count == len(binding)
+    if binding:
+        assert _typed(report.min_slack) == _typed(binding[0][0])
+        assert report.strict == (binding[0][0] > t)
+    else:
+        assert report.min_slack is None and not report.strict
 
 
 @pytest.mark.parametrize("extra", [0, 1, 2])
@@ -303,19 +340,18 @@ def _assert_matches_loop(spec, extra=0, tol=None, keeps=(10,)):
     "spec", MONOTONE_INSTANCES + NON_MONOTONE_INSTANCES, ids=repr
 )
 def test_scan_matches_pair_loop(spec, extra):
-    _assert_matches_loop(spec, extra, keeps=(0, 10, 10**6) if extra == 0 else (10,))
+    _assert_matches_loop(spec, extra)
 
 
-@pytest.mark.parametrize("tol", [None, 0.5])
-def test_scan_matches_pair_loop_on_float_traffic2(tol):
+def test_scan_matches_pair_loop_on_float_traffic2():
     spec = traffic2(0.0, 1.25)
-    assert monotone._rate_arrays(spec, 0).tables[1].dtype == float
-    _assert_matches_loop(spec, tol=tol)
+    assert monotone._rate_arrays(spec).tables[1].dtype == float
+    _assert_matches_loop(spec)
 
 
 def test_scan_matches_pair_loop_on_float_gg():
     _assert_matches_loop(gg_symmetrized(1.5, 0.5, 1.5, 1.0), extra=1)
-    _assert_matches_loop(gg_symmetrized(1.5, 0.75, 1, 1.25), keeps=(0, 10, 10**6))
+    _assert_matches_loop(gg_symmetrized(1.5, 0.75, 1, 1.25))
 
 
 def _mixed_rule():
@@ -330,25 +366,24 @@ def _mixed_rule():
 
 def test_scan_matches_pair_loop_on_mixed_rates():
     spec = _mixed_rule()
-    assert monotone._rate_arrays(spec, 0).tables[1].dtype == object
+    assert monotone._rate_arrays(spec).tables[1].dtype == object
     assert not is_monotone(spec).monotone
     _assert_matches_loop(spec)
-    _assert_matches_loop(spec, tol=0.25)
 
 
 def test_scan_matches_pair_loop_on_huge_denominators():
     wide = traffic2(F(2**71 + 3, 2**70 - 3), F(5, 2**70 + 1))
-    assert monotone._rate_arrays(wide, 0).tables[2].dtype == object
+    assert monotone._rate_arrays(wide).tables[2].dtype == object
     assert not is_monotone(wide).monotone
     _assert_matches_loop(wide)
     narrow = traffic2(F(2**69 + 7, 2**70 - 3), F(1, 2**70 + 1))
     assert is_monotone(narrow).monotone
-    _assert_matches_loop(narrow, keeps=(0, 10, 10**6))
+    _assert_matches_loop(narrow)
 
 
 @given(small_tables())
 def test_scan_matches_pair_loop_on_tables(spec):
-    _assert_matches_loop(spec, keeps=(3,))
+    _assert_matches_loop(spec)
 
 
 def _guarded_rule(active_rate):
@@ -382,41 +417,12 @@ def test_negative_active_rate_is_refused():
         is_monotone(spec)
 
 
-def test_tolerance_on_exact_rates_is_compared_exactly():
-    spec = traffic2(0, F(4, 3))
-    base = is_monotone(spec).witnesses
-    excesses = sorted({w.excess for w in base})
-    assert excesses and all(isinstance(e, F) for e in excesses)
-    for excess in excesses:
-        for tol in (float(excess), float(excess) * (1 + 1e-15), float(excess) * (1 - 1e-15)):
-            kept = [w for w in base if w.excess > F(tol)]
-            assert is_monotone(spec, tol=tol).witnesses == kept
-
-
-@pytest.mark.parametrize("spec", [traffic2(0, F(5, 4)), traffic2(0.0, 1.25)], ids=repr)
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -0.5, F(-1, 3), -1])
-def test_invalid_tol_is_refused(spec, tol):
-    for decide in (is_monotone, strictness_report):
-        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-            decide(spec, tol=tol)
-
-
 @pytest.mark.parametrize("extra", [-1, 0.5, 1.0, True, None])
 def test_invalid_extra_is_refused(extra):
     # a negative extra once gave monotone=True with no witness to
     # traffic2(0, 2), which is not monotone
-    for decide in (is_monotone, strictness_report):
-        with pytest.raises(ValueError, match="extra must be an int >= 0"):
-            decide(traffic2(0, 2), extra=extra)
-
-
-@pytest.mark.parametrize("keep", [-1, 2.0, None])
-def test_invalid_keep_is_refused(keep):
-    # keep=-1 once gave an empty worst list
-    with pytest.raises(ValueError, match="keep must be an int >= 0"):
-        strictness_report(two_step(), keep=keep)
-    report = strictness_report(two_step(), keep=0)
-    assert report.worst == [] and report.min_slack is not None
+    with pytest.raises(ValueError, match="extra must be an int >= 0"):
+        is_monotone(traffic2(0, 2), extra=extra)
 
 
 def _whole_fraction_rule():
@@ -437,9 +443,7 @@ def test_fraction_sides_follow_the_rate_types_not_the_scale():
     assert {type(v) for v in sides} == {F, int}
     _assert_matches_loop(spec, extra=1)
     _assert_matches_loop(spec)
-    report = strictness_report(sep({1: F(2), -1: 1}), keep=10**6)
-    assert {type(v) for row in report.worst for v in row[5:]} == {F, int}
-    _assert_matches_loop(sep({1: F(2), -1: 1}), keeps=(0, 10, 10**6))
+    _assert_matches_loop(sep({1: F(2), -1: 1}))
 
 
 def _bool_float_rule():
@@ -454,8 +458,8 @@ def _bool_float_rule():
 
 def test_float_rule_sides_summing_only_ints_stay_ints():
     spec = _bool_float_rule()
-    assert monotone._rate_arrays(spec, None).tables[1].dtype == float
+    assert monotone._rate_arrays(spec).tables[1].dtype == float
     witnesses = is_monotone(spec).witnesses
     assert {(type(w.lhs), type(w.rhs)) for w in witnesses} == {(int, int), (int, float), (float, int)}
     _assert_matches_loop(spec)
-    _assert_matches_loop(spec, extra=1, tol=0.25)
+    _assert_matches_loop(spec, extra=1)

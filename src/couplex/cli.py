@@ -125,8 +125,21 @@ def _num(value) -> str:
     return format_number(value)
 
 
+def _param_text(value) -> str:
+    """A model parameter as it is typed: a law as ``d:rate,...``, a tuple as
+    ``a,b`` (``a,`` for one item); a rate table, keyed by (offset, pattern),
+    as its row count."""
+    if isinstance(value, dict):
+        if any(isinstance(key, tuple) for key in value):
+            return "<%d row%s>" % (len(value), "" if len(value) == 1 else "s")
+        return ",".join("%d:%s" % (d, format_number(r)) for d, r in value.items())
+    if isinstance(value, tuple):
+        return ",".join(map(str, value)) + ("," if len(value) == 1 else "")
+    return format_number(value)
+
+
 def _params_label(params: dict) -> str:
-    return ", ".join("%s=%s" % (k, v) for k, v in params.items())
+    return ", ".join("%s=%s" % (k, _param_text(v)) for k, v in params.items())
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ Everything here enumerates states explicitly: single-copy chains over all
 configurations of a ring (or one particle-number sector), and coupled chains
 over configuration pairs.  Generators are kept sparse (dict of rows, positive
 rates only); dense numpy arrays are materialized only for the stationary solve.
-A single chain's rows hold the float rates of the simulator's per-site pattern
-memo; the coupled layer's keep exact rates exact.  The stationary law of a
-closed class solves the replaced-row system: Q^T with its last equation
-replaced by the normalisation sum(pi) = 1, by one LU factorisation.
+A single chain is built in one numpy pass: each state is an integer code, its
+jump targets are found among the sorted codes, and its rows hold the float
+rates of the simulator's per-site pattern memo, read once per distinct
+pattern; the coupled layer's rows keep exact rates exact.  The stationary
+law of a closed class solves the replaced-row system: Q^T with its last
+equation replaced by the normalisation sum(pi) = 1, by one LU factorisation.
 A single chain's rates do not change when the ring turns one site, so the law
 of a class that some turn maps onto itself is constant on the rotation orbits
 it holds, and the system is solved on those orbits, one unknown each.
@@ -25,7 +27,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -74,8 +75,10 @@ class GeneratorMatrix:
         """The off-diagonal rates as float arrays ``(rows, cols, vals)`` in
         row order, and the exit rates ``sum(row.values())`` per state, as floats.
 
-        Built once, on first use, and shared by every class of a reducible
-        chain; ``rows`` must not change after that.
+        :func:`single_generator` sets them at build time, from the arrays
+        its rows come from; any other generator builds them once, on first
+        use.  They are shared by every class of a reducible chain, so
+        ``rows`` must not change after that.
         """
         rows = np.array([i for i, row in enumerate(self.rows) for _ in row], dtype=np.intp)
         cols = np.array([j for row in self.rows for j in row], dtype=np.intp)
@@ -139,9 +142,60 @@ def ring_configs(size: int, count: Optional[int] = None):
             yield tuple(bits)
 
 
+def _single_entries(spec: RateSpec, states: list, size: int) -> tuple:
+    """The off-diagonal entries of the single chain on ``states``, one per
+    (state, occupied site, event) in state, site and offset order, and the
+    turn: ``(rows, cols, rates, turn)``, with ``rates`` an object array of
+    the memo's own floats.
+
+    A state is an integer code, bit x for site x, and every target, like
+    every turned state, is found among the sorted codes.  The events of a
+    site are those of its pattern in the per-site memo, read once per
+    distinct pattern.  A function of its own so that its temporaries are
+    freed before the row dicts are built, which keeps the peak memory down.
+    """
+    bits = np.array(states, dtype=np.int64)
+    # a turned code needs size + 1 bits, so the codes of a ring of more
+    # than 62 sites (a sector of at most a few particles) stay Python ints
+    power = np.array([1 << x for x in range(size)], dtype=np.int64 if size <= 62 else object)
+    codes = bits @ power
+    state, site = np.nonzero(bits)
+    # bit j of the pattern of site x is site x - w + j: the w sites on
+    # either side of x, wrapping as the ring does
+    w = spec.dep_radius + spec.max_offset
+    patterns = np.zeros(len(site), dtype=np.int64)
+    for j in range(2 * w + 1):
+        patterns |= bits[state, (site + j - w) % size] << j
+    unique, pattern = np.unique(patterns, return_inverse=True)
+    memo = spec._site_events
+    keys = (tuple((p >> j) & 1 for j in range(2 * w + 1)) for p in unique.tolist())
+    events = [(memo.get(key) or _fill_site_events(spec, key))[0] for key in keys]
+    rates = np.array([r for site_events in events for r, _ in site_events], dtype=object)
+    offsets = np.array([d for site_events in events for _, d in site_events], dtype=np.intp)
+    counts = np.array([len(site_events) for site_events in events], dtype=np.intp)
+    # event indexes the events of all distinct patterns, one after another
+    per_site = counts[pattern]
+    event = np.repeat(np.cumsum(counts)[pattern] - np.cumsum(per_site), per_site)
+    event += np.arange(len(event))
+    rows = np.repeat(state, per_site)
+    x = np.repeat(site, per_site)
+    targets = codes[rows] ^ power[x] ^ power[(x + offsets[event]) % size]
+    turned = ((codes << 1) & ((1 << size) - 1)) | (codes >> (size - 1))
+    by_code = np.argsort(codes)
+    found = by_code[np.searchsorted(codes[by_code], np.concatenate([turned, targets]))]
+    return rows, found[len(codes):], rates[event], found[: len(codes)]
+
+
 def single_generator(spec: RateSpec, size: int, count: Optional[int] = None) -> GeneratorMatrix:
-    """Generator of the single chain, its rows read from the per-site pattern
-    memo in site and offset order; distinct jumps reach distinct targets."""
+    """Generator of the single chain; distinct jumps reach distinct targets.
+
+    Its rows are read in one numpy pass over every (state, occupied site,
+    event) (:func:`_single_entries`), from the per-site pattern memo that
+    the simulator fills (:func:`couplex.models._fill_site_events` fills it
+    on a miss).  Each row lists its events in site and offset order and
+    holds the memo's own floats; ``entries`` is set from the same arrays,
+    each exit rate the float sum of its row in row order.
+    """
     _check_ring(spec, size)  # the memo reads patterns, never the ring
     _check_count(size, count)
     n = 2**size if count is None else math.comb(size, count)
@@ -151,22 +205,22 @@ def single_generator(spec: RateSpec, size: int, count: Optional[int] = None) -> 
             % (n, SINGLE_STATE_CAP)
         )
     states = list(ring_configs(size, count))
-    index = {s: i for i, s in enumerate(states)}
-    w = spec.dep_radius + spec.max_offset
-    memo = spec._site_events
-    # the pattern of site x: the w sites on either side of it
-    windows = [itemgetter(*[z % size for z in range(x - w, x + w + 1)]) for x in range(size)]
-    rows = []
-    for eta in states:
-        keys = [(x, windows[x](eta)) for x in range(size) if eta[x]]
-        row = {
-            index[apply_jump(eta, x, (x + d) % size)]: r
-            for x, key in keys
-            for r, d in (memo.get(key) or _fill_site_events(spec, key))[0]
-        }
-        rows.append(row)
-    turn = np.array([index[eta[-1:] + eta[:-1]] for eta in states], dtype=np.intp)
-    return GeneratorMatrix(states, rows, index, turn)
+    rows, cols, rates, turn = _single_entries(spec, states, size)
+    numbers = np.arange(n).astype(object)  # one int object per state, shared by every row
+    lengths = np.bincount(rows, minlength=n)
+    pairs = zip(numbers[cols].tolist(), rates.tolist())
+    row_maps = [dict(itertools.islice(pairs, k)) for k in lengths.tolist()]
+    gen = GeneratorMatrix(states, row_maps, dict(zip(states, numbers.tolist())), turn)
+    vals = rates.astype(float)
+    # each exit rate adds its row's rates one at a time, in row order, as
+    # sum(row.values()) does
+    exits = np.zeros(n)
+    begins = np.cumsum(lengths) - lengths
+    for k in range(int(lengths.max())):
+        more = lengths > k
+        exits[more] += vals[begins[more] + k]
+    gen.entries = rows, cols, vals, exits
+    return gen
 
 
 def pair_states(size: int):
@@ -271,15 +325,13 @@ def strongly_connected_components(rows) -> list:
 def closed_classes(gen: GeneratorMatrix) -> list:
     """Communicating classes without outgoing rates (the recurrent ones)."""
     comps = strongly_connected_components(gen.rows)
-    comp_of = {}
+    comp_of = np.empty(gen.dimension, dtype=np.intp)
     for ci, comp in enumerate(comps):
-        for i in comp:
-            comp_of[i] = ci
-    closed = []
-    for ci, comp in enumerate(comps):
-        if all(comp_of[j] == ci for i in comp for j in gen.rows[i]):
-            closed.append(sorted(comp))
-    return closed
+        comp_of[comp] = ci
+    rows, cols = gen.entries[:2]
+    leaving = comp_of[rows] != comp_of[cols]
+    leaks = np.bincount(comp_of[rows[leaving]], minlength=len(comps))
+    return [sorted(comp) for comp, out in zip(comps, leaks.tolist()) if not out]
 
 
 def _solve_on_class(gen: GeneratorMatrix, members: list) -> np.ndarray:

@@ -121,10 +121,29 @@ def test_one_line_table_as_key_value(capsys):
     code = main(["check-monotone", "custom_table", "offsets=1,", "dep_radius=0", "table=1 110 1/2"])
     out = capsys.readouterr().out
     assert code == 1
-    assert out.startswith("custom_table(offsets=(1,), dep_radius=0, table={(1, '110'): Fraction(1, 2)}): ")
+    assert out.startswith("custom_table(offsets=1,, dep_radius=0, table=<1 row>): ")
     # three fields with ':' or ',' stay a law or a tuple
     assert parse_param_value("1:1/2, -1:1/2, 2:1") == {1: F(1, 2), -1: F(1, 2), 2: 1}
     assert parse_param_value("1, 2, 3") == (1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "argv, name, want",
+    [
+        (["sep", "p=1:1/2,-1:1/2"], "p", {1: F(1, 2), -1: F(1, 2)}),
+        (["two_star_step", "p=1:0.3,2:7/10"], "p", {1: 0.3, 2: F(7, 10)}),
+        (["speed_change_increasing", "q=1:2,-1:1/3"], "q", {1: 2, -1: F(1, 3)}),
+        (["custom_table", "offsets=1,", "dep_radius=0", "table=1 110 1/2"], "offsets", (1,)),
+    ],
+)
+def test_model_label_values_parse_back(capsys, argv, name, want):
+    # a law or a tuple prints as it is typed and parses back to the same
+    # value, never as a Python repr
+    main(["check-monotone", *argv])
+    label = capsys.readouterr().out.splitlines()[0]
+    assert "Fraction(" not in label and "{" not in label
+    value = label.split("%s=" % name, 1)[1].split(", ")[0].split(")")[0]
+    assert parse_param_value(value) == want
 
 
 def test_unknown_sections_and_keys_are_collected():

@@ -425,9 +425,12 @@ def test_dense_blocks_refuse_by_row_count():
 
 def test_single_chain_and_simulator_share_the_site_memo():
     spec = traffic2(F(7, 10), F(1, 5))
-    single_generator(spec, 7)  # every pattern of the 5 sites around an occupied site
+    gen = single_generator(spec, 7)  # every pattern of the 5 sites around an occupied site
     keys = set(spec._site_events)
     assert len(keys) == 2 ** (spec.min_ring_size - 1)
+    # the rows hold the memo's own floats, none made anew
+    memo_rates = {id(r) for events, _ in spec._site_events.values() for r, _ in events}
+    assert all(id(r) in memo_rates for row in gen.rows for r in row.values())
     for eta in [(1, 0, 1, 1, 0, 0, 1, 0) * 4, (1, 1, 1, 0) * 8]:
         simulate._SingleEngine(spec, eta)
     assert simulate.simulate_single(spec, (1, 1, 0) * 11, t_end=20.0, seed=7).total_events > 0
@@ -473,12 +476,58 @@ def test_float_rows_match_the_exact_rows(spec):
             for got, want in zip(gen.rows, oracle.rows):
                 assert list(got.items()) == [(j, float(r)) for j, r in want.items()]
                 assert all(type(r) is float for r in got.values())
+            turn = [oracle.state_index[eta[-1:] + eta[:-1]] for eta in oracle.states]
+            assert gen.turn.dtype == np.intp and gen.turn.tolist() == turn
+            # the entries set at build time, against those that a generator
+            # of the oracle's rates rounded once derives from its rows
+            rounded = GeneratorMatrix(oracle.states, [{j: float(r) for j, r in row.items()} for row in oracle.rows])
+            for got, want in zip(gen.entries, rounded.entries):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
             dists = stationary_distributions(gen)
             wants = stationary_distributions(oracle)
             assert len(dists) == len(wants)
             for dist, want in zip(dists, wants):
                 assert np.max(np.abs(dist.weights - want.weights)) <= 1e-12
                 assert dist.residual <= 1e-12
+
+
+@pytest.mark.parametrize("size, count", [(62, 1), (63, 1), (70, 1), (63, 2)])
+def test_rings_beyond_int64_codes_match_the_exact_rows(size, count):
+    # a sector of a few particles on a long ring stays under the state cap;
+    # past 62 sites its turned codes would overflow an int64
+    spec = traffic2(F(7, 10), F(1, 5))
+    gen = single_generator(spec, size, count)
+    oracle = _exact_row_generator(spec, size, count)
+    assert gen.states == oracle.states
+    assert [list(row.items()) for row in gen.rows] == [
+        [(j, float(r)) for j, r in row.items()] for row in oracle.rows
+    ]
+    assert gen.turn.tolist() == [oracle.state_index[eta[-1:] + eta[:-1]] for eta in oracle.states]
+
+
+def _closed_by_edges(gen):
+    """Oracle: the components of Tarjan's pass with no edge out of them,
+    one edge at a time."""
+    comps = exact.strongly_connected_components(gen.rows)
+    comp_of = {i: ci for ci, comp in enumerate(comps) for i in comp}
+    return [
+        sorted(comp) for ci, comp in enumerate(comps)
+        if all(comp_of[j] == ci for i in comp for j in gen.rows[i])
+    ]
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        lambda: [single_generator(gg_symmetrized(1, 0, 1, 0), size, count)
+                 for size in (5, 6) for count in [None, *range(size + 1)]],
+        lambda: [_two_closed_classes()],
+    ],
+    ids=["gg 1 0 1 0", "absorbing-state"],
+)
+def test_closed_classes_match_the_per_edge_oracle(gens):
+    for gen in gens():
+        assert closed_classes(gen) == _closed_by_edges(gen)
 
 
 def test_audit_order_preservation_oracles():

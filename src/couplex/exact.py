@@ -2,12 +2,13 @@
 
 Everything here enumerates states explicitly: single-copy chains over all
 configurations of a ring (or one particle-number sector), and coupled chains
-over configuration pairs.  Generators are kept sparse (dict of rows, positive
-rates only); dense numpy arrays are materialized only for the stationary solve.
-A single chain is built in one numpy pass: each state is an integer code, its
-jump targets are found among the sorted codes, and its rows hold the float
-rates of the simulator's per-site pattern memo, read once per distinct
-pattern; the coupled layer's rows keep exact rates exact.  The stationary
+over configuration pairs.  Generators are kept sparse, positive rates only,
+in the form their builder gives: a single chain as entry arrays, a coupled
+chain as one dict per row; dense numpy blocks are materialized only for the
+stationary solve.  A single chain is built in one numpy pass: each state is an
+integer code, its jump targets are found among the sorted codes, and its rates
+are the floats of the simulator's per-site pattern memo, read once per
+distinct pattern; the coupled layer's rows keep exact rates exact.  The stationary
 law of a closed class solves the replaced-row system: Q^T with its last
 equation replaced by the normalisation sum(pi) = 1, by one LU factorisation.
 A single chain's rates do not change when the ring turns one site, so the law
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -35,56 +36,71 @@ from .lattice import CoupledState, apply_jump, is_ordered
 from .models import RateSpec, _check_ring, _fill_site_events, active_jumps
 from .coupling import _moves, coupled_transitions, coupling_table
 
-#: largest single-chain state space enumerated: it admits every sector of a
-#: 14-site ring (at most C(14, 7) = 3432 states); a closed class is solved with
-#: one unknown per rotation orbit, at most 246 of them at the cap
-SINGLE_STATE_CAP = 3432
-#: largest ring of the coupled layer: 4**6 = 4096 pairs
-COUPLED_SIZE_CAP = 6
+#: largest single-chain state space enumerated: it admits every sector of an
+#: 18-site ring (at most C(18, 9) = 48620 states) and the whole ring up to 15
+#: sites; a closed class is solved with one unknown per rotation orbit, at
+#: most 2704 of them in the sectors of an 18-site ring
+SINGLE_STATE_CAP = 48620
+#: largest ring of the coupled layer: 4**8 = 65536 pairs
+COUPLED_SIZE_CAP = 8
+#: most rows of a dense generator block: 4096**2 float64 take 128 MiB
+DENSE_ROW_CAP = 4096
 #: a solved weight below -_NEGATIVE_TOL times the largest weight is an error,
 #: not rounding, and raises instead of being clipped
 _NEGATIVE_TOL = 1e-9
 
 
-@dataclass
 class GeneratorMatrix:
-    """Sparse generator of a finite-state continuous-time chain.
+    """Sparse generator of a finite-state continuous-time chain, kept in the
+    form its builder gives and the other forms derived on first read.
 
     ``rows[i]`` maps target state index -> off-diagonal rate, positive only
     (the class searches rely on it); the diagonal is minus the row sum.
-    ``states`` are hashable state labels and ``state_index`` the inverse
-    lookup.  ``turn``, when given, is an index array: ``turn[i]`` is the index
-    of ``states[i]`` turned one site, and the rates must not change under it.
+    ``entries`` holds the same rates as arrays (see there).  ``states`` are
+    hashable state labels and ``state_index`` the inverse lookup.  ``turn``,
+    when given, is an index array: ``turn[i]`` is the index of ``states[i]``
+    turned one site, and the rates must not change under it.  A builder
+    gives ``rows`` or sets ``entries``; neither may change after a read.
     """
 
-    states: list
-    rows: list
-    state_index: dict = field(default_factory=dict)
-    turn: Optional[np.ndarray] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if not self.state_index:
-            self.state_index = {s: i for i, s in enumerate(self.states)}
+    def __init__(self, states: list, rows: Optional[list] = None, *, turn: Optional[np.ndarray] = None):
+        self.states = states
+        if rows is not None:
+            self.rows = rows
+        self.turn = turn
 
     @property
     def dimension(self) -> int:
         return len(self.states)
 
     @cached_property
+    def state_index(self) -> dict:
+        return {s: i for i, s in enumerate(self.states)}
+
+    @cached_property
     def entries(self):
         """The off-diagonal rates as float arrays ``(rows, cols, vals)`` in
-        row order, and the exit rates ``sum(row.values())`` per state, as floats.
-
-        :func:`single_generator` sets them at build time, from the arrays
-        its rows come from; any other generator builds them once, on first
-        use.  They are shared by every class of a reducible chain, so
-        ``rows`` must not change after that.
+        row order, each row's entries in its own order, and the exit rate of
+        each state as a float: ``sum(row.values())`` of ``rows``, or, where
+        the builder sets the entries (:func:`single_generator`), its rates
+        added in row order, which is the same float sum.
         """
         rows = np.array([i for i, row in enumerate(self.rows) for _ in row], dtype=np.intp)
         cols = np.array([j for row in self.rows for j in row], dtype=np.intp)
         vals = np.array([r for row in self.rows for r in row.values()], dtype=float)
         exits = np.array([sum(row.values()) for row in self.rows], dtype=float)
         return rows, cols, vals, exits
+
+    @cached_property
+    def rows(self) -> list:
+        _, cols, vals, _ = self.entries
+        return [dict(zip(c, v)) for c, v in zip(self._per_row(cols), self._per_row(vals))]
+
+    def _per_row(self, values: np.ndarray) -> list:
+        """``values``, one per entry, as one list per row."""
+        items = iter(values.tolist())
+        lengths = np.bincount(self.entries[0], minlength=self.dimension)
+        return [list(itertools.islice(items, k)) for k in lengths.tolist()]
 
     def to_dense(self, members=None, columns=None) -> np.ndarray:
         """Dense generator, or its block with rows the state indices
@@ -94,14 +110,14 @@ class GeneratorMatrix:
         Column k is ``members[k]``, or, given ``columns`` (an index array
         over all states, -1 for none, that maps ``members[k]`` to k), the sum
         of the columns of the states it maps to k.  More than
-        ``4**COUPLED_SIZE_CAP`` rows raise ``ValueError`` before allocating.
+        ``DENSE_ROW_CAP`` rows raise ``ValueError`` before allocating.
         """
         members = np.asarray(range(self.dimension) if members is None else members, dtype=np.intp)
         n = len(members)
-        if n > 4**COUPLED_SIZE_CAP:
+        if n > DENSE_ROW_CAP:
             raise ValueError(
                 "a dense block of %d rows (%d bytes) exceeds the cap of %d rows"
-                % (n, n * n * 8, 4**COUPLED_SIZE_CAP)
+                % (n, n * n * 8, DENSE_ROW_CAP)
             )
         rows, cols, vals, exits = self.entries
         pos = np.full(self.dimension, -1, dtype=np.intp)
@@ -145,14 +161,12 @@ def ring_configs(size: int, count: Optional[int] = None):
 def _single_entries(spec: RateSpec, states: list, size: int) -> tuple:
     """The off-diagonal entries of the single chain on ``states``, one per
     (state, occupied site, event) in state, site and offset order, and the
-    turn: ``(rows, cols, rates, turn)``, with ``rates`` an object array of
-    the memo's own floats.
+    turn: ``(rows, cols, vals, turn)``, with ``vals`` the memo's float rates.
 
     A state is an integer code, bit x for site x, and every target, like
     every turned state, is found among the sorted codes.  The events of a
     site are those of its pattern in the per-site memo, read once per
-    distinct pattern.  A function of its own so that its temporaries are
-    freed before the row dicts are built, which keeps the peak memory down.
+    distinct pattern.
     """
     bits = np.array(states, dtype=np.int64)
     # a turned code needs size + 1 bits, so the codes of a ring of more
@@ -170,7 +184,7 @@ def _single_entries(spec: RateSpec, states: list, size: int) -> tuple:
     memo = spec._site_events
     keys = (tuple((p >> j) & 1 for j in range(2 * w + 1)) for p in unique.tolist())
     events = [(memo.get(key) or _fill_site_events(spec, key))[0] for key in keys]
-    rates = np.array([r for site_events in events for r, _ in site_events], dtype=object)
+    rates = np.array([r for site_events in events for r, _ in site_events], dtype=float)
     offsets = np.array([d for site_events in events for _, d in site_events], dtype=np.intp)
     counts = np.array([len(site_events) for site_events in events], dtype=np.intp)
     # event indexes the events of all distinct patterns, one after another
@@ -189,12 +203,11 @@ def _single_entries(spec: RateSpec, states: list, size: int) -> tuple:
 def single_generator(spec: RateSpec, size: int, count: Optional[int] = None) -> GeneratorMatrix:
     """Generator of the single chain; distinct jumps reach distinct targets.
 
-    Its rows are read in one numpy pass over every (state, occupied site,
-    event) (:func:`_single_entries`), from the per-site pattern memo that
-    the simulator fills (:func:`couplex.models._fill_site_events` fills it
-    on a miss).  Each row lists its events in site and offset order and
-    holds the memo's own floats; ``entries`` is set from the same arrays,
-    each exit rate the float sum of its row in row order.
+    Its ``entries`` are read in one numpy pass over every (state, occupied
+    site, event) (:func:`_single_entries`), from the per-site pattern memo
+    that the simulator fills (:func:`couplex.models._fill_site_events` fills
+    it on a miss), each row's events in site and offset order; ``rows`` and
+    ``state_index`` are derived only when read.
     """
     _check_ring(spec, size)  # the memo reads patterns, never the ring
     _check_count(size, count)
@@ -205,21 +218,11 @@ def single_generator(spec: RateSpec, size: int, count: Optional[int] = None) -> 
             % (n, SINGLE_STATE_CAP)
         )
     states = list(ring_configs(size, count))
-    rows, cols, rates, turn = _single_entries(spec, states, size)
-    numbers = np.arange(n).astype(object)  # one int object per state, shared by every row
-    lengths = np.bincount(rows, minlength=n)
-    pairs = zip(numbers[cols].tolist(), rates.tolist())
-    row_maps = [dict(itertools.islice(pairs, k)) for k in lengths.tolist()]
-    gen = GeneratorMatrix(states, row_maps, dict(zip(states, numbers.tolist())), turn)
-    vals = rates.astype(float)
-    # each exit rate adds its row's rates one at a time, in row order, as
-    # sum(row.values()) does
-    exits = np.zeros(n)
-    begins = np.cumsum(lengths) - lengths
-    for k in range(int(lengths.max())):
-        more = lengths > k
-        exits[more] += vals[begins[more] + k]
-    gen.entries = rows, cols, vals, exits
+    rows, cols, vals, turn = _single_entries(spec, states, size)
+    gen = GeneratorMatrix(states, turn=turn)
+    # bincount adds each row's rates one at a time, in row order, as
+    # sum(row.values()) does; it gives int64 when there are none
+    gen.entries = rows, cols, vals, np.bincount(rows, weights=vals, minlength=n).astype(float)
     return gen
 
 
@@ -271,8 +274,7 @@ def coupled_generator(spec: RateSpec, size: int, kind: str) -> GeneratorMatrix:
     _check_coupled_size(spec, size)
     states = list(pair_states(size))
     index = {s: i for i, s in enumerate(states)}
-    rows = [_row(spec, kind, xi, zeta, index) for xi, zeta in states]
-    return GeneratorMatrix(states, rows, index)
+    return GeneratorMatrix(states, [_row(spec, kind, xi, zeta, index) for xi, zeta in states])
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +325,13 @@ def strongly_connected_components(rows) -> list:
 
 
 def closed_classes(gen: GeneratorMatrix) -> list:
-    """Communicating classes without outgoing rates (the recurrent ones)."""
-    comps = strongly_connected_components(gen.rows)
+    """Communicating classes without outgoing rates (the recurrent ones);
+    Tarjan's pass walks each row's targets in ``entries`` order."""
+    rows, cols = gen.entries[:2]
+    comps = strongly_connected_components(gen._per_row(cols))
     comp_of = np.empty(gen.dimension, dtype=np.intp)
     for ci, comp in enumerate(comps):
         comp_of[comp] = ci
-    rows, cols = gen.entries[:2]
     leaving = comp_of[rows] != comp_of[cols]
     leaks = np.bincount(comp_of[rows[leaving]], minlength=len(comps))
     return [sorted(comp) for comp, out in zip(comps, leaks.tolist()) if not out]
@@ -449,12 +452,9 @@ def check_sector_uniform_stationary(spec: RateSpec, size: int) -> list:
     reports = []
     for n in range(size + 1):
         gen = single_generator(spec, size, n)
-        rows, cols, vals, _ = gen.entries
-        # outflow adds the float rates as inflow does, not the exit rates
-        # (row sums in row order), so that both sums round alike
+        _, cols, vals, exits = gen.entries
         inflow = np.bincount(cols, weights=vals, minlength=gen.dimension)
-        outflow = np.bincount(rows, weights=vals, minlength=gen.dimension)
-        gaps = np.abs(inflow - outflow)
+        gaps = np.abs(inflow - exits)
         i = int(np.argmax(gaps))
         worst = float(gaps[i])
         worst_state = gen.states[i] if worst > 0 else None

@@ -228,11 +228,11 @@ def test_exact_refuses_a_ring_too_small_for_the_spec(capsys):
 
 
 def test_exact_refuses_a_ring_above_the_coupled_cap(capsys):
-    code, out, err = run(capsys, "exact", "sep", "--task", "audit-order", "--size", "7")
+    code, out, err = run(capsys, "exact", "sep", "--task", "audit-order", "--size", "9")
     assert code == 2 and out == ""
     assert err == (
-        "couplex: exact coupled enumeration of 16384 pairs (L=7) exceeds the cap of "
-        "4096 pairs (L=6)\n"
+        "couplex: exact coupled enumeration of 262144 pairs (L=9) exceeds the cap of "
+        "65536 pairs (L=8)\n"
     )
 
 

@@ -20,6 +20,7 @@ from couplex import (
     pair_states,
     sep,
     single_generator,
+    speed_change_increasing,
     stationary_distribution,
     traffic2,
     two_star_step,
@@ -281,7 +282,7 @@ def test_a_turn_that_swaps_two_closed_classes(rows, turn):
 )
 def test_without_a_turn_each_state_is_its_own_orbit(gen):
     # the whole-class replaced-row solve, bit for bit
-    plain = GeneratorMatrix(gen.states, gen.rows, gen.state_index)
+    plain = GeneratorMatrix(gen.states, gen.rows)
     dists = stationary_distributions(plain)
     for dist, cls in zip(dists, closed_classes(gen)):
         a = _dense_block(gen, cls).T
@@ -342,16 +343,16 @@ def test_generator_arrays_match_the_rows(gen, classes):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: audit_order_preservation(sep(), 7),
-        lambda: audit_discrepancy_monotone(sep(), 7),
-        lambda: marginal_errors(sep(), 7, "strict"),
-        lambda: coupled_generator(sep(), 7, "strict"),
-        lambda: discrepancy_extinction(sep(), 7),
+        lambda: audit_order_preservation(sep(), 9),
+        lambda: audit_discrepancy_monotone(sep(), 9),
+        lambda: marginal_errors(sep(), 9, "strict"),
+        lambda: coupled_generator(sep(), 9, "strict"),
+        lambda: discrepancy_extinction(sep(), 9),
     ],
     ids=["audit-order", "audit-discrepancy", "marginal", "generator", "extinction"],
 )
 def test_coupled_layer_caps_the_pair_count(call):
-    with pytest.raises(ValueError, match=r"16384 pairs \(L=7\) exceeds the cap of 4096 pairs \(L=6\)"):
+    with pytest.raises(ValueError, match=r"262144 pairs \(L=9\) exceeds the cap of 65536 pairs \(L=8\)"):
         call()
 
 
@@ -392,9 +393,25 @@ def test_every_entry_point_names_the_same_failing_pair(spec, pair, skip):
 
 
 def test_single_generator_caps_the_state_count():
-    assert single_generator(sep(), 14, 7).dimension == 3432
-    with pytest.raises(ValueError, match="16384 states exceeds the cap of 3432"):
-        single_generator(sep(), 14)
+    assert single_generator(sep(), 18, 9).dimension == 48620
+    message = r"^exact single-chain enumeration of 65536 states exceeds the cap of 48620 states$"
+    with pytest.raises(ValueError, match=message):
+        single_generator(sep(), 16)
+
+
+def test_a_single_solve_builds_no_row_dicts():
+    # Tarjan's pass walks lists split from the entries; the rows and the
+    # state lookup are derived only when read
+    gen = single_generator(traffic2(F(7, 10), F(1, 5)), 10, 5)
+    stationary_distributions(gen)
+    assert "rows" not in vars(gen) and "state_index" not in vars(gen)
+    assert gen.state_index[gen.states[7]] == 7
+    assert gen.rows[7] == dict(zip(*(a[gen.entries[0] == 7].tolist() for a in gen.entries[1:3])))
+
+
+def test_a_stale_state_index_argument_is_refused():
+    with pytest.raises(TypeError):
+        GeneratorMatrix([(0,), (1,)], [{}, {}], {(0,): 0, (1,): 1})
 
 
 @pytest.mark.parametrize("count", [-1, 6])
@@ -428,9 +445,15 @@ def test_single_chain_and_simulator_share_the_site_memo():
     gen = single_generator(spec, 7)  # every pattern of the 5 sites around an occupied site
     keys = set(spec._site_events)
     assert len(keys) == 2 ** (spec.min_ring_size - 1)
-    # the rows hold the memo's own floats, none made anew
-    memo_rates = {id(r) for events, _ in spec._site_events.values() for r, _ in events}
-    assert all(id(r) in memo_rates for row in gen.rows for r in row.values())
+    # the rates are the memo's floats, value for value, in entry order
+    w = spec.dep_radius + spec.max_offset
+    assert gen.entries[2].tolist() == [
+        r
+        for eta in gen.states
+        for x in range(7)
+        if eta[x]
+        for r, _ in spec._site_events[tuple(eta[(x + j - w) % 7] for j in range(2 * w + 1))][0]
+    ]
     for eta in [(1, 0, 1, 1, 0, 0, 1, 0) * 4, (1, 1, 1, 0) * 8]:
         simulate._SingleEngine(spec, eta)
     assert simulate.simulate_single(spec, (1, 1, 0) * 11, t_end=20.0, seed=7).total_events > 0
@@ -450,7 +473,7 @@ def _exact_row_generator(spec, size, count):
         {index[apply_jump(eta, x, (x + d) % size)]: r for x, d, r in active_jumps(spec, eta)}
         for eta in states
     ]
-    return GeneratorMatrix(states, rows, index)
+    return GeneratorMatrix(states, rows)
 
 
 SINGLE_DIFFERENTIAL_MODELS = (
@@ -528,6 +551,35 @@ def _closed_by_edges(gen):
 def test_closed_classes_match_the_per_edge_oracle(gens):
     for gen in gens():
         assert closed_classes(gen) == _closed_by_edges(gen)
+
+
+ISING_LAWS = [
+    # None where exactly gamma = delta = 0: the sector splits into classes
+    ("gg %s %s %s %s" % (a, b, c, d), gg_symmetrized(a, b, c, d), b / a if c or d else None)
+    for a in (F(1, 2), 2)
+    for b in (F(1, 2), 2)
+    for c in (0, 1)
+    for d in (0, 1)
+] + [("speed_change_increasing %s" % s, speed_change_increasing(strength=s), F(1, 2)) for s in (1, 2, F(1, 3))]
+
+
+@pytest.mark.parametrize("spec, ratio", [(s, r) for _, s, r in ISING_LAWS], ids=[l for l, _, _ in ISING_LAWS])
+@pytest.mark.parametrize("size, count", [(10, 5), (11, 4)])
+def test_sector_laws_that_are_not_uniform(spec, ratio, size, count):
+    # a nearest-neighbour Ising law: pi(eta) is proportional to ratio**B(eta),
+    # B(eta) the number of sites x with eta_x = eta_{x+1} = 1; for
+    # gg_symmetrized a jump that breaks a bond runs at alpha and its reverse
+    # at beta, so ratio = beta / alpha balances each pair of them
+    gen = single_generator(spec, size, count)
+    dists = stationary_distributions(gen)
+    if ratio is None:
+        assert len(dists) > 1
+        return
+    (dist,) = dists
+    bonds = np.array([sum(eta[x] * eta[x - 1] for x in range(size)) for eta in gen.states])
+    want = float(ratio) ** bonds
+    want /= want.sum()
+    assert np.max(np.abs(dist.weights - want) / want) <= 1e-12
 
 
 def test_audit_order_preservation_oracles():

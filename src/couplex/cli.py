@@ -383,11 +383,9 @@ def _cmd_coupling_table(args) -> int:
     for (x1, y1, x2, y2), g in sorted(table.coupled.items()):
         rows.append(("coupled", x1, y1, x2, y2, _num(g)))
     for (x, y), g in sorted(table.residual_first.items()):
-        if g > 0:
-            rows.append(("first", x, y, "", "", _num(g)))
+        rows.append(("first", x, y, "", "", _num(g)))
     for (x, y), g in sorted(table.residual_second.items()):
-        if g > 0:
-            rows.append(("second", x, y, "", "", _num(g)))
+        rows.append(("second", x, y, "", "", _num(g)))
     _write_rows(rows, cfg)
     return OK
 

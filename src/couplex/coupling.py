@@ -36,8 +36,9 @@ hold a site a jump moved.
 
 Tables hold only the moves a pair can make: :func:`_compose` keeps a
 composed entry only when both of its jumps are active (departure occupied,
-target empty, in its copy), and residuals, zero values included, are
-stored for each copy's active jumps (:func:`couplex.models.active_jumps`).
+target empty, in its copy), and a residual is stored for each copy's active
+jumps (:func:`couplex.models.active_jumps`) whose rate the coupled entries
+do not use up.  So every entry of a table is a move with positive rate.
 """
 
 from __future__ import annotations
@@ -69,20 +70,20 @@ _RESIDUAL_TOL = 1e-9
 
 @dataclass
 class CouplingTable:
-    """The moves of one pair: both copies jump, or one copy alone."""
+    """The moves of one pair, each with its positive rate: both copies
+    jump, or one copy alone."""
 
-    kind: str
-    size: int
     coupled: dict = field(default_factory=dict)  # (x1,y1,x2,y2) -> rate > 0, both jumps active
-    residual_first: dict = field(default_factory=dict)  # active (x,y) -> rate >= 0
+    residual_first: dict = field(default_factory=dict)  # active (x,y) -> lone rate > 0
     residual_second: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class TransitionAudit:
-    """One positive-rate move of the coupled chain, with order/discrepancy
-    effect relative to the starting pair."""
+    """One positive-rate move of the coupled chain out of ``pair``, with
+    its order/discrepancy effect relative to that pair."""
 
+    pair: CoupledState
     move: str  # "coupled" | "first" | "second"
     first_jump: Optional[tuple]
     second_jump: Optional[tuple]
@@ -353,43 +354,44 @@ def coupling_table(spec: RateSpec, xi, zeta, kind: str) -> CouplingTable:
     if not _uncoupled(kind, is_ordered(xi, zeta)):
         coupled = _sum_entries(_site_entries(spec, xi, zeta, x, flavor) for x in range(size))
     marginals = [[(x, (x + d) % size, r) for x, d, r in active_jumps(spec, eta)] for eta in (xi, zeta)]
-    first, second = residual_rates(xi, zeta, coupled, marginals)
-    return CouplingTable(
-        kind, size, coupled, {(x, y): r for x, y, r in first}, {(x, y): r for x, y, r in second}
-    )
+    lone = residual_rates(xi, zeta, coupled, marginals)
+    return CouplingTable(coupled, *({(x, y): r for x, y, r in rows if r > 0} for rows in lone))
 
 
 def _moves(table: CouplingTable):
-    """Yield the table's positive-rate moves ``(move, first_jump,
-    second_jump, rate)``: coupled, then the first copy's, then the second's."""
+    """Yield the table's moves ``(move, first_jump, second_jump, rate)``:
+    coupled, then the first copy's, then the second's."""
     for (x1, y1, x2, y2), g in table.coupled.items():
-        if g > 0:
-            yield "coupled", (x1, y1), (x2, y2), g
+        yield "coupled", (x1, y1), (x2, y2), g
     for jump, r in table.residual_first.items():
-        if r > 0:
-            yield "first", jump, None, r
+        yield "first", jump, None, r
     for jump, r in table.residual_second.items():
-        if r > 0:
-            yield "second", None, jump, r
+        yield "second", None, jump, r
 
 
-def coupled_transitions(spec: RateSpec, xi, zeta, kind: str):
-    """All positive-rate moves of the coupled chain out of (xi, zeta).
+def _target(xi: tuple, zeta: tuple, j1, j2) -> tuple:
+    """The pair (xi, zeta) after a move whose jumps are j1 and j2, None for
+    a copy that stays."""
+    return apply_jump(xi, *j1) if j1 else xi, apply_jump(zeta, *j2) if j2 else zeta
 
-    Returns (table, audits); the table holds only moves of the pair, so the
-    audit rates are the coupled generator rates.
-    """
-    table = coupling_table(spec, xi, zeta, kind)
+
+def coupled_transitions(spec: RateSpec, xi, zeta, kind: str) -> list:
+    """The audits of all positive-rate moves of the coupled chain out of
+    (xi, zeta), in the order of the coupling table's moves; the table holds
+    only moves of the pair, so the audit rates are the coupled generator
+    rates."""
+    xi, zeta = tuple(xi), tuple(zeta)
+    pair = CoupledState(xi, zeta)
     start_ordered = is_ordered(xi, zeta)
     audits = []
-    for move, j1, j2, r in _moves(table):
-        new_xi = apply_jump(xi, *j1) if j1 else tuple(xi)
-        new_zeta = apply_jump(zeta, *j2) if j2 else tuple(zeta)
+    for move, j1, j2, r in _moves(coupling_table(spec, xi, zeta, kind)):
+        new_xi, new_zeta = _target(xi, zeta, j1, j2)
         target = CoupledState(new_xi, new_zeta)
         # the pair changes only at the jump sites
         sites = {*(j1 or ()), *(j2 or ())}
         audits.append(
             TransitionAudit(
+                pair,
                 move,
                 j1,
                 j2,
@@ -399,7 +401,7 @@ def coupled_transitions(spec: RateSpec, xi, zeta, kind: str):
                 sum((new_xi[s] != new_zeta[s]) - (xi[s] != zeta[s]) for s in sites),
             )
         )
-    return table, audits
+    return audits
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import CoupledState, apply_jump, is_ordered
+from .lattice import CoupledState, is_ordered
 from .models import RateSpec, _check_ring, _fill_site_events, active_jumps
-from .coupling import _moves, coupled_transitions, coupling_table
+from .coupling import _moves, _target, coupled_transitions, coupling_table
 
 #: largest single-chain state space enumerated: it admits every sector of an
 #: 18-site ring (at most C(18, 9) = 48620 states) and the whole ring up to 15
@@ -57,7 +57,7 @@ class GeneratorMatrix:
     ``rows[i]`` maps target state index -> off-diagonal rate, positive only
     (the class searches rely on it); the diagonal is minus the row sum.
     ``entries`` holds the same rates as arrays (see there).  ``states`` are
-    hashable state labels and ``state_index`` the inverse lookup.  ``turn``,
+    hashable state labels, in the order of the indices.  ``turn``,
     when given, is an index array: ``turn[i]`` is the index of ``states[i]``
     turned one site, and the rates must not change under it.  A builder
     gives ``rows`` or sets ``entries``; neither may change after a read.
@@ -72,10 +72,6 @@ class GeneratorMatrix:
     @property
     def dimension(self) -> int:
         return len(self.states)
-
-    @cached_property
-    def state_index(self) -> dict:
-        return {s: i for i, s in enumerate(self.states)}
 
     @cached_property
     def entries(self):
@@ -206,8 +202,8 @@ def single_generator(spec: RateSpec, size: int, count: Optional[int] = None) -> 
     Its ``entries`` are read in one numpy pass over every (state, occupied
     site, event) (:func:`_single_entries`), from the per-site pattern memo
     that the simulator fills (:func:`couplex.models._fill_site_events` fills
-    it on a miss), each row's events in site and offset order; ``rows`` and
-    ``state_index`` are derived only when read.
+    it on a miss), each row's events in site and offset order; ``rows`` are
+    derived only when read.
     """
     _check_ring(spec, size)  # the memo reads patterns, never the ring
     _check_count(size, count)
@@ -263,7 +259,7 @@ def _row(spec: RateSpec, kind: str, xi: tuple, zeta: tuple, column: dict) -> dic
     """The row of the pair (xi, zeta): its move rates added by ``column[target]``."""
     row = {}
     for _, j1, j2, r in _moves(coupling_table(spec, xi, zeta, kind)):
-        j = column[(apply_jump(xi, *j1) if j1 else xi, apply_jump(zeta, *j2) if j2 else zeta)]
+        j = column[_target(xi, zeta, j1, j2)]
         row[j] = row[j] + r if j in row else r
     return row
 
@@ -462,19 +458,10 @@ def check_sector_uniform_stationary(spec: RateSpec, size: int) -> list:
     return reports
 
 
-@dataclass
-class AuditViolation:
-    pair: CoupledState
-    move: str
-    first_jump: Optional[tuple]
-    second_jump: Optional[tuple]
-    rate: object
-    target: CoupledState
-
-
 def _violations(spec: RateSpec, states: list, kind: str, broken) -> list:
-    """Every positive-rate move ``a`` with ``broken(a)`` out of the pairs in
-    ``states``, in pair order and then move order.
+    """The audits ``a`` of :func:`couplex.coupling.coupled_transitions` with
+    ``broken(a)`` out of the pairs in ``states``, in pair order and then
+    move order.
 
     The rates are translation invariant, so whether a move breaks the order
     or adds discrepancies does not change when the pair is turned along the
@@ -487,13 +474,7 @@ def _violations(spec: RateSpec, states: list, kind: str, broken) -> list:
     found = [()] * len(states)
     for orbit in _orbits(states):
         for i in orbit:
-            found[i] = [
-                AuditViolation(
-                    CoupledState(*states[i]), a.move, a.first_jump, a.second_jump, a.rate, a.target
-                )
-                for a in coupled_transitions(spec, *states[i], kind)[1]
-                if broken(a)
-            ]
+            found[i] = [a for a in coupled_transitions(spec, *states[i], kind) if broken(a)]
             if not found[orbit[0]]:
                 break  # a clean first pair has a clean orbit
     return [v for pair in found for v in pair]

@@ -942,3 +942,39 @@ def test_check_monotone_output_is_pinned(capsys, tmp_path, argv, csv_text, json_
                 dict(zip(rows[0], row)) for row in rows[1:]
             ]
             assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha256
+
+
+#: coupled-layer reports pinned by stdout digest: (argv, exit code, stdout
+#: lines, stderr, sha256 of stdout).  In the first, the first copy's jump
+#: 3 -> 4 is fully coupled, so its lone rate is 0 and it has no row.
+PINNED_COUPLED_REPORTS = [
+    (
+        ("coupling-table", "traffic2", "0.7", "0.2", "--first", "1001001101",
+         "--second", "1101000111", "--kind", "strict"),
+        0, 10, "",
+        "effe6501567c45ab4e53bf1d31de79194955497cd1dbcf99b9c5df3c55da7dc2",
+    ),
+    (
+        ("exact", "traffic2", "0", "2", "--task", "audit-order", "--size", "5"),
+        1, 91, "90 violating transitions\n",
+        "53fe850196bfb8870212d692eea0b139b831ef3c7c9ff236daf32be246de2a3e",
+    ),
+    (
+        ("exact", "gg_symmetrized", "1", "0", "1", "0", "--task", "audit-discrepancy",
+         "--size", "6", "--kind", "strict"),
+        1, 1537, "1536 violating transitions\n",
+        "2d166f0bc0ef4893c395354fd79209547548af626f22d77430f8fb2e70db63c7",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, lines, err, out_sha256",
+    PINNED_COUPLED_REPORTS,
+    ids=[" ".join(case[0][:2]) + " " + case[0][-1] for case in PINNED_COUPLED_REPORTS],
+)
+def test_coupled_reports_are_pinned(capsys, argv, code, lines, err, out_sha256):
+    got, out, got_err = run(capsys, *argv)
+    assert (got, got_err) == (code, err)
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha256

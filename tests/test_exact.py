@@ -28,14 +28,13 @@ from couplex import (
 )
 from couplex import coupling, exact, simulate
 from couplex.exact import (
-    AuditViolation,
     GeneratorMatrix,
     closed_classes,
     ring_configs,
     stationary_distributions,
 )
 from couplex.golden import MONOTONE_ZOO
-from couplex.lattice import CoupledState, apply_jump
+from couplex.lattice import apply_jump
 from couplex.models import active_jumps
 
 
@@ -181,6 +180,11 @@ def test_stationary_solve_matches_lstsq(gen, classes):
         assert dists[0].weights[2] == 1.0
 
 
+def _index(gen):
+    """The inverse of ``gen.states``: state -> index."""
+    return {s: i for i, s in enumerate(gen.states)}
+
+
 def _turned(eta, k):
     return eta[-k:] + eta[:-k]
 
@@ -219,7 +223,8 @@ def test_stationary_solve_fails_loudly(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", rounding_negative)
     (dist,) = stationary_distributions(gen)
     # orbits come in the order of their first states; the fourth is led by state 3
-    orbit = {gen.state_index[_turned(gen.states[3], k)] for k in range(8)}
+    index = _index(gen)
+    orbit = {index[_turned(gen.states[3], k)] for k in range(8)}
     assert list(np.flatnonzero(dist.weights == 0.0)) == sorted(orbit)
     assert abs(dist.weights.sum() - 1.0) < 1e-15
 
@@ -239,17 +244,18 @@ def test_stationary_weights_are_equal_along_rotation_orbits(spec, size, count, c
     dists = stationary_distributions(gen)
     members = closed_classes(gen)
     assert len(dists) == len(members) == classes
+    index = _index(gen)
     kept_by = set()
     for dist, cls in zip(dists, members):
         inside = set(cls)
         turns = [
             k for k in range(1, size + 1)
-            if gen.state_index[_turned(gen.states[cls[0]], k)] in inside
+            if index[_turned(gen.states[cls[0]], k)] in inside
         ]
         kept_by.add(turns[0])
         for k in turns:
             for i in cls:
-                assert dist.weights[gen.state_index[_turned(gen.states[i], k)]] == dist.weights[i]
+                assert dist.weights[index[_turned(gen.states[i], k)]] == dist.weights[i]
         assert np.max(np.abs(dist.weights - _lstsq_stationary(gen, cls))) <= 1e-12
     assert kept_by == powers
 
@@ -400,12 +406,11 @@ def test_single_generator_caps_the_state_count():
 
 
 def test_a_single_solve_builds_no_row_dicts():
-    # Tarjan's pass walks lists split from the entries; the rows and the
-    # state lookup are derived only when read
+    # Tarjan's pass walks lists split from the entries; the rows are
+    # derived only when read
     gen = single_generator(traffic2(F(7, 10), F(1, 5)), 10, 5)
     stationary_distributions(gen)
-    assert "rows" not in vars(gen) and "state_index" not in vars(gen)
-    assert gen.state_index[gen.states[7]] == 7
+    assert "rows" not in vars(gen)
     assert gen.rows[7] == dict(zip(*(a[gen.entries[0] == 7].tolist() for a in gen.entries[1:3])))
 
 
@@ -499,7 +504,8 @@ def test_float_rows_match_the_exact_rows(spec):
             for got, want in zip(gen.rows, oracle.rows):
                 assert list(got.items()) == [(j, float(r)) for j, r in want.items()]
                 assert all(type(r) is float for r in got.values())
-            turn = [oracle.state_index[eta[-1:] + eta[:-1]] for eta in oracle.states]
+            index = _index(oracle)
+            turn = [index[eta[-1:] + eta[:-1]] for eta in oracle.states]
             assert gen.turn.dtype == np.intp and gen.turn.tolist() == turn
             # the entries set at build time, against those that a generator
             # of the oracle's rates rounded once derives from its rows
@@ -525,7 +531,8 @@ def test_rings_beyond_int64_codes_match_the_exact_rows(size, count):
     assert [list(row.items()) for row in gen.rows] == [
         [(j, float(r)) for j, r in row.items()] for row in oracle.rows
     ]
-    assert gen.turn.tolist() == [oracle.state_index[eta[-1:] + eta[:-1]] for eta in oracle.states]
+    index = _index(oracle)
+    assert gen.turn.tolist() == [index[eta[-1:] + eta[:-1]] for eta in oracle.states]
 
 
 def _closed_by_edges(gen):
@@ -641,8 +648,9 @@ def test_one_table_per_orbit(call, size, tables, monkeypatch):
 def _sector_generator(full, states):
     """The rows of ``full`` at the pairs ``states``, a closed sector,
     renumbered in the order of ``states``."""
-    pos = {full.state_index[s]: k for k, s in enumerate(states)}
-    rows = [{pos[j]: r for j, r in full.rows[full.state_index[s]].items()} for s in states]
+    index = _index(full)
+    pos = {index[s]: k for k, s in enumerate(states)}
+    rows = [{pos[j]: r for j, r in full.rows[index[s]].items()} for s in states]
     return GeneratorMatrix(states, rows)
 
 
@@ -721,16 +729,11 @@ def test_discrepancy_extinction_raises_where_the_coupling_fails():
 
 
 def _direct_moves(spec, states, kind):
-    return [coupled_transitions(spec, xi, zeta, kind)[1] for xi, zeta in states]
+    return [coupled_transitions(spec, xi, zeta, kind) for xi, zeta in states]
 
 
-def _direct_violations(states, moves, broken):
-    return [
-        AuditViolation(CoupledState(*pair), a.move, a.first_jump, a.second_jump, a.rate, a.target)
-        for pair, audits in zip(states, moves)
-        for a in audits
-        if broken(a)
-    ]
+def _direct_violations(moves, broken):
+    return [a for audits in moves for a in audits if broken(a)]
 
 
 def _direct_rows(states, moves):
@@ -776,12 +779,12 @@ def _assert_reduced_matches_direct(spec, size, kind):
         (
             lambda: audit_order_preservation(spec, size, kind),
             lambda: _direct_violations(
-                ordered, _direct_moves(spec, ordered, kind), lambda a: not a.order_preserving
+                _direct_moves(spec, ordered, kind), lambda a: not a.order_preserving
             ),
         ),
         (
             lambda: audit_discrepancy_monotone(spec, size, kind),
-            lambda: _direct_violations(states, moves(), lambda a: a.discrepancy_delta > 0),
+            lambda: _direct_violations(moves(), lambda a: a.discrepancy_delta > 0),
         ),
         (
             lambda: marginal_errors(spec, size, kind),

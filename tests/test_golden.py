@@ -87,6 +87,7 @@ def test_traffic2_attractive_generator_matches_engine():
     for alpha, beta in ((F(1, 2), F(1, 2)), (F(7, 10), F(1, 5)), (1, 2)):
         spec = traffic2(alpha, beta)
         gen = coupled_generator(spec, size, "attractive")
+        index = {s: i for i, s in enumerate(gen.states)}
         for i, pair in enumerate(gen.states):
             xi, zeta = pair
             expected = traffic2_attractive_transitions(alpha, beta, xi, zeta)
@@ -100,7 +101,7 @@ def test_traffic2_attractive_generator_matches_engine():
             for (j1, j2), g in expected.items():
                 new_xi = apply_jump(xi, *j1) if j1 else xi
                 new_zeta = apply_jump(zeta, *j2) if j2 else zeta
-                key = gen.state_index[(new_xi, new_zeta)]
+                key = index[(new_xi, new_zeta)]
                 want[key] = want.get(key, 0) + g
             assert row == want, (xi, zeta)
 

@@ -197,7 +197,7 @@ def _engine_rates(engine):
 
 def _exact_rates(spec, xi, zeta, kind):
     out = {}
-    for a in coupled_transitions(spec, xi, zeta, kind)[1]:
+    for a in coupled_transitions(spec, xi, zeta, kind):
         key = (a.first_jump, a.second_jump)
         out[key] = out.get(key, 0) + a.rate
     return out

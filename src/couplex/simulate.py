@@ -14,9 +14,11 @@ on a miss by :func:`couplex.models._fill_site_events`.  A jump x -> x+d
 refreshes each site within ``dep_radius + max_offset`` of x or x+d once,
 taking its list and total from the memo, so the totals never drift.  A
 draw bisects the running sums of the site totals to pick a site, then walks
-that site's short list; so the work per event grows with the reach of a
-jump, not with the ring (only the running sums, one C-level pass, are over
-the whole ring).
+that site's short list.  On a ring of more than ``_FLAT`` sites the running
+sums have two levels: an engine keeps the sum of each block of ``_BLOCK``
+consecutive totals, adding up again only the blocks a jump touched, and a
+draw bisects the running block sums, then the running totals of one block.
+So the work per event grows with the reach of a jump, not with the ring.
 
 The coupled engine is two single-chain engines, one per copy, plus the
 coupled map of the pair; each copy's marginal jumps come from its own
@@ -24,18 +26,30 @@ engine's cache, and each copy's jump refreshes only that engine.  It keeps
 two regimes: once the copies are identical they stay so for good, and share
 one engine that moves both in lockstep; every other pair composes coupling
 factors through the join configuration as
-:func:`couplex.coupling.coupling_table` does, in floats.  The composed
-entries through the join jumps out of each site
+:func:`couplex.coupling.coupling_table` does, in floats.  Its events are
+kept in 3L groups with their float totals, in the order of the flat walk of
+:func:`couplex.coupling.coupling_table` and
+:func:`couplex.coupling.residual_rates`: group z holds the coupled moves of
+the keys that the composed entries through site z name first, group L + x
+the first copy's lone moves out of x and group 2L + x the second copy's.
+The composed entries through the join jumps out of each site
 (:func:`couplex.coupling._site_entries`, memoised on the spec per offset and
 the pair pattern of the sites they read, so all runs of one spec share it)
 are cached per site.  The entries of site z read the sites ``spec._span``
-around z, so an event refreshes a site z only when a site it moved lies in
-that span: 6 sites per moved site for traffic2.  The coupled map is then
-added up from the per-site lists in site order, as the ring walk adds it,
-and the discrepancy count and the "ordered" flag are updated from the moved
-sites alone.  Ordered pairs need no path of their own: their join is the
-upper copy.  Under ``increasing`` an unordered pair has no coupled moves,
-so each copy moves alone.
+around z, so an event computes them again only when a site it moved lies in
+that span: 6 sites per moved site for traffic2.  Each key that a changed
+site names, before or after, refills the coupled group of the site that
+names it first and the lone groups of its departures.  Keys are added up in
+site order and each jump's coupled mass in coupled-map order, as the flat
+walk adds them, so every rate equals the flat walk's bit for bit; a key
+named through two join sites (as for ``gg_symmetrized``) belongs to the
+first.  A residual below ``-_RESIDUAL_TOL`` flags its group, and the next
+draw raises the refusal of :func:`couplex.coupling.residual_rates`.  The
+discrepancy count and the "ordered" flag are updated from the moved sites
+alone.  Ordered pairs need no path of their own: their join is the upper
+copy.  Under ``increasing`` an unordered pair has no coupled moves, so each
+copy moves alone; when a pair changes between the two, the groups are
+built again.
 
 One Gillespie loop runs both engines.  Sampling records the state at fixed
 grid times (the state just before each grid time, i.e. the left limit); a
@@ -55,7 +69,7 @@ import numpy as np
 
 from .lattice import CoupledState, discrepancy_count, signed_offset
 from .models import RateSpec, _check_ring, _fill_site_events
-from .coupling import _flavor, _site_entries, _sum_entries, _uncoupled, residual_rates
+from .coupling import _RESIDUAL_TOL, _flavor, _site_entries, _sum_entries, _uncoupled, residual_rates
 
 
 @dataclass
@@ -115,7 +129,9 @@ class _SingleEngine:
     The events and total of an occupied site depend only on the occupancy
     of the ``reach`` sites on either side of it, so they come from a memo
     on the spec (``spec._site_events``) keyed by that pattern, filled by
-    :func:`couplex.models._fill_site_events` on a miss.
+    :func:`couplex.models._fill_site_events` on a miss.  On a ring of more
+    than ``_FLAT`` sites, ``blocks`` holds the sum of the totals of each
+    block of ``_BLOCK`` sites (see :func:`_advance`).
     """
 
     def __init__(self, spec: RateSpec, eta):
@@ -126,7 +142,9 @@ class _SingleEngine:
         self.reach = spec.dep_radius + spec.max_offset
         self.jumps = [()] * self.size
         self.totals = [0.0] * self.size
+        self.blocks = None
         self._refresh(0, self.size)
+        self.blocks = _block_sums(self.totals, self.size)
 
     def _refresh(self, first: int, count: int):
         """Refresh the ``count`` sites of the arc that starts at site ``first``."""
@@ -145,21 +163,31 @@ class _SingleEngine:
                 continue
             key = tuple(arc[k : k + width])
             jumps[x], totals[x] = memo.get(key) or _fill_site_events(self.spec, key)
+        if self.blocks is not None:
+            first %= size
+            stop = first + count
+            _resum(self.blocks, totals, range(first // _BLOCK, (min(stop, size) - 1) // _BLOCK + 1))
+            if stop > size:  # the arc wraps past the seam
+                _resum(self.blocks, totals, range((stop - size - 1) // _BLOCK + 1))
 
     def apply(self, x: int, d: int):
+        """Move the particle at x by d; returns the refreshed arc
+        ``(first, count)``."""
         size = self.size
         y = (x + d) % size
         eta = self.eta
         eta[x], eta[y] = eta[y], eta[x]
         # the sites within reach of x or of y form one arc of the ring
-        self._refresh(min(x, x + d) - self.reach, min(abs(d) + 2 * self.reach + 1, size))
+        first, count = min(x, x + d) - self.reach, min(abs(d) + 2 * self.reach + 1, size)
+        self._refresh(first, count)
+        return first, count
 
     def events(self):
         """Every active jump ``(rate, x, d)``, in site then offset order."""
         return [(r, x, d) for x, events in enumerate(self.jumps) for r, d in events]
 
     def draw(self, rng: np.random.Generator):
-        step = _advance(self.totals, self.jumps, rng)
+        step = _advance(self.totals, self.jumps, rng, self.blocks)
         if step is None:
             return None
         dt, x, (r, d) = step
@@ -169,31 +197,72 @@ class _SingleEngine:
         return tuple(self.eta)
 
 
-def _advance(totals, groups, rng: np.random.Generator):
+#: groups per block of the second level of running sums in :func:`_advance`
+_BLOCK = 32
+#: engines keep block sums only on rings of more than this many sites: on
+#: smaller rings one pass over all the totals costs less than keeping the
+#: sums of the blocks an event touches up to date
+_FLAT = 128
+
+
+def _block_sums(totals, size: int):
+    """The sum of each block of ``_BLOCK`` consecutive totals of a ring of
+    ``size`` sites, or None if it has at most ``_FLAT`` sites."""
+    if size <= _FLAT:
+        return None
+    return [sum(totals[i : i + _BLOCK]) for i in range(0, len(totals), _BLOCK)]
+
+
+def _resum(blocks, totals, which):
+    """Sum again the blocks numbered in ``which``."""
+    for b in which:
+        blocks[b] = sum(totals[b * _BLOCK : (b + 1) * _BLOCK])
+
+
+def _advance(totals, groups, rng: np.random.Generator, blocks=None):
     """One Gillespie step: (waiting time, group index, chosen event), or
     None if stuck.
 
     ``groups[i]`` lists events ``(rate, ...)`` whose rates add up to
     ``totals[i]``.  The waiting time is drawn first; then one uniform picks
     a group by bisection over the running totals and an event by a walk
-    along that group.
+    along that group.  Given ``blocks``, the sum of each block of
+    ``_BLOCK`` consecutive totals (:func:`_block_sums`), the uniform picks
+    a block by bisection over the running block sums first, and the
+    running totals are those of that block alone, from the sum of the
+    blocks before it.
     """
-    cum = list(accumulate(totals))
-    if not cum or cum[-1] <= 0.0:
-        return None
-    total = cum[-1]
-    dt = rng.exponential(1.0 / total)
-    u = rng.random() * total
+    if blocks is None:
+        cum = list(accumulate(totals))
+        if not cum or cum[-1] <= 0.0:
+            return None
+        total = cum[-1]
+        dt = rng.exponential(1.0 / total)
+        u = rng.random() * total
+        lo, base = 0, 0.0
+    else:
+        top = list(accumulate(blocks, initial=0.0))
+        total = top[-1]
+        if total <= 0.0:
+            return None
+        dt = rng.exponential(1.0 / total)
+        u = rng.random() * total
+        b = min(bisect.bisect_right(top, u), len(top) - 1) - 1
+        while not blocks[b]:  # u rounded up to the total: take the last block
+            b -= 1
+        lo, base = b * _BLOCK, top[b]
+        cum = list(accumulate(totals[lo : lo + _BLOCK], initial=base))
+        del cum[0]
     i = min(bisect.bisect_right(cum, u), len(cum) - 1)
-    while not groups[i]:  # u rounded up to the total: take the last event
+    while not groups[lo + i]:  # u rounded up to the end: take the last event
         i -= 1
-    acc = cum[i - 1] if i else 0.0
-    events = groups[i]
+    acc = cum[i - 1] if i else base
+    events = groups[lo + i]
     for event in events:
         acc += event[0]
         if u < acc:
-            return dt, i, event
-    return dt, i, events[-1]
+            return dt, lo + i, event
+    return dt, lo + i, events[-1]
 
 
 def _sample_grid(t_end: float, sample_dt: Optional[float]):
@@ -275,9 +344,13 @@ class _CoupledEngine:
     Each event is ``(rate, first_jump | None, second_jump | None)`` with a
     jump written ``(x, d)``; each copy's jump goes to its own engine.  Once
     the copies are identical, ``second`` is ``first``: one engine serves both.
-    Before that, the composed entries through each site are kept per site
-    and refreshed near the sites an event moves, and so are the counts of
-    sites where the first copy lies above or below the second.
+    Before that, the events are kept in 3L groups, each with its float
+    total: group z holds the coupled moves of the keys that the composed
+    entries through site z name first, group L + x the first copy's lone
+    moves out of x and group 2L + x the second copy's.  In index order they
+    are the flat event list (:meth:`events`).  An event refreshes only the
+    groups it reaches, and so the counts of sites where the first copy lies
+    above or below the second.
     """
 
     def __init__(self, spec: RateSpec, pair: CoupledState, kind: str):
@@ -287,15 +360,12 @@ class _CoupledEngine:
         self.first = _SingleEngine(spec, pair.first)
         self.second = self.first if pair.first == pair.second else _SingleEngine(spec, pair.second)
         self.size = len(pair.first)
-        #: a move at site s changes the entries through the sites s + k
-        lo, hi = spec._span
-        self._near = range(-hi, -lo + 1)
-        #: per-site composed entries in floats, built when first needed
-        self._sites = None
         discrepancies = discrepancy_count(pair.first, pair.second)  # refuses unequal sizes
         #: sites occupied in the first copy only, and in the second copy only
         self._above = sum(a > b for a, b in zip(pair.first, pair.second))
         self._below = discrepancies - self._above
+        if self.first is not self.second:
+            self._rebuild()
 
     def state(self) -> CoupledState:
         return CoupledState(self.first.state(), self.second.state())
@@ -307,6 +377,143 @@ class _CoupledEngine:
     def ordered(self) -> bool:
         return not (self._above and self._below)
 
+    def _rebuild(self):
+        """Build the per-site state of an unidentical pair from scratch: at
+        the start, and when the kind starts or stops coupling the pair."""
+        size = self.size
+        xi, zeta = self.first.eta, self.second.eta
+        #: whether the kind couples moves of the pair at all
+        self._couples = not _uncoupled(self.kind, self.ordered)
+        #: per site s: the sites z whose composed entries read s
+        lo, hi = self.spec._span
+        self._near = [tuple((s + k) % size for k in range(-hi, -lo + 1)) for s in range(size)]
+        #: per site: its composed entries ``(key, g)`` in floats, and their
+        #: rates added per key in entry order
+        self._entries = [
+            _site_entries(self.spec, xi, zeta, z, self.flavor, floats=True) if self._couples else []
+            for z in range(size)
+        ]
+        self._maps = [_sum_entries((entries,)) for entries in self._entries]
+        #: the sites whose entries name a key, in index order: the first one
+        #: places the key in the coupled map
+        self._sources = {}
+        #: per copy and site x: the keys that name each jump x -> y, by y
+        self._naming = ([{} for _ in range(size)], [{} for _ in range(size)])
+        for z, entries in enumerate(self._maps):
+            for key in entries:
+                if key in self._sources:
+                    self._sources[key].append(z)
+                else:
+                    self._sources[key] = [z]
+                    self._name(key)
+        self._groups = [()] * (3 * size)
+        self._totals = [0.0] * (3 * size)
+        #: per copy: the jumps of each site that its lone group was filled from
+        self._seen = ([()] * size, [()] * size)
+        #: lone groups holding a residual below the tolerance
+        self._bad = set()
+        self._set_coupled(range(size))
+        self._set_lone(0, range(size))
+        self._set_lone(1, range(size))
+        self._blocks = _block_sums(self._totals, size)
+
+    def _name(self, key):
+        """Enter a new key of the coupled map under the two jumps it names."""
+        self._naming[0][key[0]].setdefault(key[1], []).append(key)
+        self._naming[1][key[2]].setdefault(key[3], []).append(key)
+
+    def _unname(self, key):
+        """Take a key that leaves the coupled map out of its two jumps."""
+        for named, y in ((self._naming[0][key[0]], key[1]), (self._naming[1][key[2]], key[3])):
+            if len(named[y]) == 1:
+                del named[y]
+            else:
+                named[y].remove(key)
+
+    def _value(self, key):
+        """The coupled rate of a key: its entries' rates added in site
+        order, as :func:`couplex.coupling._sum_entries` adds them."""
+        held = self._sources[key]
+        value = self._maps[held[0]][key]
+        for s in held[1:]:
+            for other, g in self._entries[s]:
+                if other == key:
+                    value += g
+        return value
+
+    def _mass(self, keys):
+        """The coupled mass of a jump named by ``keys``: their rates added in
+        coupled-map order, as :func:`couplex.coupling.residual_rates` adds
+        them."""
+        if len(keys) == 1:
+            return self._value(keys[0])
+        # the coupled map lists a key where its first source lists it
+        maps, sources = self._maps, self._sources
+        keys = sorted(keys, key=lambda k: (sources[k][0], list(maps[sources[k][0]]).index(k)))
+        mass = self._value(keys[0])
+        for key in keys[1:]:
+            mass += self._value(key)
+        return mass
+
+    def _set_coupled(self, sites):
+        """Fill the coupled group of each site z of ``sites``: the coupled
+        moves of the keys first named at z."""
+        size, maps, sources = self.size, self._maps, self._sources
+        for z in sites:
+            events = []
+            total = 0.0
+            for key in maps[z]:
+                if sources[key][0] != z:
+                    continue
+                g = self._value(key)
+                if g > 0:
+                    x1, y1, x2, y2 = key
+                    events.append((g, (x1, signed_offset(x1, y1, size)), (x2, signed_offset(x2, y2, size))))
+                    total += g
+            self._groups[z] = events
+            self._totals[z] = total
+
+    def _set_lone(self, c: int, sites):
+        """Fill the lone group (c + 1) L + x of each site x of ``sites``:
+        copy c's jumps out of x less their coupled mass, kept and flagged as
+        residual_rates keeps and refuses residuals."""
+        size, groups, totals, bad = self.size, self._groups, self._totals, self._bad
+        naming, seen = self._naming[c], self._seen[c]
+        jumps = (self.second if c else self.first).jumps
+        for x in sites:
+            i = (c + 1) * size + x
+            named = naming[x]
+            events = []
+            total = 0.0
+            refused = False
+            for r, d in jumps[x]:
+                if named:
+                    keys = named.get((x + d) % size)
+                    if keys:
+                        r = r - self._mass(keys)
+                        refused = refused or r < -_RESIDUAL_TOL
+                if r > _RESIDUAL_TOL:
+                    events.append((r, None, (x, d)) if c else (r, (x, d), None))
+                    total += r
+            groups[i] = events
+            totals[i] = total
+            seen[x] = jumps[x]
+            if refused:
+                bad.add(i)
+            else:
+                bad.discard(i)
+
+    def _refuse(self):
+        """Raise the ValueError of :func:`couplex.coupling.residual_rates`
+        on the flat walk of a pair with a flagged group: it names the first
+        failing jump."""
+        size = self.size
+        marginals = [
+            [(x, (x + d) % size, r) for x, events in enumerate(engine.jumps) for r, d in events]
+            for engine in (self.first, self.second)
+        ]
+        residual_rates(self.first.eta, self.second.eta, _sum_entries(self._entries), marginals)
+
     def draw(self, rng: np.random.Generator):
         if self.first is self.second:
             step = self.first.draw(rng)
@@ -314,37 +521,17 @@ class _CoupledEngine:
                 return None
             dt, (r, x, d) = step
             return dt, (r, (x, d), (x, d))
-        events = self.events()  # rebuilt per event: each is a group of its own
-        step = _advance([e[0] for e in events], [(e,) for e in events], rng)
+        if self._bad:
+            self._refuse()
+        step = _advance(self._totals, self._groups, rng, self._blocks)
         return None if step is None else (step[0], step[2])
 
     def events(self):
         if self.first is self.second:
             return [(r, (x, d), (x, d)) for r, x, d in self.first.events()]
-        size = self.size
-        xi, zeta = self.first.eta, self.second.eta
-        if _uncoupled(self.kind, self.ordered):
-            coupled = {}
-        else:
-            if self._sites is None:
-                self._sites = [
-                    _site_entries(self.spec, xi, zeta, x, self.flavor, floats=True)
-                    for x in range(size)
-                ]
-            coupled = _sum_entries(self._sites)
-        out = [
-            (g, (x1, signed_offset(x1, y1, size)), (x2, signed_offset(x2, y2, size)))
-            for (x1, y1, x2, y2), g in coupled.items()
-            if g > 0
-        ]
-        marginals = [
-            [(x, (x + d) % size, r) for x, events in enumerate(engine.jumps) for r, d in events]
-            for engine in (self.first, self.second)
-        ]
-        first, second = residual_rates(xi, zeta, coupled, marginals)
-        out += [(r, (x, signed_offset(x, y, size)), None) for x, y, r in first if r > 0]
-        out += [(r, None, (x, signed_offset(x, y, size))) for x, y, r in second if r > 0]
-        return out
+        if self._bad:
+            self._refuse()
+        return [event for group in self._groups for event in group]
 
     def _tally(self, sites, sign: int):
         xi, zeta = self.first.eta, self.second.eta
@@ -364,18 +551,71 @@ class _CoupledEngine:
             if jump is not None:
                 moved.update((jump[0], (jump[0] + jump[1]) % size))
         self._tally(moved, -1)
-        if first is not None:
-            self.first.apply(*first)
-        if second is not None:
-            self.second.apply(*second)
+        #: per copy, the sites whose lone group to refill
+        lone = (set(), set())
+        for sites, seen, engine, jump in zip(lone, self._seen, (self.first, self.second), (first, second)):
+            if jump is not None:
+                start, count = engine.apply(*jump)
+                jumps = engine.jumps
+                for k in range(count):
+                    x = (start + k) % size
+                    # the memo hands out one tuple per pattern: a site whose
+                    # jumps stay the same keeps the very tuple
+                    if jumps[x] is not seen[x]:
+                        sites.add(x)
         self._tally(moved, 1)
         if not self.discrepancies():
             self.second = self.first
-            self._sites = None
-        elif self._sites is not None:
-            xi, zeta = self.first.eta, self.second.eta
-            for z in {(s + k) % size for s in moved for k in self._near}:
-                self._sites[z] = _site_entries(self.spec, xi, zeta, z, self.flavor, floats=True)
+            return
+        if self._couples == _uncoupled(self.kind, self.ordered):
+            self._rebuild()  # the kind couples the pair now, or no longer
+            return
+        groups = self._refresh_entries(moved, lone) if self._couples else ()
+        for c, sites in enumerate(lone):
+            self._set_lone(c, sites)
+        if self._blocks is not None:
+            dirty = {z // _BLOCK for z in groups}
+            for c, sites in enumerate(lone):
+                dirty.update(((c + 1) * size + x) // _BLOCK for x in sites)
+            _resum(self._blocks, self._totals, dirty)
+
+    def _refresh_entries(self, moved, lone) -> set:
+        """Refresh the composed entries of each site whose span holds a moved
+        site, skipping those that stay the same; refill the coupled groups
+        of the keys a changed site names, before or after, and add their
+        departures to ``lone``.  Returns the coupled groups refilled."""
+        xi, zeta = self.first.eta, self.second.eta
+        spec, flavor, all_entries = self.spec, self.flavor, self._entries
+        maps, sources = self._maps, self._sources
+        groups = set()
+        for z in set().union(*(self._near[s] for s in moved)):
+            entries = _site_entries(spec, xi, zeta, z, flavor, floats=True)
+            if entries == all_entries[z]:
+                continue
+            all_entries[z] = entries
+            old = maps[z]
+            new = maps[z] = _sum_entries((entries,))
+            for key in old.keys() | new.keys():
+                held = sources.get(key)
+                if held:
+                    groups.add(held[0])  # the key's group before the change
+                if key not in new:
+                    held.remove(z)
+                    if not held:
+                        del sources[key]
+                        self._unname(key)
+                elif key not in old:
+                    if held:
+                        bisect.insort(held, z)
+                    else:
+                        held = sources[key] = [z]
+                        self._name(key)
+                if held:
+                    groups.add(held[0])  # and after it
+                lone[0].add(key[0])
+                lone[1].add(key[2])
+        self._set_coupled(groups)
+        return groups
 
 
 def simulate_coupled(

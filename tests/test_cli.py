@@ -978,3 +978,55 @@ def test_coupled_reports_are_pinned(capsys, argv, code, lines, err, out_sha256):
     assert (got, got_err) == (code, err)
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha256
+
+
+#: fixed-seed ``simulate`` runs pinned by stdout digest, shaped like
+#: PINNED_COUPLED_REPORTS: a composed traffic2 pair at L = 64, a strict
+#: gg_symmetrized pair at L = 40 whose coupled keys are named through two
+#: join sites, an ordered pair at L = 48 and a single chain at L = 200
+#: (several blocks of running sums); stderr pins the event counts
+PINNED_SIMULATE_REPORTS = [
+    (
+        ("simulate", "traffic2", "0.7", "0.2",
+         "--first", "0100101011111111000010000110010010100010100101011011001101110101",
+         "--second", "1010110110101010111000011011100101101001101100000110100010110001",
+         "--kind", "attractive", "--t-end", "20", "--sample-dt", "0.5", "--seed", "1", "--sites"),
+        0, 41, "1 replica, 579 events\n",
+        "03f84e95881e970be117cd8335d2eaa703032b4a61916c404e1ebb690a54fdc7",
+    ),
+    (
+        ("simulate", "gg_symmetrized", "1.5", "0.75", "1", "1.25",
+         "--first", "0101101100111011000101101010000111010100",
+         "--second", "1100000101100111010000100011101111101100",
+         "--kind", "strict", "--t-end", "20", "--sample-dt", "0.5", "--seed", "2", "--sites"),
+        0, 41, "1 replica, 579 events\n",
+        "86b2fcbd401db60e304f0e738d07eedbc319dd47b3058987f89108c6a148cde3",
+    ),
+    (
+        ("simulate", "traffic2", "0.7", "0.2",
+         "--first", "100001111000101010000101010011001100000100010100",
+         "--second", "100101111000101011000101110111001111000100011101",
+         "--kind", "increasing", "--t-end", "20", "--sample-dt", "0.5", "--seed", "3", "--sites"),
+        0, 41, "1 replica, 403 events\n",
+        "5c7a37689a76cacc40a663ab937813ffb5d5ca013ed90778315eda5f148a20d9",
+    ),
+    (
+        ("simulate", "traffic2", "0.7", "0.2", "--size", "200", "--count", "100",
+         "--t-end", "20", "--sample-dt", "1", "--seed", "4"),
+        0, 21, "1 replica, 1492 events\n",
+        "c68f599017652a684ae456599c22fe44cc81c8a37e0bc654bfd2397fd38ec785",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, lines, err, out_sha256",
+    PINNED_SIMULATE_REPORTS,
+    ids=["composed traffic2 L=64", "strict gg_symmetrized L=40", "ordered traffic2 L=48",
+         "single traffic2 L=200"],
+)
+def test_simulate_reports_are_pinned(capsys, argv, code, lines, err, out_sha256):
+    got, out, got_err = run(capsys, *argv)
+    assert (got, got_err) == (code, err)
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha256

@@ -18,6 +18,7 @@ from couplex import (
     gg_symmetrized,
     is_ordered,
     observable_report,
+    parse_configuration,
     random_configuration,
     sep,
     simulate_coupled,
@@ -29,7 +30,7 @@ from couplex.coupling import FLAVOR, _site_entries, _sum_entries, _uncoupled, re
 from couplex.golden import MONOTONE_ZOO
 from couplex.lattice import signed_offset
 from couplex.models import active_jumps
-from couplex.simulate import _advance, _CoupledEngine, _SingleEngine
+from couplex.simulate import _FLAT, _advance, _block_sums, _CoupledEngine, _SingleEngine
 
 
 def _rng(seed=0):
@@ -344,18 +345,27 @@ def _flat_draw(events, wait, choice):
 
 @pytest.mark.parametrize(
     "spec,size,warm",
-    [(traffic2(0.7, 0.2), 64, 0), (two_star_step({1: F(1, 3), 2: F(2, 3)}), 40, 200)],
-    ids=["traffic2 0.7 0.2 L=64", "two_star_step L=40 after 200 events"],
+    [
+        (traffic2(0.7, 0.2), 64, 0),
+        (two_star_step({1: F(1, 3), 2: F(2, 3)}), 40, 200),
+        (traffic2(0.7, 0.2), 200, 300),
+    ],
+    ids=["traffic2 0.7 0.2 L=64", "two_star_step L=40 after 200 events",
+         "traffic2 0.7 0.2 L=200 in blocks after 300 events"],
 )
 def test_per_site_draw_matches_flat_draw(spec, size, warm):
     # the per-site draw (bisect over site totals, then a walk along the
     # site) picks the event the flat draw picks for the same two uniforms,
-    # except where the uniform lies within rounding of a boundary
+    # except where the uniform lies within rounding of a boundary; on a
+    # ring of more than _FLAT sites it bisects the block sums first
     rng = random.Random(size)
     engine = _SingleEngine(spec, tuple(rng.randint(0, 1) for _ in range(size)))
+    assert (engine.blocks is None) == (size <= _FLAT)
     gen = np.random.Generator(np.random.Philox(key=[size, warm]))
     for _ in range(warm):
         engine.apply(*engine.draw(gen)[1][1:])
+        # the block sums follow every jump, across the seam as well
+        assert engine.blocks == _block_sums(engine.totals, size)
     for x in range(size):
         fresh = sum(float(r) for _, _, r in active_jumps(spec, engine.eta, (x,)))
         assert abs(engine.totals[x] - fresh) <= 1e-12
@@ -365,8 +375,38 @@ def test_per_site_draw_matches_flat_draw(spec, size, warm):
     ties = 0
     for choice in choices:
         wait = rng.random()
-        dt, x, (r, d) = _advance(engine.totals, engine.jumps, _Uniforms(wait, choice))
+        dt, x, (r, d) = _advance(engine.totals, engine.jumps, _Uniforms(wait, choice), engine.blocks)
         event = (r, x, d)
+        old_dt, old_event, cum = _flat_draw(events, wait, choice)
+        assert abs(dt - old_dt) <= 1e-12 * old_dt
+        target = choice * cum[-1]
+        if min(abs(target - c) for c in cum) <= 1e-12 * cum[-1]:
+            ties += 1
+            continue
+        assert event == old_event, choice
+    assert ties <= 2
+
+
+@pytest.mark.parametrize("size", [64, 160], ids=["L=64", "L=160 in blocks"])
+def test_grouped_coupled_draw_matches_flat_draw(size):
+    # the coupled draw over the per-site groups picks the event that a flat
+    # bisection over the flattened groups picks for the same two uniforms,
+    # except where the uniform lies within rounding of a boundary
+    spec = traffic2(0.7, 0.2)
+    rng = random.Random(size)
+    pair = (tuple(rng.randint(0, 1) for _ in range(size)) for _ in range(2))
+    engine = _CoupledEngine(spec, CoupledState(*pair), "attractive")
+    gen = np.random.Generator(np.random.Philox(key=[size, 1]))
+    for _ in range(100):
+        engine.apply(*engine.draw(gen)[1][1:])
+    assert engine.first is not engine.second
+    events = engine.events()
+    assert sum(first is not None and second is not None for _, first, second in events) > 5
+    choices = [rng.random() for _ in range(3000)] + [0.0, 1.0 - 2.0**-53]
+    ties = 0
+    for choice in choices:
+        wait = rng.random()
+        dt, event = engine.draw(_Uniforms(wait, choice))
         old_dt, old_event, cum = _flat_draw(events, wait, choice)
         assert abs(dt - old_dt) <= 1e-12 * old_dt
         target = choice * cum[-1]
@@ -522,3 +562,49 @@ def test_cached_events_match_a_fresh_walk_along_a_run(spec):
                     engine.apply(*(meeting or [rng.choice(want)])[0][1:])
                 if label == "meets":
                     assert met, (size, kind)
+
+
+def test_cached_events_follow_a_regime_change():
+    # an unordered pair that the increasing coupling leaves uncoupled
+    # becomes ordered (its copies hold 6 and 7 particles), and the groups
+    # are built again: after every event they equal a fresh walk
+    spec = traffic2(0.7, 0.2)
+    pair = CoupledState(*map(parse_configuration, ("0100100100100101", "0101100000101101")))
+    engine = _CoupledEngine(spec, pair, "increasing")
+    gen = np.random.Generator(np.random.Philox(key=[20, 0]))
+    became_ordered = False
+    for fired in range(100):
+        xi, zeta = engine.state()
+        assert engine.events() == _fresh_events(spec, xi, zeta, "increasing"), fired
+        was_ordered = engine.ordered
+        engine.apply(*engine.draw(gen)[1][1:])
+        became_ordered = became_ordered or (engine.ordered and not was_ordered)
+    assert became_ordered and engine.ordered
+
+
+def test_cached_events_refuse_a_pair_reached_mid_run():
+    # a strict traffic2 0 2 run reaches, after some events, a pair the
+    # coupling cannot serve; the engine refuses it with the text that
+    # coupling_table gives, naming the first failing jump: here the jump
+    # 11 -> 0 across the seam of the ring.  The parameters are floats, so
+    # that coupling_table reckons the residual in floats, as the engine does
+    spec = traffic2(0.0, 2.0)
+    pair = CoupledState(*map(parse_configuration, ("111000110101", "011000000010")))
+    engine = _CoupledEngine(spec, pair, "strict")
+    gen = np.random.Generator(np.random.Philox(key=[9, 0]))
+    for fired in range(50):
+        xi, zeta = engine.state()
+        try:
+            want = _fresh_events(spec, xi, zeta, "strict")
+        except ValueError:
+            break
+        assert engine.events() == want, fired
+        engine.apply(*engine.draw(gen)[1][1:])
+    assert fired >= 5
+    with pytest.raises(ValueError, match="exceed the marginal rate") as table_err:
+        coupling_table(spec, xi, zeta, "strict")
+    assert "jump (11, 0)" in str(table_err.value)
+    for call in (engine.events, lambda: engine.draw(gen)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == str(table_err.value)

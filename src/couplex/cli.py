@@ -100,29 +100,23 @@ def _emit(text: str, path) -> None:
         raise
 
 
-def _csv_text(rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, default=str) + "\n"
-
-
 def _rows_payload(rows) -> list:
     header = rows[0]
     return [dict(zip(header, row)) for row in rows[1:]]
 
 
-def _write_rows(rows, cfg: RunConfig) -> None:
-    _emit(_json_text(_rows_payload(rows)) if cfg.format == "json" else _csv_text(rows), cfg.path)
-
-
-def _num(value) -> str:
-    return format_number(value)
+def _write(cfg: RunConfig, rows, payload=None) -> None:
+    """Write a report to ``cfg.path``, or to stdout without one: ``rows``,
+    header first, as CSV, or with format json ``payload`` (by default the
+    rows as objects) as JSON."""
+    if cfg.format == "json":
+        payload = _rows_payload(rows) if payload is None else payload
+        text = json.dumps(payload, indent=2, default=str) + "\n"
+    else:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        text = buffer.getvalue()
+    _emit(text, cfg.path)
 
 
 def _param_text(value) -> str:
@@ -347,28 +341,27 @@ def _cmd_check_monotone(args) -> int:
     for w in verdict.witnesses[: args.witnesses]:
         print(
             "  %s condition fails at offset %d: lower %s upper %s (lhs %s > rhs %s)"
-            % (w.kind, w.lo, w.lower, w.upper, _num(w.lhs), _num(w.rhs))
+            % (w.kind, w.lo, w.lower, w.upper, format_number(w.lhs), format_number(w.rhs))
         )
     if verdict.monotone and args.strict:
         report = strictness_report(spec)
         print(
             "strictness: %s (%d binding instances, min slack %s)"
-            % ("strict" if report.strict else "not strict", report.binding_count, _num(report.min_slack))
+            % ("strict" if report.strict else "not strict", report.binding_count,
+               format_number(report.min_slack))
         )
     if cfg.path is not None:
         rows = [("kind", "center", "lo", "lower", "upper", "lhs", "rhs")]
         for w in verdict.witnesses:
-            rows.append((w.kind, w.center, w.lo, w.lower, w.upper, _num(w.lhs), _num(w.rhs)))
-        if cfg.format == "json":
-            payload = {
-                "model": spec.name,
-                "params": {k: str(v) for k, v in spec.params.items()},
-                "monotone": verdict.monotone,
-                "witnesses": _rows_payload(rows),
-            }
-            _emit(_json_text(payload), cfg.path)
-        else:
-            _emit(_csv_text(rows), cfg.path)
+            lhs, rhs = format_number(w.lhs), format_number(w.rhs)
+            rows.append((w.kind, w.center, w.lo, w.lower, w.upper, lhs, rhs))
+        payload = {
+            "model": spec.name,
+            "params": {k: str(v) for k, v in spec.params.items()},
+            "monotone": verdict.monotone,
+            "witnesses": _rows_payload(rows),
+        }
+        _write(cfg, rows, payload)
     return OK if verdict.monotone else NEGATIVE
 
 
@@ -381,12 +374,12 @@ def _cmd_coupling_table(args) -> int:
     table = coupling_table(spec, xi, zeta, kind)
     rows = [("entry", "x1", "y1", "x2", "y2", "rate")]
     for (x1, y1, x2, y2), g in sorted(table.coupled.items()):
-        rows.append(("coupled", x1, y1, x2, y2, _num(g)))
+        rows.append(("coupled", x1, y1, x2, y2, format_number(g)))
     for (x, y), g in sorted(table.residual_first.items()):
-        rows.append(("first", x, y, "", "", _num(g)))
+        rows.append(("first", x, y, "", "", format_number(g)))
     for (x, y), g in sorted(table.residual_second.items()):
-        rows.append(("second", x, y, "", "", _num(g)))
-    _write_rows(rows, cfg)
+        rows.append(("second", x, y, "", "", format_number(g)))
+    _write(cfg, rows)
     return OK
 
 
@@ -415,7 +408,7 @@ def _cmd_exact(args) -> int:
                 for state, weight in zip(dist.states, dist.weights):
                     if weight > 0:
                         rows.append((count, member, format_configuration(state), repr(float(weight))))
-        _write_rows(rows, cfg)
+        _write(cfg, rows)
         return OK
     if task in ("audit-order", "audit-discrepancy"):
         if task == "audit-order":
@@ -432,10 +425,10 @@ def _cmd_exact(args) -> int:
                     v.move,
                     "" if v.first_jump is None else "%d>%d" % v.first_jump,
                     "" if v.second_jump is None else "%d>%d" % v.second_jump,
-                    _num(v.rate),
+                    format_number(v.rate),
                 )
             )
-        _write_rows(rows, cfg)
+        _write(cfg, rows)
         print("%d violating transitions" % len(violations), file=sys.stderr)
         return OK if not violations else NEGATIVE
     if task == "extinction":
@@ -446,14 +439,12 @@ def _cmd_exact(args) -> int:
             "worst_pair": worst,
             "pairs_checked": report.pairs_checked,
         }
-        if cfg.format == "json" or cfg.path is None:
-            _emit(_json_text(payload), cfg.path)
-        else:
-            rows = [("min_probability", "pairs_checked", "first", "second")]
-            rows.append((repr(float(report.min_probability)), report.pairs_checked, *(worst or ("", ""))))
-            _emit(_csv_text(rows), cfg.path)
+        rows = [("min_probability", "pairs_checked", "first", "second")]
+        rows.append((repr(float(report.min_probability)), report.pairs_checked, *(worst or ("", ""))))
+        if cfg.path is None:
+            cfg.format = "json"  # the one form of its stdout (_FIXED_STDOUT)
+        _write(cfg, rows, payload)
         return OK if report.min_probability == 1 else NEGATIVE
-    raise ConfigError([Diagnostic("run", "task", "unknown task %r" % task)])
 
 
 def _make_start(cfg: RunConfig, size: int, args, rng) -> tuple:
@@ -468,6 +459,24 @@ def _make_start(cfg: RunConfig, size: int, args, rng) -> tuple:
     )
 
 
+def _samples(traj, size: int, sites) -> list:
+    """The sample table of a run, header first: per sample time the
+    configuration of a single chain, or the discrepancies and order of a
+    coupled pair, with both configurations given ``sites``."""
+    if traj.discrepancy_curve is None:
+        rows = [("time",) + tuple("site_%d" % x for x in range(size))]
+        rows.extend((repr(float(t)),) + snap for t, snap in zip(traj.times, traj.snapshots))
+        return rows
+    head = ("time", "discrepancies", "ordered")
+    if sites:
+        head += tuple("first_%d" % x for x in range(size)) + tuple("second_%d" % x for x in range(size))
+    rows = [head]
+    for t, snap in zip(traj.times, traj.snapshots):
+        row = (repr(float(t)), snap.discrepancies, int(snap.ordered))
+        rows.append(row + snap.first + snap.second if sites else row)
+    return rows
+
+
 def _cmd_simulate(args) -> int:
     cfg = _merged(args, "simulate")
     spec = build_spec(cfg)
@@ -476,6 +485,7 @@ def _cmd_simulate(args) -> int:
     size = _need(cfg.size, "lattice size")
     coupled = bool(cfg.coupled) or cfg.second is not None
     many = cfg.replicas > 1
+    head = ("replica",) if many else ()
     rows = None
     total = 0
     for replica in range(cfg.replicas):
@@ -509,30 +519,13 @@ def _cmd_simulate(args) -> int:
         total += traj.total_events
         if args.observable:
             table = observable_report(traj, args.observable)
-            if rows is None:
-                rows = [(("replica",) + tuple(table[0])) if many else tuple(table[0])]
-            rows.extend(((replica,) + tuple(r)) if many else tuple(r) for r in table[1:])
-            continue
-        if coupled:
-            head = ("time", "discrepancies", "ordered")
-            if args.sites:
-                head = head + tuple("first_%d" % x for x in range(size))
-                head = head + tuple("second_%d" % x for x in range(size))
-            if rows is None:
-                rows = [(("replica",) + head) if many else head]
-            for t, snap in zip(traj.times, traj.snapshots):
-                row = (repr(float(t)), snap.discrepancies, int(snap.ordered))
-                if args.sites:
-                    row = row + tuple(snap.first) + tuple(snap.second)
-                rows.append(((replica,) + row) if many else row)
         else:
-            head = ("time",) + tuple("site_%d" % x for x in range(size))
-            if rows is None:
-                rows = [(("replica",) + head) if many else head]
-            for t, snap in zip(traj.times, traj.snapshots):
-                row = (repr(float(t)),) + tuple(snap)
-                rows.append(((replica,) + row) if many else row)
-    _write_rows(rows, cfg)
+            table = _samples(traj, size, args.sites)
+        if rows is None:
+            rows = [head + table[0]]
+        key = (replica,) if many else ()
+        rows.extend(key + row for row in table[1:])
+    _write(cfg, rows)
     print(
         "%d replica%s, %d events" % (cfg.replicas, "" if cfg.replicas == 1 else "s", total),
         file=sys.stderr,
@@ -557,22 +550,19 @@ def _cmd_golden_suite(args) -> int:
         rows = [("criterion", "passed", "seconds", "detail")]
         for res in results:
             rows.append((res.ident, int(res.passed), "%.3f" % res.seconds, res.detail))
-        if cfg.format == "json":
-            payload = {
-                "ok": passed == len(results),
-                "results": [
-                    {
-                        "criterion": r.ident,
-                        "passed": r.passed,
-                        "seconds": round(r.seconds, 3),
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
-            }
-            _emit(_json_text(payload), cfg.path)
-        else:
-            _emit(_csv_text(rows), cfg.path)
+        payload = {
+            "ok": passed == len(results),
+            "results": [
+                {
+                    "criterion": r.ident,
+                    "passed": r.passed,
+                    "seconds": round(r.seconds, 3),
+                    "detail": r.detail,
+                }
+                for r in results
+            ],
+        }
+        _write(cfg, rows, payload)
     return OK if passed == len(results) else NEGATIVE
 
 

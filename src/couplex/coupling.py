@@ -50,6 +50,7 @@ from typing import Optional
 
 from .lattice import (
     CoupledState,
+    _check_occupancy,
     apply_jump,
     format_configuration,
     is_active,
@@ -350,6 +351,8 @@ def coupling_table(spec: RateSpec, xi, zeta, kind: str) -> CouplingTable:
     flavor = _flavor(kind)
     size = len(xi)
     _check_ring(spec, size)
+    _check_occupancy(xi)
+    _check_occupancy(zeta)
     coupled = {}
     if not _uncoupled(kind, is_ordered(xi, zeta)):
         coupled = _sum_entries(_site_entries(spec, xi, zeta, x, flavor) for x in range(size))

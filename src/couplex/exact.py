@@ -81,6 +81,8 @@ class GeneratorMatrix:
         the builder sets the entries (:func:`single_generator`), its rates
         added in row order, which is the same float sum.
         """
+        if "rows" not in vars(self):  # each form derives from the other
+            raise ValueError("a generator needs rows or entries, and was given neither")
         rows = np.array([i for i, row in enumerate(self.rows) for _ in row], dtype=np.intp)
         cols = np.array([j for row in self.rows for j in row], dtype=np.intp)
         vals = np.array([r for row in self.rows for r in row.values()], dtype=float)

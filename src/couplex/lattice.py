@@ -57,6 +57,17 @@ def is_active(eta: Config, x: int, y: int) -> bool:
     return eta[x] == 1 and eta[y] == 0
 
 
+_BITS = frozenset((0, 1))
+
+
+def _check_occupancy(eta: Config) -> None:
+    """Refuse a configuration that holds anything but 0 and 1, naming the
+    first site that does."""
+    if not _BITS.issuperset(eta):
+        x = next(x for x, b in enumerate(eta) if b not in _BITS)
+        raise ValueError("site %d holds %r; a configuration holds only 0 and 1" % (x, eta[x]))
+
+
 def _check_sizes(xi: Config, zeta: Config) -> None:
     if len(xi) != len(zeta):
         raise ValueError("size mismatch: %d vs %d" % (len(xi), len(zeta)))

@@ -43,6 +43,14 @@ def _offset(d) -> int:
     return int(d)
 
 
+def _radius(r) -> int:
+    """A dependence radius as an int; ValueError unless it is a
+    nonnegative integer (a bool is not)."""
+    if not isinstance(r, numbers.Integral) or isinstance(r, bool) or r < 0:
+        raise ValueError("dep_radius must be an integer >= 0, got %r" % (r,))
+    return int(r)
+
+
 def _jump_law(model: str, name: str, law: Mapping) -> dict:
     """The jump law ``law`` of a model with int displacements; ValueError for
     a displacement that is 0 or not an integer, or a weight that is negative
@@ -90,11 +98,9 @@ class RateSpec:
         offsets = tuple(sorted(set(_offset(d) for d in jump_offsets)))
         if not offsets or any(d == 0 for d in offsets):
             raise ValueError("jump offsets must be nonzero and nonempty: %r" % (jump_offsets,))
-        if dep_radius < 0:
-            raise ValueError("dep_radius must be >= 0")
         self.name = name
         self.jump_offsets = offsets
-        self.dep_radius = int(dep_radius)
+        self.dep_radius = _radius(dep_radius)
         self._evaluate = evaluate
         self.params = dict(params or {})
         self.max_offset = max(abs(d) for d in offsets)
@@ -433,6 +439,7 @@ def custom_table(
     2*(dep_radius+|d|)+1.  Patterns not listed get rate 0.
     """
     offsets = tuple(sorted(set(_offset(d) for d in offsets)))
+    dep_radius = _radius(dep_radius)
     entries = {}
     for (d, pattern), value in table.items():
         d = _offset(d)

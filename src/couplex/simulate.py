@@ -67,7 +67,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import CoupledState, discrepancy_count, signed_offset
+from .lattice import CoupledState, _check_occupancy, discrepancy_count, signed_offset
 from .models import RateSpec, _check_ring, _fill_site_events
 from .coupling import _RESIDUAL_TOL, _flavor, _site_entries, _sum_entries, _uncoupled, residual_rates
 
@@ -137,6 +137,7 @@ class _SingleEngine:
     def __init__(self, spec: RateSpec, eta):
         self.size = len(eta)
         _check_ring(spec, self.size)  # the memo reads patterns, never the ring
+        _check_occupancy(eta)
         self.spec = spec
         self.eta = list(eta)
         self.reach = spec.dep_radius + spec.max_offset
@@ -378,10 +379,10 @@ class _CoupledEngine:
         return not (self._above and self._below)
 
     def _rebuild(self):
-        """Build the per-site state of an unidentical pair from scratch: at
-        the start, and when the kind starts or stops coupling the pair."""
+        """Build the per-site state of an unidentical pair from empty, as
+        every site moved: at the start, and when the kind starts or stops
+        coupling the pair."""
         size = self.size
-        xi, zeta = self.first.eta, self.second.eta
         #: whether the kind couples moves of the pair at all
         self._couples = not _uncoupled(self.kind, self.ordered)
         #: per site s: the sites z whose composed entries read s
@@ -389,30 +390,21 @@ class _CoupledEngine:
         self._near = [tuple((s + k) % size for k in range(-hi, -lo + 1)) for s in range(size)]
         #: per site: its composed entries ``(key, g)`` in floats, and their
         #: rates added per key in entry order
-        self._entries = [
-            _site_entries(self.spec, xi, zeta, z, self.flavor, floats=True) if self._couples else []
-            for z in range(size)
-        ]
-        self._maps = [_sum_entries((entries,)) for entries in self._entries]
+        self._entries = [[] for _ in range(size)]
+        self._maps = [{} for _ in range(size)]
         #: the sites whose entries name a key, in index order: the first one
         #: places the key in the coupled map
         self._sources = {}
         #: per copy and site x: the keys that name each jump x -> y, by y
         self._naming = ([{} for _ in range(size)], [{} for _ in range(size)])
-        for z, entries in enumerate(self._maps):
-            for key in entries:
-                if key in self._sources:
-                    self._sources[key].append(z)
-                else:
-                    self._sources[key] = [z]
-                    self._name(key)
         self._groups = [()] * (3 * size)
         self._totals = [0.0] * (3 * size)
         #: per copy: the jumps of each site that its lone group was filled from
         self._seen = ([()] * size, [()] * size)
         #: lone groups holding a residual below the tolerance
         self._bad = set()
-        self._set_coupled(range(size))
+        if self._couples:
+            self._refresh_entries(range(size), (set(), set()))
         self._set_lone(0, range(size))
         self._set_lone(1, range(size))
         self._blocks = _block_sums(self._totals, size)

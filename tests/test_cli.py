@@ -210,6 +210,14 @@ def test_exact_extinction_csv_names_the_worst_pair(tmp_path, capsys, monkeypatch
     assert target.read_text(encoding="utf-8") == (
         "min_probability,pairs_checked,first,second\n0.0,2702,000001,000010\n"
     )
+    code, out, err = run(
+        capsys, "exact", "traffic2", "1/2", "1/2", "--task", "extinction", "--size", "5",
+        "--output", str(target), "--format", "csv",
+    )
+    assert code == 0 and out == "", err
+    assert target.read_text(encoding="utf-8") == (
+        "min_probability,pairs_checked,first,second\n1.0,570,00001,00010\n"
+    )
     # no unordered pair, no witness: the columns stay, empty
     monkeypatch.setattr(cli, "discrepancy_extinction", lambda *args: ExtinctionReport(1.0, None, 0))
     code, out, err = run(
@@ -946,7 +954,8 @@ def test_check_monotone_output_is_pinned(capsys, tmp_path, argv, csv_text, json_
 
 #: coupled-layer reports pinned by stdout digest: (argv, exit code, stdout
 #: lines, stderr, sha256 of stdout).  In the first, the first copy's jump
-#: 3 -> 4 is fully coupled, so its lone rate is 0 and it has no row.
+#: 3 -> 4 is fully coupled, so its lone rate is 0 and it has no row.  The
+#: last is the extinction report, which stdout always gives as JSON.
 PINNED_COUPLED_REPORTS = [
     (
         ("coupling-table", "traffic2", "0.7", "0.2", "--first", "1001001101",
@@ -964,6 +973,11 @@ PINNED_COUPLED_REPORTS = [
          "--size", "6", "--kind", "strict"),
         1, 1537, "1536 violating transitions\n",
         "2d166f0bc0ef4893c395354fd79209547548af626f22d77430f8fb2e70db63c7",
+    ),
+    (
+        ("exact", "traffic2", "1/2", "1/2", "--size", "5", "--task", "extinction"),
+        0, 8, "",
+        "c424c7f8af890a47e252b881f527a2518b7543f3cec028e5bba814895bd6fd97",
     ),
 ]
 
@@ -983,8 +997,10 @@ def test_coupled_reports_are_pinned(capsys, argv, code, lines, err, out_sha256):
 #: fixed-seed ``simulate`` runs pinned by stdout digest, shaped like
 #: PINNED_COUPLED_REPORTS: a composed traffic2 pair at L = 64, a strict
 #: gg_symmetrized pair at L = 40 whose coupled keys are named through two
-#: join sites, an ordered pair at L = 48 and a single chain at L = 200
-#: (several blocks of running sums); stderr pins the event counts
+#: join sites, an ordered pair at L = 48, a single chain at L = 200
+#: (several blocks of running sums), and two replicas each of random starts
+#: at L = 16: coupled samples with sites as CSV and JSON, single samples as
+#: JSON, and a discrepancy curve; stderr pins the event counts
 PINNED_SIMULATE_REPORTS = [
     (
         ("simulate", "traffic2", "0.7", "0.2",
@@ -1016,6 +1032,31 @@ PINNED_SIMULATE_REPORTS = [
         0, 21, "1 replica, 1492 events\n",
         "c68f599017652a684ae456599c22fe44cc81c8a37e0bc654bfd2397fd38ec785",
     ),
+    (
+        ("simulate", "traffic2", "0.7", "0.2", "--size", "16", "--count", "8", "--coupled",
+         "--replicas", "2", "--sites", "--t-end", "5", "--sample-dt", "0.5", "--seed", "7"),
+        0, 21, "2 replicas, 73 events\n",
+        "212936af4f29e840e518b9be39f35db20e9b75835122f232910e82c24b5dc21b",
+    ),
+    (
+        ("simulate", "traffic2", "0.7", "0.2", "--size", "16", "--count", "8", "--coupled",
+         "--replicas", "2", "--sites", "--t-end", "5", "--sample-dt", "0.5", "--seed", "7",
+         "--format", "json"),
+        0, 762, "2 replicas, 73 events\n",
+        "474dea197e8590d5fd90eb5bb10abf8dcbdd01a2119c5cc55e3d46aed5a825d5",
+    ),
+    (
+        ("simulate", "traffic2", "0.7", "0.2", "--size", "16", "--count", "8",
+         "--replicas", "2", "--t-end", "5", "--sample-dt", "0.5", "--seed", "8", "--format", "json"),
+        0, 402, "2 replicas, 64 events\n",
+        "7b3a5b8ba9378c3d84312c14224758f92b925a24979fe56cf4379a9b79e66bd9",
+    ),
+    (
+        ("simulate", "traffic2", "0.7", "0.2", "--size", "16", "--count", "8", "--coupled",
+         "--observable", "discrepancy_curve", "--replicas", "2", "--t-end", "5", "--seed", "9"),
+        0, 86, "2 replicas, 83 events\n",
+        "befd83947f7f591bca3d3c755a9a01a62bd444a68b3c260c87d5cd2a228cde17",
+    ),
 ]
 
 
@@ -1023,7 +1064,8 @@ PINNED_SIMULATE_REPORTS = [
     "argv, code, lines, err, out_sha256",
     PINNED_SIMULATE_REPORTS,
     ids=["composed traffic2 L=64", "strict gg_symmetrized L=40", "ordered traffic2 L=48",
-         "single traffic2 L=200"],
+         "single traffic2 L=200", "coupled replicas csv", "coupled replicas json",
+         "single replicas json", "discrepancy_curve replicas"],
 )
 def test_simulate_reports_are_pinned(capsys, argv, code, lines, err, out_sha256):
     got, out, got_err = run(capsys, *argv)

@@ -109,6 +109,16 @@ def test_law_and_table_params():
     assert cfg.params == {"offsets": (1,), "dep_radius": 0, "table": {(1, format(k, "03b")): 1 for k in range(8)}}
 
 
+def test_fractional_dep_radius_in_a_file_is_refused(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "[run]\ncommand = check-monotone\n\n[model]\nid = custom_table\noffsets = 1,\n"
+        "dep_radius = 1.5\ntable = 1 011000 1\n"
+    )
+    assert main(["--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", "couplex: [model] dep_radius must be an integer >= 0, got 1.5\n")
+
+
 def test_one_line_table_in_ini():
     # the value reaches the parser as "\n1 110 1", stripped to one line
     text = "[run]\ncommand = check-monotone\n\n[model]\nid = custom_table\noffsets = 1,\n"

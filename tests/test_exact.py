@@ -414,6 +414,14 @@ def test_a_single_solve_builds_no_row_dicts():
     assert gen.rows[7] == dict(zip(*(a[gen.entries[0] == 7].tolist() for a in gen.entries[1:3])))
 
 
+def test_a_generator_given_neither_form_is_refused():
+    # rows and entries each derive from the other: a read used to recurse
+    gen = GeneratorMatrix([(0,), (1,)])
+    for read in (gen.to_dense, lambda: gen.rows, lambda: gen.entries):
+        with pytest.raises(ValueError, match="^a generator needs rows or entries, and was given neither$"):
+            read()
+
+
 def test_a_stale_state_index_argument_is_refused():
     with pytest.raises(TypeError):
         GeneratorMatrix([(0,), (1,)], [{}, {}], {(0,): 0, (1,): 1})

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -173,6 +174,18 @@ def test_offsets_must_be_integers():
         RateSpec("half", (1.5,), 0, lambda window, d: 1)
     with pytest.raises(ValueError, match="jump displacement must be an integer, got '1'"):
         custom_table((1,), 0, {("1", "010"): 1})
+
+
+def test_dep_radius_must_be_a_nonnegative_integer():
+    # 1.5 used to be cut to 1: the table's one entry, of 6 sites, was never
+    # read, every rate was 0 and the rule read as monotone
+    for radius in (1.5, F(1), True, -1):
+        message = "^%s$" % re.escape("dep_radius must be an integer >= 0, got %r" % (radius,))
+        with pytest.raises(ValueError, match=message):
+            custom_table((1,), radius, {(1, "011000"): 1})
+        with pytest.raises(ValueError, match=message):
+            RateSpec("r", (1,), radius, lambda window, d: 1)
+    assert custom_table((1,), 1, {(1, "01100"): 1}).dep_radius == 1
 
 
 def test_custom_table_lookup():

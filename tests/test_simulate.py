@@ -320,6 +320,22 @@ def test_site_memo_matches_active_jumps_along_runs(label, spec):
         _SingleEngine(spec, (1,) + (0,) * (spec.min_ring_size - 2))
 
 
+def test_configurations_hold_only_0_and_1():
+    # a site holding 2 used to run: the single chain moved both particles
+    # off site 0, and coupling_table returned a table
+    message = r"^site %d holds %d; a configuration holds only 0 and 1$"
+    with pytest.raises(ValueError, match=message % (0, 2)):
+        simulate_single(sep(), (2, 0, 0, 0, 0, 1), 5.0, seed=1)
+    for first, second, bad in [((2, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1), (0, 2)),
+                               ((1, 0, 0, 0, 0, 1), (1, 0, 0, 0, 3, 0), (4, 3)),
+                               ((1, 0, 0, 0, 0, 1), (1, 0, -1, 0, 0, 1), (2, -1))]:
+        for kind in ("attractive", "increasing", "strict"):
+            with pytest.raises(ValueError, match=message % bad):
+                coupling_table(sep(), first, second, kind)
+            with pytest.raises(ValueError, match=message % bad):
+                simulate_coupled(sep(), first, second, kind, 5.0, seed=1)
+
+
 class _Uniforms:
     """Stands in for the generator: one fixed uniform for the waiting time,
     one for the choice of the event."""

@@ -21,18 +21,16 @@ sums of those rates; the kinds differ only in the factor flavor
 * ``strict`` — proportional factors, which spread each copy's surplus rate
   over the partner's discrepancy sites in proportion to their rates.
 
-The factors through a join jump x -> x + d read only the windows of the
-jumps out of x and into x + d: the sites ``spec._spans[d]`` around x, from
-x + min(-(r + m), d - r - 2P) to x + max(r + m, d + r + 2N), with r the
-dependence radius, m the largest offset magnitude, P the largest positive
-offset and N the largest magnitude of a negative one (0 when there is
-none); 6 and 5 sites for traffic2's offsets 1 and 2.  So the entries through the jumps out
-of one site (``_site_entries``) are memoised per flavor, offset and the
-pair pattern of that offset's span in the spec's ``_compositions``, which
-lives as long as the spec.  The tables here walk them over the ring
-(:func:`coupling_table`); the coupled simulator of :mod:`couplex.simulate`
-keeps them per site, in floats, and refreshes only the sites whose spans
-hold a site a jump moved.
+The factors through a join jump x -> x + d read only x's departure window
+and x + d's arrival window, the same windows that the two order conditions
+scan (:class:`couplex.models.RateSpec` states them): the sites
+``spec._spans[d]`` around x, 6 and 5 sites for traffic2's offsets 1 and 2.
+So the entries through the jumps out of one site (``_site_entries``) are
+memoised per flavor, offset and the pair pattern of that offset's span in
+the spec's ``_compositions``, which lives as long as the spec.  The tables
+here walk them over the ring (:func:`coupling_table`); the coupled
+simulator of :mod:`couplex.simulate` keeps them per site, in floats, and
+refreshes only the sites whose spans hold a site a jump moved.
 
 Tables hold only the moves a pair can make: :func:`_compose` keeps a
 composed entry only when both of its jumps are active (departure occupied,

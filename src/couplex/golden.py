@@ -44,6 +44,7 @@ from .exact import (
     coupled_generator,
     discrepancy_extinction,
     marginal_errors,
+    ordered_pairs,
     pair_states,
     single_generator,
     stationary_distribution,
@@ -89,16 +90,6 @@ def table_mismatches(expected: dict, got: dict, tol=0) -> list:
         if abs(a - b) > tol:
             out.append((k, a, b))
     return out
-
-
-def ordered_pairs(size: int):
-    """Every comparable configuration pair of the ring, both orders."""
-    for codes in product(range(3), repeat=size):
-        xi = tuple(1 if c == 1 else 0 for c in codes)
-        zeta = tuple(0 if c == 0 else 1 for c in codes)
-        yield xi, zeta
-        if xi != zeta:
-            yield zeta, xi
 
 
 # ---------------------------------------------------------------------------

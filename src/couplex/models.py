@@ -85,6 +85,13 @@ class RateSpec:
         constraint (departure occupied, target empty) is applied outside.
     params : mapping
         The defining parameters, kept for reporting and serialization.
+
+    Every window a check reads is stated here once.  The jumps out of a site
+    read the sites within ``_reach`` of it (its departure window), and the
+    jumps into an empty site read the sites ``_arrival`` around it (its
+    arrival window); the two order conditions of :mod:`couplex.monotone` scan
+    exactly these.  A join jump x -> x + d of a coupling reads x's departure
+    window and x + d's arrival window, whose hull is ``_spans[d]``.
     """
 
     def __init__(
@@ -104,20 +111,29 @@ class RateSpec:
         self._evaluate = evaluate
         self.params = dict(params or {})
         self.max_offset = max(abs(d) for d in offsets)
-        #: smallest ring on which distinct sites cover every rate window
-        self.min_ring_size = 2 * (self.dep_radius + self.max_offset) + 1
         #: window half-width per jump offset, read by every rate lookup
         self._halfwidths = {d: self.dep_radius + abs(d) for d in offsets}
+        #: how far the jumps out of a site read on either side of it: the
+        #: window of its event pattern and of the departure condition
+        self._reach = self.dep_radius + self.max_offset
+        #: the sites (lo, hi) around an empty site that the jumps into it
+        #: read: the window of the arrival condition
+        self._arrival = (
+            min(-d - w for d, w in self._halfwidths.items()),
+            max(-d + w for d, w in self._halfwidths.items()),
+        )
+        #: smallest ring on which distinct sites cover every rate window
+        self.min_ring_size = 2 * self._reach + 1
         #: rate per offset and window tuple, filled by :meth:`evaluate`
         self._tables: dict = {}
-        #: per offset d, the sites lo..hi around a site x whose occupancy the
-        #: rates of the jumps out of x and of the jumps into x + d read
-        self._spans = _spans(offsets, self.dep_radius)
-        #: the sites around x that every span covers: (min lo, max hi)
-        self._span = (
-            min(lo for lo, _ in self._spans.values()),
-            max(hi for _, hi in self._spans.values()),
-        )
+        #: per offset d, the sites lo..hi around a site x that the jumps out
+        #: of x and into x + d read: the hull of x's departure window and
+        #: x + d's arrival window
+        lo, hi = self._arrival
+        self._spans = {d: (min(-self._reach, d + lo), max(self._reach, d + hi)) for d in offsets}
+        #: the sites around x that every span covers: a span's ends grow
+        #: with d, so the first offset's span starts it and the last's ends it
+        self._span = (self._spans[offsets[0]][0], self._spans[offsets[-1]][1])
         #: composed coupling entries per flavor, filled by couplex.coupling
         self._compositions: dict = {}
         #: float events and total per site pattern, filled by _fill_site_events
@@ -155,23 +171,6 @@ class RateSpec:
                 raise ValueError("negative rate %r for offset %d, window %r" % (value, d, window))
             table[window] = value
             return value
-
-
-def _spans(offsets, radius: int) -> dict:
-    """Per offset d, the sites ``(lo, hi)`` relative to a site x that the
-    windows of the jumps out of x and into y = x + d cover.
-
-    A jump out of x reads x - (radius + m) .. x + radius + m, with m the
-    largest offset magnitude.  A jump of offset e > 0 into y departs from
-    y - e and reads y - radius - 2e .. y + radius; one of offset -n reads
-    y - radius .. y + radius + 2n.
-    """
-    w = radius + max(abs(d) for d in offsets)
-    ahead = max((d for d in offsets if d > 0), default=0)
-    behind = max((-d for d in offsets if d < 0), default=0)
-    return {
-        d: (min(-w, d - radius - 2 * ahead), max(w, d + radius + 2 * behind)) for d in offsets
-    }
 
 
 def rate(spec: RateSpec, eta: Config, x: int, y: int):

@@ -93,12 +93,9 @@ class StrictnessReport:
 
 
 def _sites(spec: RateSpec, kind: str, extra: int) -> range:
-    """Window offsets whose occupancies can enter a condition at site 0."""
-    w = spec._halfwidths
-    if kind == "departure":
-        return range(-max(w.values()) - extra, max(w.values()) + extra + 1)
-    lo = min(0, *(-d - w[d] for d in spec.jump_offsets))
-    hi = max(0, *(-d + w[d] for d in spec.jump_offsets))
+    """Window offsets whose occupancies can enter a condition at site 0: the
+    spec's departure or arrival window, ``extra`` sites wider each side."""
+    lo, hi = (-spec._reach, spec._reach) if kind == "departure" else spec._arrival
     return range(lo - extra, hi + extra + 1)
 
 

@@ -6,14 +6,14 @@ an independent, exactly reproducible stream: rerunning with the same key
 gives a bit-identical event sequence.
 
 The single-chain engine caches each site's active jumps and the float total
-of their rates.  Both depend only on the occupancy of the
-``dep_radius + max_offset`` sites on either side of the site, so they are
-read from a memo on the spec keyed by that pattern (``spec._site_events``,
-shared by all runs of the spec and by the exact single chain), and filled
-on a miss by :func:`couplex.models._fill_site_events`.  A jump x -> x+d
-refreshes each site within ``dep_radius + max_offset`` of x or x+d once,
-taking its list and total from the memo, so the totals never drift.  A
-draw bisects the running sums of the site totals to pick a site, then walks
+of their rates.  Both depend only on the occupancy of the site's departure
+window, the ``spec._reach`` sites on either side of it
+(:class:`couplex.models.RateSpec`), so they are read from a memo on the
+spec keyed by that pattern (``spec._site_events``, shared by all runs of
+the spec and by the exact single chain), and filled on a miss by
+:func:`couplex.models._fill_site_events`.  A jump x -> x+d refreshes each
+site within ``spec._reach`` of x or x+d once, taking its list and total
+from the memo, so the totals never drift.  A draw bisects the running sums of the site totals to pick a site, then walks
 that site's short list.  On a ring of more than ``_FLAT`` sites the running
 sums have two levels: an engine keeps the sum of each block of ``_BLOCK``
 consecutive totals, adding up again only the blocks a jump touched, and a
@@ -140,7 +140,7 @@ class _SingleEngine:
         _check_occupancy(eta)
         self.spec = spec
         self.eta = list(eta)
-        self.reach = spec.dep_radius + spec.max_offset
+        self.reach = spec._reach
         self.jumps = [()] * self.size
         self.totals = [0.0] * self.size
         self.blocks = None
@@ -359,6 +359,7 @@ class _CoupledEngine:
         self.spec = spec
         self.kind = kind
         self.first = _SingleEngine(spec, pair.first)
+        _check_occupancy(pair.second)  # also when it equals the first: 0.0 == 0
         self.second = self.first if pair.first == pair.second else _SingleEngine(spec, pair.second)
         self.size = len(pair.first)
         discrepancies = discrepancy_count(pair.first, pair.second)  # refuses unequal sizes

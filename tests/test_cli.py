@@ -143,6 +143,25 @@ def test_exact_stationary(capsys):
     assert all(line.startswith("2,0,") for line in lines[1:])
 
 
+def test_exact_stationary_picks_the_sector_of_a_density(capsys):
+    code, out, err = run(capsys, "exact", "sep", "--task", "stationary", "--size", "5", "--density", "0.6")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 11 and all(line.startswith("3,0,") for line in lines[1:])
+    assert run(capsys, "exact", "sep", "--task", "stationary", "--size", "5", "--count", "3") == (0, out, "")
+
+
+def test_simulate_exits_1_when_the_pathwise_check_fails(capsys):
+    # traffic2(0, 2) is not monotone: the increasing coupling breaks the
+    # order of this ordered start
+    code, out, err = run(
+        capsys, "simulate", "traffic2", "0", "2", "--first", "1100100000000000",
+        "--second", "1110101000000000", "--kind", "increasing", "--t-end", "50",
+    )
+    assert (code, out) == (1, "")
+    assert err == "couplex: pathwise check failed: order broken at event 156\n"
+
+
 def test_exact_stationary_names_each_reducible_sector(capsys):
     code, out, err = run(
         capsys, "exact", "gg_symmetrized", "1", "0", "1", "0", "--task", "stationary", "--size", "6"

@@ -1,5 +1,7 @@
+import builtins
 import functools
 import math
+import operator
 import warnings
 from fractions import Fraction as F
 
@@ -120,18 +122,24 @@ def test_transient_distribution_converges_to_stationary():
         assert np.allclose(evolved, dist.weights, atol=1e-8)
 
 
+def _running_sum(rates):
+    """The rates added one at a time, in order: the exit rule of
+    ``GeneratorMatrix``, whatever rule the builtin ``sum`` follows."""
+    return functools.reduce(operator.add, rates, 0)
+
+
 def _dense_block(gen, members):
     """Generator block on ``members`` with the full exit rate on the diagonal,
     built straight from the rows, entry by entry: off-diagonal rates, then
-    minus the row's sum (an exact sum rounded once where the rates are
-    exact)."""
+    minus the row's running sum in row order (an exact sum rounded once
+    where the rates are exact)."""
     pos = {i: k for k, i in enumerate(members)}
     q = np.zeros((len(members), len(members)))
     for i, k in pos.items():
         for j, r in gen.rows[i].items():
             if j in pos:
                 q[k, pos[j]] = float(r)
-        q[k, k] = -float(sum(gen.rows[i].values()))
+        q[k, k] = -float(_running_sum(gen.rows[i].values()))
     return q
 
 
@@ -329,7 +337,7 @@ def _loop_residual(gen, weights):
     for i, row in enumerate(gen.rows):
         for j, r in row.items():
             flow[j] += weights[i] * float(r)
-        flow[i] -= weights[i] * float(sum(row.values()))
+        flow[i] -= weights[i] * float(_running_sum(row.values()))
     return float(np.max(np.abs(flow)))
 
 
@@ -344,6 +352,41 @@ def test_generator_arrays_match_the_rows(gen, classes):
     assert np.array_equal(gen.to_dense(), _dense_block(gen, range(gen.dimension)))
     for dist in dists:
         assert abs(dist.residual - _loop_residual(gen, dist.weights)) <= 1e-14
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _compensated_sum(iterable, start=0):
+    """The builtin ``sum`` as Python 3.12 gives it on floats: Neumaier's
+    compensated sum, the compensation added once at the end; any other sum
+    as the running builtin gives it."""
+    items = list(iterable)
+    if not items or not all(type(v) is float for v in items):
+        return _BUILTIN_SUM(items, start)
+    total, c = start + items[0], 0.0
+    for v in items[1:]:
+        t = total + v
+        c += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [traffic2(0.7, 0.2), traffic2(F(7, 10), F(1, 5)), two_star_step({1: 0.3, -1: 0.7})],
+    ids=["traffic2-float", "traffic2-exact", "two_star_step-float"],
+)
+def test_exit_rates_are_running_sums_under_a_compensated_sum(monkeypatch, spec):
+    # a rows-built generator's exit rates are running sums in row order, as
+    # single_generator's bincount adds them, under a compensated sum too
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert sum([0.1] * 10) == 1.0 != _running_sum([0.1] * 10)
+    for size in (7, 9):
+        for count in range(size + 1):
+            gen = single_generator(spec, size, count)
+            built = GeneratorMatrix(gen.states, [dict(row) for row in gen.rows])
+            assert np.array_equal(built.entries[3], gen.entries[3]), (size, count)
 
 
 @pytest.mark.parametrize(

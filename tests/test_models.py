@@ -18,7 +18,9 @@ from couplex import (
     two_star_step,
     two_step,
 )
+from couplex.golden import MONOTONE_ZOO
 from couplex.models import model_parameter_names, model_signature
+from couplex.monotone import _sites
 
 
 def _largest_rate(spec):
@@ -200,3 +202,61 @@ def test_custom_table_lookup():
         custom_table((1,), 0, {(2, "01010"): 1})
     with pytest.raises(ValueError, match="length"):
         custom_table((1,), 0, {(1, "01"): 1})
+
+
+def test_factories_refuse_what_is_not_a_model():
+    with pytest.raises(ValueError, match=r"^parameter alpha must be finite, got inf$"):
+        traffic2(float("inf"), 1)
+    with pytest.raises(ValueError, match=r"^parameter delta must be finite, got nan$"):
+        gg_symmetrized(1, 1, 1, float("nan"))
+    with pytest.raises(ValueError, match=r"^jump offsets must be nonzero and nonempty: \(\)$"):
+        RateSpec("none", (), 0, lambda window, d: 1)
+    with pytest.raises(ValueError, match="^sep: at least one displacement needs a positive rate$"):
+        sep({1: 0})
+    with pytest.raises(ValueError, match="^span must be >= 1$"):
+        speed_change_decreasing(0)
+    with pytest.raises(ValueError, match="^speed_change_increasing: q must have positive support$"):
+        speed_change_increasing({1: 0})
+    with pytest.raises(ValueError, match=r"^two_star_step: p must sum to 1, got Fraction\(3, 4\)$"):
+        two_star_step({1: F(1, 2), -1: F(1, 4)})
+
+
+def _window_specs():
+    specs = list(MONOTONE_ZOO) + [
+        ("traffic2 0 2", traffic2(0, 2)),
+        ("gg 1 0 1 0", gg_symmetrized(1, 0, 1, 0)),
+        ("speed_change_decreasing 3", speed_change_decreasing(3)),
+        ("two_star_step over 1, 2", two_star_step({1: F(1, 2), 2: F(1, 2)})),
+        ("two_star_step over +-1, +-2", two_star_step({1: F(1, 4), -1: F(1, 4), 2: F(1, 4), -2: F(1, 4)})),
+    ]
+    for offsets in ((-3, 1, 2), (1,), (-1,), (-2, 5), (-4, -1)):
+        for radius in range(3):
+            specs.append(("custom %s r=%d" % (offsets, radius), custom_table(offsets, radius, {})))
+    return specs
+
+
+WINDOW_SPECS = _window_specs()
+
+
+@pytest.mark.parametrize("label,spec", WINDOW_SPECS, ids=[label for label, _ in WINDOW_SPECS])
+def test_windows_are_the_hulls_of_the_rate_windows(label, spec):
+    # each window by brute force, from the sites that the rate of each jump
+    # reads: dep_radius + |e| sites on either side of its departure site
+    def read(x, e):
+        w = spec.dep_radius + abs(e)
+        return set(range(x - w, x + w + 1))
+
+    def hull(sites):
+        return min(sites), max(sites)
+
+    out_of_0 = set().union(*(read(0, e) for e in spec.jump_offsets))
+    into_0 = set().union(*(read(-e, e) for e in spec.jump_offsets))
+    for d in spec.jump_offsets:
+        into_d = set().union(*(read(d - e, e) for e in spec.jump_offsets))
+        assert spec._spans[d] == hull(out_of_0 | into_d)
+    assert spec._span == hull(set().union(*(range(lo, hi + 1) for lo, hi in spec._spans.values())))
+    assert spec.min_ring_size == len(out_of_0)
+    for extra in range(3):
+        for kind, sites in (("departure", out_of_0), ("arrival", into_0)):
+            lo, hi = hull(sites)
+            assert _sites(spec, kind, extra) == range(lo - extra, hi + extra + 1)

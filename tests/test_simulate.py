@@ -336,6 +336,32 @@ def test_configurations_hold_only_0_and_1():
                 simulate_coupled(sep(), first, second, kind, 5.0, seed=1)
 
 
+def test_floats_and_bools_are_not_occupancies():
+    # 1.0 and True equal 1 and hash alike: coupling_table raised a TypeError
+    # on 1.0, and simulate_single ran with True and returned it in its state
+    with pytest.raises(ValueError, match=r"^site 0 holds 1\.0; a configuration holds only 0 and 1$"):
+        coupling_table(sep(), (1.0, 0, 0, 0), (0, 0, 1, 0), "attractive")
+    with pytest.raises(ValueError, match=r"^site 0 holds True; a configuration holds only 0 and 1$"):
+        simulate_single(sep(), (True, 0, 0, 0, 0, 1), 2.0, seed=1)
+    with pytest.raises(ValueError, match=r"^site 3 holds False; a configuration holds only 0 and 1$"):
+        simulate_coupled(sep(), (1, 0, 0, 0, 0, 1), (1, 0, 0, False, 0, 1), "attractive", 2.0, seed=1)
+    assert simulate_single(sep(), (1, 0, 0, 0, 0, 1), 2.0, seed=1).final == (0, 0, 0, 1, 0, 1)
+
+
+def test_the_pathwise_checks_catch_a_broken_coupling():
+    # traffic2(0, 2) is not monotone: the increasing coupling breaks the
+    # order of an ordered start, and the attractive one adds discrepancies
+    spec = traffic2(0, 2)
+    lower, upper = parse_configuration("1100100000000000"), parse_configuration("1110101000000000")
+    for seed, event in ((0, 156), (1, 56)):
+        with pytest.raises(AssertionError, match="^order broken at event %d$" % event):
+            simulate_coupled(spec, lower, upper, "increasing", 50.0, seed=seed)
+    first, second = lower, parse_configuration("0110001000000000")
+    for seed, grew in ((0, "from 4 to 6 at event 1"), (1, "from 2 to 4 at event 16")):
+        with pytest.raises(AssertionError, match="^discrepancy count grew %s$" % grew):
+            simulate_coupled(spec, first, second, "attractive", 50.0, seed=seed)
+
+
 class _Uniforms:
     """Stands in for the generator: one fixed uniform for the waiting time,
     one for the choice of the event."""

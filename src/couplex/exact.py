@@ -160,17 +160,32 @@ def ring_configs(size: int, count: Optional[int] = None):
             yield tuple(bits)
 
 
-def _single_entries(spec: RateSpec, states: list, size: int) -> tuple:
-    """The off-diagonal entries of the single chain on ``states``, one per
-    (state, occupied site, event) in state, site and offset order, and the
-    turn: ``(rows, cols, vals, turn)``, with ``vals`` the memo's float rates.
+def _sector_bits(size: int, count: Optional[int]) -> np.ndarray:
+    """The configurations of :func:`ring_configs`, in its order, as the rows
+    of an int64 bit array: for the whole ring, row i is i in binary with
+    site 0 highest; for a sector, each row's occupied sites are one
+    combination, set in one indexed store."""
+    if count is None:
+        return (np.arange(2**size, dtype=np.int64)[:, None] >> np.arange(size - 1, -1, -1)) & 1
+    n = math.comb(size, count)
+    sites = itertools.chain.from_iterable(itertools.combinations(range(size), count))
+    occupied = np.fromiter(sites, dtype=np.intp, count=n * count).reshape(n, count)
+    bits = np.zeros((n, size), dtype=np.int64)
+    bits[np.arange(n)[:, None], occupied] = 1
+    return bits
+
+
+def _single_entries(spec: RateSpec, bits: np.ndarray, size: int) -> tuple:
+    """The off-diagonal entries of the single chain on the states ``bits``
+    (:func:`_sector_bits`), one per (state, occupied site, event) in state,
+    site and offset order, and the turn: ``(rows, cols, vals, turn)``, with
+    ``vals`` the memo's float rates.
 
     A state is an integer code, bit x for site x, and every target, like
     every turned state, is found among the sorted codes.  The events of a
     site are those of its pattern in the per-site memo, read once per
     distinct pattern.
     """
-    bits = np.array(states, dtype=np.int64)
     # a turned code needs size + 1 bits, so the codes of a ring of more
     # than 62 sites (a sector of at most a few particles) stay Python ints
     power = np.array([1 << x for x in range(size)], dtype=np.int64 if size <= 62 else object)
@@ -219,9 +234,9 @@ def single_generator(spec: RateSpec, size: int, count: Optional[int] = None) -> 
             "exact single-chain enumeration of %d states exceeds the cap of %d states"
             % (n, SINGLE_STATE_CAP)
         )
-    states = list(ring_configs(size, count))
-    rows, cols, vals, turn = _single_entries(spec, states, size)
-    gen = GeneratorMatrix(states, turn=turn)
+    bits = _sector_bits(size, count)
+    rows, cols, vals, turn = _single_entries(spec, bits, size)
+    gen = GeneratorMatrix(list(map(tuple, bits.tolist())), turn=turn)
     # bincount adds each row's rates one at a time, in row order, as
     # entries does for rows; it gives int64 when there are none
     gen.entries = rows, cols, vals, np.bincount(rows, weights=vals, minlength=n).astype(float)
@@ -295,60 +310,49 @@ def coupled_generator(spec: RateSpec, size: int, kind: str) -> GeneratorMatrix:
 # Communicating classes and stationary distributions
 
 
-def strongly_connected_components(rows) -> list:
-    """Tarjan's algorithm, iterative; returns components as lists of indices."""
-    n = len(rows)
-    order = [0] * n  # 0 until visited
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    components = []
-    counter = itertools.count(1)
-    for root in range(n):
-        if order[root]:
-            continue
-        work = [(root, iter(rows[root]))]
-        order[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if not order[w]:
-                    order[w] = low[w] = next(counter)
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(rows[w])))
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], order[w])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == order[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    components.append(comp)
-    return components
+def _least_reachable(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """For each of ``n`` states, the least state it reaches along the edges
+    ``tails[k] -> heads[k]``, itself included.
+
+    Each pass lowers a state's label to the least label of its targets, then
+    jumps pointers: the least state that a reached state reaches is reached
+    too, so ``least[least]`` is.  At a fixed point no edge lowers a label and
+    every label is reached, so each is the least reached state.
+    """
+    least = np.arange(n)
+    while True:
+        step = least.copy()
+        np.minimum.at(step, tails, least[heads])
+        step = step[step]
+        if np.array_equal(step, least):
+            return least
+        least = step
 
 
 def closed_classes(gen: GeneratorMatrix) -> list:
-    """Communicating classes without outgoing rates (the recurrent ones);
-    Tarjan's pass walks each row's targets in ``entries`` order."""
+    """Communicating classes without outgoing rates (the recurrent ones), as
+    ascending lists of indices, in the order of their least states.
+
+    Let ``root`` be the least state that each state reaches.  A closed class
+    is the class of its least state rho, and every state that rho reaches
+    inside the group ``root == rho`` reaches rho back, so the class is the
+    group's states that rho reaches, found as those whose least reaching
+    state, along the group's edges reversed, is rho.  An edge out of the
+    class leaves the group, and rho heads a closed class when its class has
+    no such edge.
+    """
     rows, cols = gen.entries[:2]
-    comps = strongly_connected_components(gen._per_row(cols))
-    comp_of = np.empty(gen.dimension, dtype=np.intp)
-    for ci, comp in enumerate(comps):
-        comp_of[comp] = ci
-    leaving = comp_of[rows] != comp_of[cols]
-    leaks = np.bincount(comp_of[rows[leaving]], minlength=len(comps))
-    return [sorted(comp) for comp, out in zip(comps, leaks.tolist()) if not out]
+    n = gen.dimension
+    root = _least_reachable(n, rows, cols)
+    inside = root[rows] == root[cols]
+    member = _least_reachable(n, cols[inside], rows[inside]) == root
+    leaks = np.zeros(n, dtype=bool)
+    leaks[root[rows[member[rows] & ~inside]]] = True
+    closed = np.flatnonzero(member & ~leaks[root])
+    closed = closed[np.argsort(root[closed], kind="stable")]
+    if not len(closed):
+        return []
+    return [c.tolist() for c in np.split(closed, np.flatnonzero(np.diff(root[closed])) + 1)]
 
 
 def _solve_on_class(gen: GeneratorMatrix, members: list) -> np.ndarray:

@@ -57,16 +57,17 @@ def is_active(eta: Config, x: int, y: int) -> bool:
     return eta[x] == 1 and eta[y] == 0
 
 
-#: the two values a site may hold, with their type: 1.0 and True equal 1
-#: and hash alike, so a test on values alone passes them
-_BITS = frozenset(((int, 0), (int, 1)))
+#: the values a site may hold, and their one type: 1.0 and True equal 1
+#: and hash alike, so the values pass them and the type check refuses them
+_BITS = frozenset((0, 1))
+_INT = frozenset((int,))
 
 
 def _check_occupancy(eta: Config) -> None:
     """Refuse a configuration that holds anything but the integers 0 and 1
     (a float or a bool included), naming the first site that does."""
-    if not _BITS.issuperset(zip(map(type, eta), eta)):
-        x = next(x for x, b in enumerate(eta) if (type(b), b) not in _BITS)
+    if not (_BITS.issuperset(eta) and _INT.issuperset(map(type, eta))):
+        x = next(x for x, b in enumerate(eta) if type(b) is not int or b not in _BITS)
         raise ValueError("site %d holds %r; a configuration holds only 0 and 1" % (x, eta[x]))
 
 

@@ -167,7 +167,44 @@ def test_exact_stationary_names_each_reducible_sector(capsys):
         capsys, "exact", "gg_symmetrized", "1", "0", "1", "0", "--task", "stationary", "--size", "6"
     )
     assert code == 0
-    assert out.startswith("sector,component,state,weight\n")
+    # the components of a sector follow the order of their least states
+    assert out == (
+        "sector,component,state,weight\n"
+        "0,0,000000,1.0\n"
+        "1,0,100000,1.0\n"
+        "1,1,010000,1.0\n"
+        "1,2,001000,1.0\n"
+        "1,3,000100,1.0\n"
+        "1,4,000010,1.0\n"
+        "1,5,000001,1.0\n"
+        "2,0,101000,1.0\n"
+        "2,1,100100,1.0\n"
+        "2,2,100010,1.0\n"
+        "2,3,010100,1.0\n"
+        "2,4,010010,1.0\n"
+        "2,5,010001,1.0\n"
+        "2,6,001010,1.0\n"
+        "2,7,001001,1.0\n"
+        "2,8,000101,1.0\n"
+        "3,0,101010,1.0\n"
+        "3,1,010101,1.0\n"
+        "4,0,111010,0.1111111111111111\n"
+        "4,0,110110,0.1111111111111111\n"
+        "4,0,110101,0.1111111111111111\n"
+        "4,0,101110,0.1111111111111111\n"
+        "4,0,101101,0.1111111111111111\n"
+        "4,0,101011,0.1111111111111111\n"
+        "4,0,011101,0.1111111111111111\n"
+        "4,0,011011,0.1111111111111111\n"
+        "4,0,010111,0.1111111111111111\n"
+        "5,0,111110,0.16666666666666669\n"
+        "5,0,111101,0.16666666666666669\n"
+        "5,0,111011,0.16666666666666669\n"
+        "5,0,110111,0.16666666666666669\n"
+        "5,0,101111,0.16666666666666669\n"
+        "5,0,011111,0.16666666666666669\n"
+        "6,0,111111,1.0\n"
+    )
     assert err.splitlines() == [
         "couplex: sector %d: chain is reducible: %d closed classes; returning one "
         "stationary distribution per class" % pair

@@ -1,7 +1,9 @@
 import builtins
 import functools
+import itertools
 import math
 import operator
+import random
 import warnings
 from fractions import Fraction as F
 
@@ -586,15 +588,59 @@ def test_rings_beyond_int64_codes_match_the_exact_rows(size, count):
     assert gen.turn.tolist() == [index[eta[-1:] + eta[:-1]] for eta in oracle.states]
 
 
+def _strongly_connected_components(rows) -> list:
+    """Oracle: Tarjan's algorithm (Tarjan 1972), iterative; the components
+    as lists of indices, in the order the search closes them."""
+    n = len(rows)
+    order = [0] * n  # 0 until visited
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    components = []
+    counter = itertools.count(1)
+    for root in range(n):
+        if order[root]:
+            continue
+        work = [(root, iter(rows[root]))]
+        order[root] = low[root] = next(counter)
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if not order[w]:
+                    order[w] = low[w] = next(counter)
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(rows[w])))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == order[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(comp)
+    return components
+
+
 def _closed_by_edges(gen):
     """Oracle: the components of Tarjan's pass with no edge out of them,
-    one edge at a time."""
-    comps = exact.strongly_connected_components(gen.rows)
+    one edge at a time, in the order of their least states."""
+    comps = _strongly_connected_components(gen.rows)
     comp_of = {i: ci for ci, comp in enumerate(comps) for i in comp}
-    return [
+    return sorted(
         sorted(comp) for ci, comp in enumerate(comps)
         if all(comp_of[j] == ci for i in comp for j in gen.rows[i])
-    ]
+    )
 
 
 @pytest.mark.parametrize(
@@ -609,6 +655,61 @@ def _closed_by_edges(gen):
 def test_closed_classes_match_the_per_edge_oracle(gens):
     for gen in gens():
         assert closed_classes(gen) == _closed_by_edges(gen)
+
+
+def _random_digraph(rng, n, p, absorbing=()):
+    """A generator on ``n`` states with each edge present with probability
+    ``p``, none out of the ``absorbing`` states."""
+    return GeneratorMatrix(list(range(n)), [
+        {} if i in absorbing else {j: 1.0 for j in range(n) if j != i and rng.random() < p}
+        for i in range(n)
+    ])
+
+
+def test_closed_classes_match_the_oracle_on_random_digraphs():
+    rng = random.Random(20231)
+    for _ in range(2000):
+        n = rng.randint(1, 40)
+        absorbing = set(rng.sample(range(n), rng.randint(0, min(n, 3))))
+        gen = _random_digraph(rng, n, rng.uniform(0.0, 0.3), absorbing)
+        assert closed_classes(gen) == _closed_by_edges(gen)
+
+
+@pytest.mark.parametrize("shape", ["cycle", "path"])
+def test_closed_classes_on_a_long_chain_with_random_labels(shape):
+    # the labels fall in a random order along the chain, so the least
+    # reached label of each state moves a long way; a cycle is one closed
+    # class, a path closes only at its absorbing end
+    n = 50000
+    labels = list(range(n))
+    random.Random(shape).shuffle(labels)
+    rows = [{} for _ in range(n)]
+    for a, b in zip(labels, labels[1:] + labels[:1] if shape == "cycle" else labels[1:]):
+        rows[a][b] = 1.0
+    gen = GeneratorMatrix(labels, rows)
+    want = [list(range(n))] if shape == "cycle" else [[labels[-1]]]
+    assert closed_classes(gen) == _closed_by_edges(gen) == want
+
+
+def test_sector_bits_match_ring_configs():
+    for size in range(1, 16):
+        bits = exact._sector_bits(size, None)
+        assert bits.dtype == np.int64 and list(map(tuple, bits.tolist())) == list(ring_configs(size))
+    for size in range(1, 19):
+        for count in range(size + 1):
+            bits = exact._sector_bits(size, count)
+            assert bits.dtype == np.int64
+            assert list(map(tuple, bits.tolist())) == list(ring_configs(size, count))
+    # a ring wider than 62 sites, whose codes stay Python ints
+    assert list(map(tuple, exact._sector_bits(100, 2).tolist())) == list(ring_configs(100, 2))
+
+
+def test_a_sector_of_a_wide_ring_solves_as_one_class():
+    gen = single_generator(sep(), 100, 2)
+    assert gen.dimension == 4950 and gen.states == list(ring_configs(100, 2))
+    (dist,) = stationary_distributions(gen)
+    assert closed_classes(gen) == [list(range(4950))]
+    assert np.max(np.abs(dist.weights - 1 / 4950)) <= 1e-12
 
 
 ISING_LAWS = [

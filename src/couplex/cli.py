@@ -132,6 +132,15 @@ def _param_text(value) -> str:
     return format_number(value)
 
 
+def _param_json(value):
+    """A model parameter in a JSON report: as :func:`_param_text` writes it,
+    but a rate table keeps every row, as the ``offset pattern rate`` lines
+    of a config file."""
+    if isinstance(value, dict) and any(isinstance(key, tuple) for key in value):
+        return ["%s %s %s" % (d, pattern, format_number(r)) for (d, pattern), r in value.items()]
+    return _param_text(value)
+
+
 def _params_label(params: dict) -> str:
     return ", ".join("%s=%s" % (k, _param_text(v)) for k, v in params.items())
 
@@ -357,7 +366,7 @@ def _cmd_check_monotone(args) -> int:
             rows.append((w.kind, w.center, w.lo, w.lower, w.upper, lhs, rhs))
         payload = {
             "model": spec.name,
-            "params": {k: str(v) for k, v in spec.params.items()},
+            "params": {k: _param_json(v) for k, v in spec.params.items()},
             "monotone": verdict.monotone,
             "witnesses": _rows_payload(rows),
         }

@@ -20,6 +20,20 @@ the same sums as adding the Python floats one offset at a time.  A reported
 row takes its sides from those sums and from whether a Fraction (or float)
 rate entered them, so they are ints, Fractions or floats as in Python.
 
+Only the rates depend on the spec.  What a scan reads depends on the window
+shape alone, that is on the jump offsets, the dependence radius, the
+condition and ``extra``, and a :class:`_Plan` holds it: the pair masks and,
+per offset, the table indices (gain, loss) and the ``room`` flags of every
+pair.  The windows a condition reads, as (index, window tuple) per offset,
+depend on the offsets and the radius alone.  The rate tables, their type
+flags, the tolerance and the sums are made per call (:class:`_Rates`).
+Plans of spans whose free sites fit one block (n - 1 <= ``BLOCK_DIGITS``)
+are kept in a module cache keyed by the shape, and so are the window lists
+of rules whose departure window fits one; each cache holds at most
+``PLAN_CACHE_SIZE`` entries and drops the least recently used first.  A
+wider span streams its blocks and keeps nothing.  Nothing is built at
+import.
+
 Tolerance rule: the checks compare exactly (no tolerance) when every rate
 read is an int or a Fraction, and with an absolute tolerance of
 ``FLOAT_TOL`` = 1e-12 once a float enters; no caller sets it.  Each
@@ -32,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -52,6 +67,15 @@ _DIGIT_UPPER = np.array([0, 1, 1], dtype=np.int64)
 
 #: exact sums stay in int64 while every scaled side is below this
 _INT64_LIMIT = 1 << 62
+
+#: shapes kept per cache.  A kept plan holds at most 3**8 rows of two int64
+#: masks and, per offset, two intp indices and a flag: at most 0.95 MiB (8
+#: offsets, 9-site departure span), and 12.9 MiB for the 16 largest shapes
+PLAN_CACHE_SIZE = 16
+#: single-block plans by (jump offsets, dep_radius, kind, extra), and the
+#: windows a condition reads by (jump offsets, dep_radius); oldest use first
+_PLANS: dict = {}
+_READS: dict = {}
 
 
 class Violation(NamedTuple):
@@ -99,6 +123,49 @@ def _sites(spec: RateSpec, kind: str, extra: int) -> range:
     return range(lo - extra, hi + extra + 1)
 
 
+def _one_block(n: int) -> bool:
+    """Whether the pattern pairs of an n-site span fit one block."""
+    return n - 1 <= BLOCK_DIGITS
+
+
+def _memo(cache: dict, key, build):
+    """``build()``, kept in ``cache`` under ``key``; once PLAN_CACHE_SIZE
+    keys are kept, a new one drops the least recently used."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = build()
+        if len(cache) >= PLAN_CACHE_SIZE:
+            del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
+def _reads(spec: RateSpec) -> tuple:
+    """Per offset d in order, (d, indices, windows): the packed window bits
+    and the window tuples, in index order, of the windows a condition reads
+    (departure site occupied, target empty)."""
+
+    def build():
+        out = []
+        for d in spec.jump_offsets:
+            w = spec._halfwidths[d]
+            width = 2 * w + 1
+            index = [i for i in range(1 << width) if (i >> w) & 1 and not (i >> (w + d)) & 1]
+            windows = tuple(tuple((i >> j) & 1 for j in range(width)) for i in index)
+            out.append((d, _frozen(np.array(index, dtype=np.intp)), windows))
+        return tuple(out)
+
+    # kept when the departure window, which holds every rate window, fits
+    if not _one_block(2 * spec._reach + 1):
+        return build()
+    return _memo(_READS, (spec.jump_offsets, spec.dep_radius), build)
+
+
 @dataclass
 class _Rates:
     """Rates per offset as arrays indexed by the packed window bits (bit j =
@@ -120,20 +187,15 @@ class _Rates:
 
 def _rate_arrays(spec: RateSpec) -> _Rates:
     """The rates of every window a condition reads, with the tolerance of
-    the tolerance rule: 0 for exact rates, ``FLOAT_TOL`` once a float enters."""
-    raw = {}
-    for d in spec.jump_offsets:
-        w = spec._halfwidths[d]
-        width = 2 * w + 1
-        row = [0] * (1 << width)
-        for idx in range(1 << width):
-            if (idx >> w) & 1 and not (idx >> (w + d)) & 1:
-                row[idx] = _lookup(spec, tuple((idx >> j) & 1 for j in range(width)), d)
-        raw[d] = row
+    the tolerance rule: 0 for exact rates, ``FLOAT_TOL`` once a float enters.
+    The types, the common denominator and the int64 bound are taken over
+    the windows read; every other entry is an int 0 and changes none of them."""
+    reads = _reads(spec)
+    raw = {d: [_lookup(spec, window, d) for window in windows] for d, _, windows in reads}
     flat = [v for row in raw.values() for v in row]
     exact = all(isinstance(v, (int, Fraction)) for v in flat)
     typed = Fraction if exact else float
-    flagged = {d: np.array([isinstance(v, typed) for v in row]) for d, row in raw.items()}
+    flags = {d: [isinstance(v, typed) for v in row] for d, row in raw.items()}
     tol = 0 if exact else FLOAT_TOL
     # a side sums at most one rate per offset
     terms = len(raw)
@@ -147,7 +209,15 @@ def _rate_arrays(spec: RateSpec) -> _Rates:
         dtype, value = np.float64, functools.cache(lambda s, flag: float(s) if flag else int(s))
     else:  # object tables hold the spec's own rates, so their sums are the sides
         dtype, value = object, lambda s, flag: s
-    return _Rates({d: np.array(row, dtype=dtype) for d, row in raw.items()}, tol, flagged, value)
+    tables, flagged = {}, {}
+    for d, index, _ in reads:
+        size = 1 << (2 * spec._halfwidths[d] + 1)
+        # object zeros are int 0, as the rates of unread windows are
+        tables[d] = np.zeros(size, dtype=dtype)
+        tables[d][index] = raw[d]
+        flagged[d] = np.zeros(size, dtype=bool)
+        flagged[d][index] = flags[d]
+    return _Rates(tables, tol, flagged, value)
 
 
 def _pair_blocks(n: int, center: int, center_value: int):
@@ -174,40 +244,85 @@ def _pair_blocks(n: int, center: int, center_value: int):
         )
 
 
-def _windows(spec: RateSpec, kind: str, lo: int, lower, upper):
-    """Per offset d in order, (d, gain, loss, room): the table indices a
-    condition reads for pairs of mask arrays over a span starting at lo.
+class _Plan:
+    """What one condition's scan reads on a window shape, whatever the rates.
 
-    Arrival at site 0 (empty in both): a jump x -> 0 with x = -d occupied in
-    upper adds g_lo - g_up to lhs when positive and x occupied in lower, and
-    g_up to rhs when x is empty in lower.  Departure from site 0 (occupied
-    in both): a jump 0 -> d adds g_up - g_lo to lhs when positive and d empty
-    in upper, and g_lo to rhs when d is occupied in upper and empty in lower.
-    So lhs gains gain - loss when positive and rhs gains loss where ``room``
-    holds.  The tables read 0 on windows whose departure site is empty or
-    target occupied, which folds the remaining cases into the same two sums.
+    ``sites`` is the span, of ``n`` sites with the distinguished one at
+    index ``center``.  ``block`` is the span's only block as (lower, upper,
+    windows) when its free sites fit one block, and None when the span is
+    streamed block by block; see :meth:`windows`.
     """
-    arrival = kind == "arrival"
-    for d in spec.jump_offsets:
-        w = spec._halfwidths[d]
-        mask = (1 << (2 * w + 1)) - 1
-        x = -d if arrival else 0
-        shift = x - w - lo
-        up, down = (upper >> shift) & mask, (lower >> shift) & mask
-        if arrival:
-            yield d, down, up, (lower >> (x - lo)) & 1 == 0
-        else:
-            yield d, up, down, (upper >> (d - lo)) & 1 == 1
+
+    def __init__(self, spec: RateSpec, kind: str, sites: range):
+        self.kind, self.sites, self.n, self.center = kind, sites, len(sites), -sites.start
+        arrival = kind == "arrival"
+        #: per offset (d, shift, mask, at): the window of the jump x -> x + d
+        #: is mask bits from bit shift, and bit at decides where loss goes
+        self._taps = []
+        for d in spec.jump_offsets:
+            w = spec._halfwidths[d]
+            x = -d if arrival else 0
+            at = (x if arrival else d) - sites.start
+            self._taps.append((d, x - w - sites.start, (1 << (2 * w + 1)) - 1, at))
+        self.block = None
+        if _one_block(self.n):
+            ((lower, upper),) = self._pairs()
+            self.block = _frozen(lower), _frozen(upper), [
+                (d, *map(_frozen, parts)) for d, *parts in self.windows(lower, upper)
+            ]
+
+    def _pairs(self):
+        return _pair_blocks(self.n, self.center, 0 if self.kind == "arrival" else 1)
+
+    def windows(self, lower, upper):
+        """Per offset d in order, (d, gain, loss, room): the table indices
+        the condition reads for pairs of mask arrays over the span, made one
+        offset at a time.
+
+        Arrival at site 0 (empty in both): a jump x -> 0 with x = -d occupied
+        in upper adds g_lo - g_up to lhs when positive and x occupied in
+        lower, and g_up to rhs when x is empty in lower.  Departure from site
+        0 (occupied in both): a jump 0 -> d adds g_up - g_lo to lhs when
+        positive and d empty in upper, and g_lo to rhs when d is occupied in
+        upper and empty in lower.  So lhs gains gain - loss when positive and
+        rhs gains loss where ``room`` holds.  The tables read 0 on windows
+        whose departure site is empty or target occupied, which folds the
+        remaining cases into the same two sums.
+        """
+        for d, shift, mask, at in self._taps:
+            up, down = (upper >> shift) & mask, (lower >> shift) & mask
+            if self.kind == "arrival":
+                yield d, down, up, (lower >> at) & 1 == 0
+            else:
+                yield d, up, down, (upper >> at) & 1 == 1
+
+    def blocks(self):
+        """(lower, upper, windows) per block of the span, in row order; a
+        streamed block makes its windows as they are read."""
+        if self.block is not None:
+            yield self.block
+            return
+        for lower, upper in self._pairs():
+            yield lower, upper, self.windows(lower, upper)
 
 
-def _scan(spec: RateSpec, rates: _Rates, kind: str, extra: int):
-    """Every ordered pair of a condition's span, block by block: yields
-    (lower, upper, lhs, rhs) arrays, the sides in the scan's units.  Offsets
-    are added in order, as a sum over the offsets would add them."""
+def _plan(spec: RateSpec, kind: str, extra: int) -> _Plan:
+    """The plan of a condition on the spec's window shape, ``extra`` sites
+    wider each side; kept only when its span fits one block."""
     sites = _sites(spec, kind, extra)
-    for lower, upper in _pair_blocks(len(sites), -sites.start, 0 if kind == "arrival" else 1):
+    if not _one_block(len(sites)):
+        return _Plan(spec, kind, sites)
+    key = (spec.jump_offsets, spec.dep_radius, kind, extra)
+    return _memo(_PLANS, key, lambda: _Plan(spec, kind, sites))
+
+
+def _scan(rates: _Rates, plan: _Plan):
+    """Every ordered pair of a plan's span, block by block: yields (lower,
+    upper, lhs, rhs) arrays, the sides in the scan's units.  Offsets are
+    added in order, as a sum over the offsets would add them."""
+    for lower, upper, windows in plan.blocks():
         lhs = rhs = 0
-        for d, gain, loss, room in _windows(spec, kind, sites.start, lower, upper):
+        for d, gain, loss, room in windows:
             table = rates.tables[d]
             gain, loss = table[gain], table[loss]
             lhs = lhs + np.where(gain > loss, gain - loss, 0)
@@ -215,44 +330,50 @@ def _scan(spec: RateSpec, rates: _Rates, kind: str, extra: int):
         yield lower, upper, lhs, rhs
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _pattern(mask: int, n: int) -> str:
     """The 0/1 string of a mask over n sites, leftmost site first."""
     return format(mask, "0%db" % n)[::-1]
 
 
-def _rows(spec: RateSpec, rates: _Rates, kind: str, sites: range, lower, upper, lhs, rhs) -> list:
-    """Chosen pairs as (lower pattern, upper pattern, lhs, rhs), from their
-    mask arrays and their sides in the scan's units (lists).  A side is
-    flagged when a term :func:`_scan` adds to it reads a flagged rate, so it
-    gets the type a sum in Python of the spec's rates would have."""
+def _rows(rates: _Rates, n: int, lower, upper, windows, lhs, rhs) -> tuple:
+    """Chosen pairs as columns (lower patterns, upper patterns, lhs, rhs),
+    from their masks and sides in the scan's units (lists) and the windows
+    they read (arrays).  A side is flagged when a term :func:`_scan` adds to
+    it reads a flagged rate, so it gets the type a sum in Python of the
+    spec's rates would have."""
     lhs_flag = rhs_flag = False
-    for d, gain, loss, room in _windows(spec, kind, sites.start, lower, upper):
+    for d, gain, loss, room in windows:
         table, flagged = rates.tables[d], rates.flagged[d]
         lhs_flag = lhs_flag | ((table[gain] > table[loss]) & (flagged[gain] | flagged[loss]))
         rhs_flag = rhs_flag | (room & flagged[loss])
-    name = functools.cache(lambda mask: _pattern(mask, len(sites)))
     value = rates.value
-    return [
-        (name(m), name(u), value(a, fa), value(b, fb))
-        for m, u, a, b, fa, fb in zip(
-            lower.tolist(), upper.tolist(), lhs, rhs, lhs_flag.tolist(), rhs_flag.tolist()
-        )
-    ]
+    return (
+        map(_pattern, lower, itertools.repeat(n)),
+        map(_pattern, upper, itertools.repeat(n)),
+        map(value, lhs, lhs_flag.tolist()),
+        map(value, rhs, rhs_flag.tolist()),
+    )
 
 
-def _violations(spec: RateSpec, rates: _Rates, kind: str, extra: int) -> list:
-    """The violating pairs of a condition as (excess in scan units, Violation)."""
-    sites = _sites(spec, kind, extra)
+def _violations(rates: _Rates, plan: _Plan) -> list:
+    """The violating pairs of a condition as (rhs - lhs in scan units,
+    Violation)."""
+    head = [itertools.repeat(v) for v in (plan.kind, plan.center, plan.sites.start)]
     out = []
-    for lower, upper, lhs, rhs in _scan(spec, rates, kind, extra):
+    for lower, upper, lhs, rhs in _scan(rates, plan):
         bad = lhs > rhs + rates.tol
         if bad.any():
-            sides = lhs[bad].tolist(), rhs[bad].tolist()
-            rows = _rows(spec, rates, kind, sites, lower[bad], upper[bad], *sides)
-            out.extend(
-                (excess, Violation(kind, -sites.start, sites.start, *row))
-                for excess, row in zip((lhs - rhs)[bad].tolist(), rows)
-            )
+            if plan.block is None:  # a streamed block's windows are gone
+                chosen = plan.windows(lower[bad], upper[bad])
+            else:
+                chosen = [(d, *(x[bad] for x in parts)) for d, *parts in plan.block[2]]
+            lower, upper, lhs, rhs = (x[bad].tolist() for x in (lower, upper, lhs, rhs))
+            rows = zip(*head, *_rows(rates, plan.n, lower, upper, chosen, lhs, rhs))
+            # tuple.__new__ makes each Violation from its row without a
+            # Python-level call
+            made = map(tuple.__new__, itertools.repeat(Violation), rows)
+            out.extend(zip(map(operator.sub, rhs, lhs), made))
     return out
 
 
@@ -262,10 +383,13 @@ def is_monotone(spec: RateSpec, extra: int = 0) -> Verdict:
     if isinstance(extra, bool) or not isinstance(extra, int) or extra < 0:
         raise ValueError("extra must be an int >= 0, got %r" % (extra,))
     rates = _rate_arrays(spec)
-    found = [v for kind in ("arrival", "departure") for v in _violations(spec, rates, kind, extra)]
-    # by decreasing excess, then kind and patterns; the excess in scan units
-    # orders as lhs - rhs does
-    found.sort(key=lambda ev: (-ev[0], ev[1].kind, ev[1].lower, ev[1].upper))
+    found = [
+        v for kind in ("arrival", "departure") for v in _violations(rates, _plan(spec, kind, extra))
+    ]
+    # by decreasing excess, then kind and patterns: the excess in scan units
+    # orders as lhs - rhs does, and a Violation compares by kind, then by
+    # patterns, which no two rows of one kind share
+    found.sort()
     witnesses = [v for _, v in found]
     return Verdict(not witnesses, witnesses)
 
@@ -279,8 +403,9 @@ def strictness_report(spec: RateSpec) -> StrictnessReport:
     # lower pattern, upper pattern, masks, sides), scan units
     best = None
     for kind in ("arrival", "departure"):
-        n = len(_sites(spec, kind, 0))
-        for lower, upper, lhs, rhs in _scan(spec, rates, kind, 0):
+        plan = _plan(spec, kind, 0)
+        n = plan.n
+        for lower, upper, lhs, rhs in _scan(rates, plan):
             if np.any(lhs > rhs + rates.tol):
                 raise ValueError(
                     "strictness_report requires a monotone spec; %s is not" % spec.name
@@ -301,6 +426,7 @@ def strictness_report(spec: RateSpec) -> StrictnessReport:
     if best is None:
         return StrictnessReport(False, None, count)
     slack, kind, _, _, m, u, a, b = best
-    sites = _sites(spec, kind, 0)
-    ((_, _, lhs, rhs),) = _rows(spec, rates, kind, sites, np.array([m]), np.array([u]), [a], [b])
+    plan = _plan(spec, kind, 0)
+    windows = plan.windows(np.array([m]), np.array([u]))
+    _, _, (lhs,), (rhs,) = _rows(rates, plan.n, [m], [u], windows, [a], [b])
     return StrictnessReport(slack > rates.tol, rhs - lhs, count)

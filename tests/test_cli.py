@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from couplex import cli
 from couplex.cli import main
+from couplex.config import parse_param_value
 from couplex.exact import ExtinctionReport
 
 
@@ -1128,3 +1130,31 @@ def test_simulate_reports_are_pinned(capsys, argv, code, lines, err, out_sha256)
     assert (got, got_err) == (code, err)
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha256
+
+
+def test_check_monotone_json_writes_laws_as_typed(capsys, tmp_path):
+    path = tmp_path / "law.json"
+    code, out, _ = run(capsys, "check-monotone", "sep", "p=1:1/2,-1:1/2", "--format", "json", "--output", str(path))
+    assert code == 0
+    assert out == "sep(p=1:1/2,-1:1/2): monotone\n"
+    report = json.loads(path.read_text())
+    assert report["params"] == {"p": "1:1/2,-1:1/2"}
+    assert parse_param_value(report["params"]["p"]) == {1: Fraction(1, 2), -1: Fraction(1, 2)}
+
+
+def test_check_monotone_json_keeps_every_table_row(capsys, tmp_path):
+    # exact, float and int rates, one row per pattern of the 3-site window
+    rates = ["1/2", "0.25", "1", "3/4", "2", "0.5", "0", "1/3"]
+    table = "table=" + "\n".join("1 %s %s" % (format(k, "03b"), r) for k, r in enumerate(rates))
+    path = tmp_path / "table.json"
+    argv = ("custom_table", "offsets=1,", "dep_radius=0", table)
+    code, out, _ = run(capsys, "check-monotone", *argv, "--format", "json", "--output", str(path))
+    assert out.startswith("custom_table(offsets=1,, dep_radius=0, table=<8 rows>): ")
+    params = json.loads(path.read_text())["params"]
+    assert params == {
+        "offsets": "1,",
+        "dep_radius": "0",
+        "table": ["1 %s %s" % (format(k, "03b"), r) for k, r in enumerate(rates)],
+    }
+    assert parse_param_value("\n".join(params["table"])) == parse_param_value(table[len("table="):])
+    assert parse_param_value(params["offsets"]) == (1,)

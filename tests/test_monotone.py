@@ -1,7 +1,11 @@
 import dataclasses
 import inspect
 import itertools
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -23,6 +27,7 @@ from couplex import (
     two_step,
 )
 from couplex import monotone
+from couplex.golden import MONOTONE_ZOO
 
 
 MONOTONE_INSTANCES = [
@@ -463,3 +468,126 @@ def test_float_rule_sides_summing_only_ints_stay_ints():
     assert {(type(w.lhs), type(w.rhs)) for w in witnesses} == {(int, int), (int, float), (float, int)}
     _assert_matches_loop(spec)
     _assert_matches_loop(spec, extra=1)
+
+
+# ---------------------------------------------------------------------------
+# The plan cache: keyed by window shape, bounded, never holding a streamed span
+
+
+@pytest.fixture
+def fresh_plans(monkeypatch):
+    """Empty plan and window caches for one test; the module's own come back
+    after it."""
+    monkeypatch.setattr(monotone, "_PLANS", {})
+    monkeypatch.setattr(monotone, "_READS", {})
+
+
+def _pattern_table(offsets, dep_radius, rate):
+    """custom_table whose rate of offset d on a window is rate(d, pattern)."""
+    table = {}
+    for d in offsets:
+        width = 2 * (dep_radius + abs(d)) + 1
+        for bits in itertools.product("01", repeat=width):
+            table[(d, "".join(bits))] = rate(d, "".join(bits))
+    return custom_table(offsets, dep_radius, table)
+
+
+def _report_key(report):
+    return report.strict, _typed(report.min_slack), report.binding_count
+
+
+def test_plans_are_keyed_by_shape_only(fresh_plans):
+    # specs sharing the offsets (-1, 1) and differing in rates, rate types or
+    # dependence radius, each verdict run after the others filled the cache
+    cold = {label: _report_key(strictness_report(spec)) for label, spec in MONOTONE_ZOO}
+    specs = [
+        gg_symmetrized(2, 1, 1, 2),
+        _pattern_table((-1, 1), 1, lambda d, p: F(1 + p.count("1"), 3)),
+        gg_symmetrized(1, 0, 1, 0),
+        _pattern_table((-1, 1), 0, lambda d, p: F(2, 1 + int(p[0]) + int(p[2]))),
+        gg_symmetrized(1.5, 0.5, 1.5, 1.0),
+        _pattern_table((-1, 1), 1, lambda d, p: 0.5 + 0.25 * p.count("1")),
+        gg_symmetrized(F(3, 2), F(3, 4), 1, F(5, 4)),
+        _pattern_table((-1, 1), 0, lambda d, p: 0.75 if d == 1 else 1),
+    ]
+    for extra in (0, 1):
+        for spec in specs:
+            _assert_matches_loop(spec, extra)
+    shapes = {key[:2] for key in monotone._PLANS}
+    assert {((-1, 1), 0), ((-1, 1), 1)} <= shapes
+    assert {key[2:] for key in monotone._PLANS} == {(k, e) for k in ("arrival", "departure") for e in (0, 1)}
+    warm = {label: _report_key(strictness_report(spec)) for label, spec in MONOTONE_ZOO}
+    assert warm == cold
+
+
+def _gg_witnesses(extra):
+    return is_monotone(gg_symmetrized(1, 0, 1, 0), extra).witnesses
+
+
+def test_streamed_blocks_match_the_cached_plan(fresh_plans, monkeypatch):
+    cached = _gg_witnesses(1)
+    # the 9-site arrival span of gg_symmetrized at extra = 1 fits one block
+    assert monotone._plan(gg_symmetrized(1, 0, 1, 0), "arrival", 1).block is not None
+    assert len(cached) > 100
+    monkeypatch.setattr(monotone, "BLOCK_DIGITS", 3)
+    monotone._PLANS.clear()
+    streamed = _gg_witnesses(1)
+    for kind in ("arrival", "departure"):
+        plan = monotone._plan(gg_symmetrized(1, 0, 1, 0), kind, 1)
+        assert plan.block is None
+        assert sum(1 for _ in plan.blocks()) == 3 ** (plan.n - 1 - 3)
+    assert not monotone._PLANS
+    _assert_same_witnesses(streamed, cached)
+    _assert_matches_loop(gg_symmetrized(1, 0, 1, 0), extra=1)
+    _assert_matches_loop(traffic2(0, 2))
+
+
+def test_a_wide_span_streams_and_is_not_kept(fresh_plans):
+    spec = speed_change_increasing({1: 1, -1: 1, 2: 1, -2: 1})
+    rates = monotone._rate_arrays(spec)
+    plan = monotone._plan(spec, "arrival", 1)
+    # 13 sites: 3**12 pairs in 81 blocks; building them at once would take
+    # some 45 MB of masks and indices
+    assert plan.n == 13 and plan.block is None
+    tracemalloc.start()
+    try:
+        assert monotone._violations(rates, plan) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert not monotone._PLANS
+    assert is_monotone(spec, extra=1).monotone
+    # only the 9-site departure span fits one block
+    assert list(monotone._PLANS) == [(spec.jump_offsets, spec.dep_radius, "departure", 1)]
+
+
+def test_caches_stay_within_their_bound(fresh_plans, monkeypatch):
+    want = [(spec, extra, is_monotone(spec, extra)) for spec in NON_MONOTONE_INSTANCES for extra in (0, 1)]
+    monotone._PLANS.clear()
+    monotone._READS.clear()
+    monkeypatch.setattr(monotone, "PLAN_CACHE_SIZE", 3)
+    for spec, extra, verdict in want + want[::-1]:
+        got = is_monotone(spec, extra)
+        _assert_same_witnesses(got.witnesses, verdict.witnesses)
+        assert len(monotone._PLANS) <= 3 and len(monotone._READS) <= 3
+    # the most recently used shapes are the ones kept
+    spec, extra, _ = want[0]
+    assert (spec.jump_offsets, spec.dep_radius, "departure", extra) in monotone._PLANS
+
+
+def test_kept_plans_are_read_only(fresh_plans):
+    plan = monotone._plan(traffic2(1, 1), "arrival", 0)
+    lower, upper, windows = plan.block
+    arrays = [lower, upper] + [x for _, *parts in windows for x in parts]
+    assert all(not x.flags.writeable for x in arrays)
+
+
+def test_import_builds_no_plan():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, %r); import couplex.monotone as m; "
+        "print(len(m._PLANS), len(m._READS), m._pattern.cache_info().currsize)" % str(src)
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "0", "0"]

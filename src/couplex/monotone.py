@@ -21,18 +21,20 @@ row takes its sides from those sums and from whether a Fraction (or float)
 rate entered them, so they are ints, Fractions or floats as in Python.
 
 Only the rates depend on the spec.  What a scan reads depends on the window
-shape alone, that is on the jump offsets, the dependence radius, the
-condition and ``extra``, and a :class:`_Plan` holds it: the pair masks and,
-per offset, the table indices (gain, loss) and the ``room`` flags of every
-pair.  The windows a condition reads, as (index, window tuple) per offset,
-depend on the offsets and the radius alone.  The rate tables, their type
-flags, the tolerance and the sums are made per call (:class:`_Rates`).
-Plans of spans whose free sites fit one block (n - 1 <= ``BLOCK_DIGITS``)
-are kept in a module cache keyed by the shape, and so are the window lists
-of rules whose departure window fits one; each cache holds at most
-``PLAN_CACHE_SIZE`` entries and drops the least recently used first.  A
-wider span streams its blocks and keeps nothing.  Nothing is built at
-import.
+shape alone, that is on the jump offsets, the halfwidth of each one's rate
+window (the dependence radius plus the jump length), the condition and the
+span (``extra`` sites wider each side), and a :class:`_Plan` holds it: the
+pair masks and, per offset, the table indices (gain, loss) and the
+``room`` flags of every pair.  The windows a condition reads, as (index,
+window tuple) per offset, depend on the offsets and halfwidths alone.  The
+rate tables, their type flags, the tolerance and the sums are made per
+call (:class:`_Rates`).  Plans of spans whose free sites fit one block
+(n - 1 <= ``BLOCK_DIGITS``) are kept in a ``functools.lru_cache`` keyed by
+the shape, and so are the window lists of rules whose departure window fits
+one; each cache holds at most ``PLAN_CACHE_SIZE`` entries.  A wider span
+streams its blocks and keeps nothing.  The windows of the violating rows
+are made again from their masks, whether the span is kept or streamed.
+Nothing is built at import.
 
 Tolerance rule: the checks compare exactly (no tolerance) when every rate
 read is an int or a Fraction, and with an absolute tolerance of
@@ -72,10 +74,6 @@ _INT64_LIMIT = 1 << 62
 #: masks and, per offset, two intp indices and a flag: at most 0.95 MiB (8
 #: offsets, 9-site departure span), and 12.9 MiB for the 16 largest shapes
 PLAN_CACHE_SIZE = 16
-#: single-block plans by (jump offsets, dep_radius, kind, extra), and the
-#: windows a condition reads by (jump offsets, dep_radius); oldest use first
-_PLANS: dict = {}
-_READS: dict = {}
 
 
 class Violation(NamedTuple):
@@ -128,16 +126,10 @@ def _one_block(n: int) -> bool:
     return n - 1 <= BLOCK_DIGITS
 
 
-def _memo(cache: dict, key, build):
-    """``build()``, kept in ``cache`` under ``key``; once PLAN_CACHE_SIZE
-    keys are kept, a new one drops the least recently used."""
-    value = cache.pop(key, None)
-    if value is None:
-        value = build()
-        if len(cache) >= PLAN_CACHE_SIZE:
-            del cache[next(iter(cache))]
-    cache[key] = value
-    return value
+def _shape(spec: RateSpec) -> tuple:
+    """The jump offsets and the halfwidth of each one's rate window: all of
+    a spec that a plan or a window list reads."""
+    return spec.jump_offsets, tuple(spec._halfwidths[d] for d in spec.jump_offsets)
 
 
 def _frozen(array):
@@ -145,25 +137,28 @@ def _frozen(array):
     return array
 
 
-def _reads(spec: RateSpec) -> tuple:
+def _read_windows(offsets: tuple, halfwidths: tuple) -> tuple:
     """Per offset d in order, (d, indices, windows): the packed window bits
     and the window tuples, in index order, of the windows a condition reads
     (departure site occupied, target empty)."""
+    out = []
+    for d, w in zip(offsets, halfwidths):
+        width = 2 * w + 1
+        index = [i for i in range(1 << width) if (i >> w) & 1 and not (i >> (w + d)) & 1]
+        windows = tuple(tuple((i >> j) & 1 for j in range(width)) for i in index)
+        out.append((d, _frozen(np.array(index, dtype=np.intp)), windows))
+    return tuple(out)
 
-    def build():
-        out = []
-        for d in spec.jump_offsets:
-            w = spec._halfwidths[d]
-            width = 2 * w + 1
-            index = [i for i in range(1 << width) if (i >> w) & 1 and not (i >> (w + d)) & 1]
-            windows = tuple(tuple((i >> j) & 1 for j in range(width)) for i in index)
-            out.append((d, _frozen(np.array(index, dtype=np.intp)), windows))
-        return tuple(out)
 
-    # kept when the departure window, which holds every rate window, fits
-    if not _one_block(2 * spec._reach + 1):
-        return build()
-    return _memo(_READS, (spec.jump_offsets, spec.dep_radius), build)
+_kept_reads = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)(_read_windows)
+
+
+def _reads(spec: RateSpec) -> tuple:
+    """The windows a condition reads of the spec, as :func:`_read_windows`;
+    kept by shape when the departure window, which holds every rate window,
+    fits one block."""
+    build = _kept_reads if _one_block(2 * spec._reach + 1) else _read_windows
+    return build(*_shape(spec))
 
 
 @dataclass
@@ -247,20 +242,21 @@ def _pair_blocks(n: int, center: int, center_value: int):
 class _Plan:
     """What one condition's scan reads on a window shape, whatever the rates.
 
-    ``sites`` is the span, of ``n`` sites with the distinguished one at
-    index ``center``.  ``block`` is the span's only block as (lower, upper,
-    windows) when its free sites fit one block, and None when the span is
-    streamed block by block; see :meth:`windows`.
+    The shape is the jump offsets, the halfwidth of each one's rate window
+    (see :func:`_shape`), the condition and the span ``sites``, of ``n``
+    sites with the distinguished one at index ``center``.  ``block`` is the
+    span's only block as (lower, upper, windows) when its free sites fit one
+    block, and None when the span is streamed block by block; see
+    :meth:`windows`.
     """
 
-    def __init__(self, spec: RateSpec, kind: str, sites: range):
+    def __init__(self, offsets: tuple, halfwidths: tuple, kind: str, sites: range):
         self.kind, self.sites, self.n, self.center = kind, sites, len(sites), -sites.start
         arrival = kind == "arrival"
         #: per offset (d, shift, mask, at): the window of the jump x -> x + d
         #: is mask bits from bit shift, and bit at decides where loss goes
         self._taps = []
-        for d in spec.jump_offsets:
-            w = spec._halfwidths[d]
+        for d, w in zip(offsets, halfwidths):
             x = -d if arrival else 0
             at = (x if arrival else d) - sites.start
             self._taps.append((d, x - w - sites.start, (1 << (2 * w + 1)) - 1, at))
@@ -306,14 +302,15 @@ class _Plan:
             yield lower, upper, self.windows(lower, upper)
 
 
+_kept_plan = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)(_Plan)
+
+
 def _plan(spec: RateSpec, kind: str, extra: int) -> _Plan:
     """The plan of a condition on the spec's window shape, ``extra`` sites
-    wider each side; kept only when its span fits one block."""
+    wider each side; kept by shape only when its span fits one block."""
     sites = _sites(spec, kind, extra)
-    if not _one_block(len(sites)):
-        return _Plan(spec, kind, sites)
-    key = (spec.jump_offsets, spec.dep_radius, kind, extra)
-    return _memo(_PLANS, key, lambda: _Plan(spec, kind, sites))
+    build = _kept_plan if _one_block(len(sites)) else _Plan
+    return build(*_shape(spec), kind, sites)
 
 
 def _scan(rates: _Rates, plan: _Plan):
@@ -364,10 +361,9 @@ def _violations(rates: _Rates, plan: _Plan) -> list:
     for lower, upper, lhs, rhs in _scan(rates, plan):
         bad = lhs > rhs + rates.tol
         if bad.any():
-            if plan.block is None:  # a streamed block's windows are gone
-                chosen = plan.windows(lower[bad], upper[bad])
-            else:
-                chosen = [(d, *(x[bad] for x in parts)) for d, *parts in plan.block[2]]
+            # the windows of the chosen rows alone, as strictness_report
+            # makes them
+            chosen = plan.windows(lower[bad], upper[bad])
             lower, upper, lhs, rhs = (x[bad].tolist() for x in (lower, upper, lhs, rhs))
             rows = zip(*head, *_rows(rates, plan.n, lower, upper, chosen, lhs, rhs))
             # tuple.__new__ makes each Violation from its row without a

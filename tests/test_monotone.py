@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import itertools
 import subprocess
@@ -475,11 +476,13 @@ def test_float_rule_sides_summing_only_ints_stay_ints():
 
 
 @pytest.fixture
-def fresh_plans(monkeypatch):
-    """Empty plan and window caches for one test; the module's own come back
-    after it."""
-    monkeypatch.setattr(monotone, "_PLANS", {})
-    monkeypatch.setattr(monotone, "_READS", {})
+def fresh_plans():
+    """Empty plan and window caches before and after one test."""
+    monotone._kept_plan.cache_clear()
+    monotone._kept_reads.cache_clear()
+    yield
+    monotone._kept_plan.cache_clear()
+    monotone._kept_reads.cache_clear()
 
 
 def _pattern_table(offsets, dep_radius, rate):
@@ -500,6 +503,7 @@ def test_plans_are_keyed_by_shape_only(fresh_plans):
     # specs sharing the offsets (-1, 1) and differing in rates, rate types or
     # dependence radius, each verdict run after the others filled the cache
     cold = {label: _report_key(strictness_report(spec)) for label, spec in MONOTONE_ZOO}
+    monotone._kept_plan.cache_clear()
     specs = [
         gg_symmetrized(2, 1, 1, 2),
         _pattern_table((-1, 1), 1, lambda d, p: F(1 + p.count("1"), 3)),
@@ -513,9 +517,11 @@ def test_plans_are_keyed_by_shape_only(fresh_plans):
     for extra in (0, 1):
         for spec in specs:
             _assert_matches_loop(spec, extra)
-    shapes = {key[:2] for key in monotone._PLANS}
-    assert {((-1, 1), 0), ((-1, 1), 1)} <= shapes
-    assert {key[2:] for key in monotone._PLANS} == {(k, e) for k in ("arrival", "departure") for e in (0, 1)}
+    # one plan per radius (0, 1), condition and extra (0, 1): the 32 scans
+    # of is_monotone, and those of strictness_report, build each once and
+    # read it for every other spec
+    info = monotone._kept_plan.cache_info()
+    assert (info.misses, info.currsize) == (8, 8) and info.hits >= 32 - 8
     warm = {label: _report_key(strictness_report(spec)) for label, spec in MONOTONE_ZOO}
     assert warm == cold
 
@@ -530,13 +536,13 @@ def test_streamed_blocks_match_the_cached_plan(fresh_plans, monkeypatch):
     assert monotone._plan(gg_symmetrized(1, 0, 1, 0), "arrival", 1).block is not None
     assert len(cached) > 100
     monkeypatch.setattr(monotone, "BLOCK_DIGITS", 3)
-    monotone._PLANS.clear()
+    monotone._kept_plan.cache_clear()
     streamed = _gg_witnesses(1)
     for kind in ("arrival", "departure"):
         plan = monotone._plan(gg_symmetrized(1, 0, 1, 0), kind, 1)
         assert plan.block is None
         assert sum(1 for _ in plan.blocks()) == 3 ** (plan.n - 1 - 3)
-    assert not monotone._PLANS
+    assert monotone._kept_plan.cache_info().currsize == 0
     _assert_same_witnesses(streamed, cached)
     _assert_matches_loop(gg_symmetrized(1, 0, 1, 0), extra=1)
     _assert_matches_loop(traffic2(0, 2))
@@ -556,24 +562,32 @@ def test_a_wide_span_streams_and_is_not_kept(fresh_plans):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
-    assert not monotone._PLANS
+    assert monotone._kept_plan.cache_info().currsize == 0
     assert is_monotone(spec, extra=1).monotone
     # only the 9-site departure span fits one block
-    assert list(monotone._PLANS) == [(spec.jump_offsets, spec.dep_radius, "departure", 1)]
+    assert monotone._kept_plan.cache_info().currsize == 1
+    assert monotone._plan(spec, "departure", 1).block is not None
+    assert monotone._kept_plan.cache_info().hits == 1
 
 
-def test_caches_stay_within_their_bound(fresh_plans, monkeypatch):
+def test_caches_stay_within_their_bound(monkeypatch):
+    for cache in (monotone._kept_plan, monotone._kept_reads):
+        assert cache.cache_info().maxsize == monotone.PLAN_CACHE_SIZE
     want = [(spec, extra, is_monotone(spec, extra)) for spec in NON_MONOTONE_INSTANCES for extra in (0, 1)]
-    monotone._PLANS.clear()
-    monotone._READS.clear()
-    monkeypatch.setattr(monotone, "PLAN_CACHE_SIZE", 3)
+    # caches of 3 shapes, so that the round drops some
+    monkeypatch.setattr(monotone, "_kept_plan", functools.lru_cache(maxsize=3)(monotone._Plan))
+    monkeypatch.setattr(monotone, "_kept_reads", functools.lru_cache(maxsize=3)(monotone._read_windows))
     for spec, extra, verdict in want + want[::-1]:
         got = is_monotone(spec, extra)
         _assert_same_witnesses(got.witnesses, verdict.witnesses)
-        assert len(monotone._PLANS) <= 3 and len(monotone._READS) <= 3
+        assert monotone._kept_plan.cache_info().currsize <= 3
+        assert monotone._kept_reads.cache_info().currsize <= 3
+    info = monotone._kept_plan.cache_info()
+    assert info.misses > 3
     # the most recently used shapes are the ones kept
     spec, extra, _ = want[0]
-    assert (spec.jump_offsets, spec.dep_radius, "departure", extra) in monotone._PLANS
+    monotone._plan(spec, "departure", extra)
+    assert monotone._kept_plan.cache_info().hits == info.hits + 1
 
 
 def test_kept_plans_are_read_only(fresh_plans):
@@ -587,7 +601,7 @@ def test_import_builds_no_plan():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; sys.path.insert(0, %r); import couplex.monotone as m; "
-        "print(len(m._PLANS), len(m._READS), m._pattern.cache_info().currsize)" % str(src)
+        "print(*(f.cache_info().currsize for f in (m._kept_plan, m._kept_reads, m._pattern)))" % str(src)
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["0", "0", "0"]

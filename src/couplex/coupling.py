@@ -55,8 +55,9 @@ from .lattice import (
     is_ordered,
     join,
     leq,
+    signed_offset,
 )
-from .models import RateSpec, _check_ring, active_jumps, rate
+from .models import RateSpec, _check_ring, _window_rate, active_jumps, rate
 
 #: the factor flavor each coupling kind composes through the join
 FLAVOR = {"increasing": "overlap", "attractive": "overlap", "strict": "proportional"}
@@ -117,7 +118,8 @@ def _sets(spec: RateSpec, lower, upper, site: int, departure: bool):
     excess.  Arrival (``site`` doubly empty): ``main`` holds the doubly
     occupied sources where lower's rate exceeds upper's, with the excess;
     ``bar`` the discrepancy sources with upper's rate.  The caller ensures
-    the order and the occupancy of ``site``.
+    the order, the occupancy of ``site`` and a ring of at least
+    ``spec.min_ring_size`` sites.
     """
     size = len(lower)
     main = []
@@ -128,11 +130,11 @@ def _sets(spec: RateSpec, lower, upper, site: int, departure: bool):
             if lower[y]:
                 continue
             if upper[y]:
-                low = rate(spec, lower, site, y)
+                low = _window_rate(spec, lower, site, d)
                 if low > 0:
                     main.append((y, low))
             else:
-                high, low = rate(spec, upper, site, y), rate(spec, lower, site, y)
+                high, low = _window_rate(spec, upper, site, d), _window_rate(spec, lower, site, d)
                 if high > low:
                     bar.append((y, high - low))
     else:
@@ -142,11 +144,11 @@ def _sets(spec: RateSpec, lower, upper, site: int, departure: bool):
             if not upper[x]:
                 continue
             if lower[x]:
-                low, high = rate(spec, lower, x, site), rate(spec, upper, x, site)
+                low, high = _window_rate(spec, lower, x, d), _window_rate(spec, upper, x, d)
                 if low > high:
                     main.append((x, low - high))
             else:
-                high = rate(spec, upper, x, site)
+                high = _window_rate(spec, upper, x, d)
                 if high > 0:
                     bar.append((x, high))
     return main, bar
@@ -160,7 +162,8 @@ def _left_factors(spec: RateSpec, lower, upper, x: int, y: int, flavor: str):
     rates G_{upper,lower}((x,y); jump).
     """
     out = []
-    low, high = rate(spec, lower, x, y), rate(spec, upper, x, y)
+    d = signed_offset(x, y, len(lower))
+    low, high = _window_rate(spec, lower, x, d), _window_rate(spec, upper, x, d)
     g = min(low, high)
     if g > 0:
         out.append(((x, y), g))
@@ -224,7 +227,7 @@ def _compose(spec: RateSpec, flavor: str, centre: int, d: int, window):
     zeta = tuple(p & 1 for p in window)
     mid = join(xi, zeta)
     x, y = centre, centre + d
-    norm = rate(spec, mid, x, y)
+    norm = _window_rate(spec, mid, x, d)
     if norm <= 0:
         return (), ()
     raw = tuple(

@@ -560,23 +560,6 @@ class ExtinctionReport:
     pairs_checked: int
 
 
-def _reaching(rows, targets) -> set:
-    """The states that reach a state of ``targets`` along the rows' rates,
-    all positive, by one backward search; ``targets`` are included."""
-    into = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        for j in row:
-            into[j].append(i)
-    seen = set(targets)
-    stack = list(seen)
-    while stack:
-        for i in into[stack.pop()]:
-            if i not in seen:
-                seen.add(i)
-                stack.append(i)
-    return seen
-
-
 def discrepancy_extinction(spec: RateSpec, size: int, kind: str = "strict") -> ExtinctionReport:
     """Whether the coupled chain started from every unordered pair reaches a
     comparable pair (all discrepancies of one sign gone) with probability 1.
@@ -586,11 +569,14 @@ def discrepancy_extinction(spec: RateSpec, size: int, kind: str = "strict") -> E
     probability of the comparable pairs is therefore 1 from every unordered
     pair if each one reaches a comparable pair along a path of positive
     rates, and 0 from one that does not (Norris, *Markov Chains*, 1997,
-    Thm 1.3.2).  One backward search over the whole chain decides every
-    sector at once; there is no linear solve.  A rate that is 0 in some
-    patterns and positive in others is no obstacle: the search decides what
-    the rates allow.  A coupling that cannot serve a pair raises its own
-    ``ValueError``, which names the pair.
+    Thm 1.3.2).  The label passes of :func:`_least_reachable`, which
+    :func:`closed_classes` also runs, decide every sector at once, with no
+    linear solve: the comparable orbits get the lowest labels, so an orbit
+    reaches a comparable one exactly when the least label it reaches is
+    one of theirs.  A rate that is 0 in some patterns and positive in
+    others is no obstacle: the passes follow the positive rates only.  A
+    coupling that cannot serve a pair raises its own ``ValueError``, which
+    names the pair.
 
     Both the chain and "comparable" are unchanged by a turn of the ring, so
     the rotation orbits form a Markov chain (Kemeny & Snell, 1960, ch. VI):
@@ -604,9 +590,15 @@ def discrepancy_extinction(spec: RateSpec, size: int, kind: str = "strict") -> E
     orbit_of = {states[i]: k for k, orbit in enumerate(orbits) for i in orbit}
     rows = [_row(spec, kind, *s, orbit_of) for s in leads]
     ordered = [is_ordered(*s) for s in leads]
-    reaching = _reaching(rows, [k for k, o in enumerate(ordered) if o])
     members = [k for k, o in enumerate(ordered) if not o]
-    stuck = [k for k in members if k not in reaching]
+    # the comparable orbits get the labels below `low`, the others the rest
+    low = len(leads) - len(members)
+    label = np.empty(len(leads), dtype=np.intp)
+    label[[k for k, o in enumerate(ordered) if o] + members] = np.arange(len(leads))
+    tails = np.repeat(label, [len(row) for row in rows])
+    heads = label[np.array([j for row in rows for j in row], dtype=np.intp)]
+    least = _least_reachable(len(leads), tails, heads)
+    stuck = [k for k in members if least[label[k]] >= low]
     worst = CoupledState(*leads[(stuck or members)[0]]) if members else None
     checked = sum(len(orbits[k]) for k in members)
     return ExtinctionReport(0.0 if stuck else 1.0, worst, checked)

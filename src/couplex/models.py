@@ -9,7 +9,12 @@ always inside the window.
 
 Rates are evaluated lazily on occupancy windows and cached per displacement,
 which keeps exhaustive enumeration (2^window patterns) and large-ring
-simulation fast.  Every rate is read through :func:`_lookup`.  Exactness
+simulation fast.  Every rate is read through :func:`_lookup`, the memo's one
+reader: a hit is one table read, and a miss runs the rule, checks the value
+and stores it.  The public readers :func:`rate` and :meth:`RateSpec.evaluate`
+first refuse a site that is not the int 0 or 1: ``0.0`` and ``True`` equal 0
+and 1 and hash alike, so their windows would be stored under the integer
+window's key.  Exactness
 follows the rates a rule returns: readers compute exactly on ``int`` and
 :class:`fractions.Fraction` rates (the built-in models return those for
 ``int`` or ``Fraction`` parameters) and in float arithmetic, with a
@@ -24,7 +29,7 @@ import numbers
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .lattice import Config, signed_offset
+from .lattice import Config, _check_occupancy, signed_offset
 
 Number = object  # int | float | Fraction
 
@@ -124,8 +129,9 @@ class RateSpec:
         )
         #: smallest ring on which distinct sites cover every rate window
         self.min_ring_size = 2 * self._reach + 1
-        #: rate per offset and window tuple, filled by :meth:`evaluate`
-        self._tables: dict = {}
+        #: rate per offset and window tuple, one table per offset, filled
+        #: by :func:`_lookup` on a miss
+        self._tables = {d: {} for d in offsets}
         #: per offset d, the sites lo..hi around a site x that the jumps out
         #: of x and into x + d read: the hull of x's departure window and
         #: x + d's arrival window
@@ -146,7 +152,8 @@ class RateSpec:
     def evaluate(self, window, d: int):
         """Rate of a jump with displacement d given the local window; raises
         ``ValueError`` on an offset the spec does not have, a window of the
-        wrong size, or a negative or non-finite rate."""
+        wrong size, a site that is not the int 0 or 1 (``0.0``, ``1.0`` and
+        ``True`` included), or a negative or non-finite rate."""
         w = self._halfwidths.get(d)
         if w is None:
             raise ValueError(
@@ -157,20 +164,9 @@ class RateSpec:
                 "window for offset %d must have %d sites, got %d"
                 % (d, 2 * w + 1, len(window))
             )
-        table = self._tables.get(d)
-        if table is None:
-            table = self._tables[d] = {}
         window = tuple(window)
-        try:
-            return table[window]
-        except KeyError:
-            value = self._evaluate(window, d)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError("rate is not finite for offset %d, window %r" % (d, window))
-            if value < 0:
-                raise ValueError("negative rate %r for offset %d, window %r" % (value, d, window))
-            table[window] = value
-            return value
+        _check_occupancy(window)
+        return _lookup(self, window, d)
 
 
 def rate(spec: RateSpec, eta: Config, x: int, y: int):
@@ -179,8 +175,10 @@ def rate(spec: RateSpec, eta: Config, x: int, y: int):
     The displacement is taken as the representative of y - x in
     (-L/2, L/2]; it must be one of the spec's jump offsets, otherwise the
     rate is 0.  The ring must be large enough that the rate window does not
-    wrap onto itself.
+    wrap onto itself, and hold only the ints 0 and 1: ``ValueError`` names
+    the first site that holds ``0.0``, ``1.0``, ``True`` or anything else.
     """
+    _check_occupancy(eta)
     size = len(eta)
     d = signed_offset(x, y, size)
     if d not in spec.jump_offsets:
@@ -230,12 +228,19 @@ def _check_ring(spec: RateSpec, size: int) -> None:
 
 
 def _lookup(spec: RateSpec, window: tuple, d: int):
-    """Rate of offset d on a window tuple: a table read, with
-    :meth:`RateSpec.evaluate` and its checks run only on a miss."""
+    """Rate of offset d on a window tuple of 0/1 ints: a table read, and on a
+    miss the rule, the refusal of a negative or non-finite rate, and the
+    store.  The only reader of ``spec._tables``."""
     try:
         return spec._tables[d][window]
     except KeyError:
-        return spec.evaluate(window, d)
+        value = spec._evaluate(window, d)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("rate is not finite for offset %d, window %r" % (d, window))
+        if value < 0:
+            raise ValueError("negative rate %r for offset %d, window %r" % (value, d, window))
+        spec._tables[d][window] = value
+        return value
 
 
 def _window_rate(spec: RateSpec, eta: Config, x: int, d: int):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import re
 from fractions import Fraction as F
@@ -6,12 +7,16 @@ import pytest
 
 from couplex import (
     RateSpec,
+    coupling_table,
     custom_table,
     gg_symmetrized,
+    is_monotone,
     make_model,
     model_ids,
     rate,
     sep,
+    simulate_single,
+    single_generator,
     speed_change_decreasing,
     speed_change_increasing,
     traffic2,
@@ -140,14 +145,73 @@ def test_exact_parameters_stay_exact():
 def test_evaluate_refuses_bad_windows_and_rates():
     with pytest.raises(ValueError, match="must have 3 sites"):
         sep().evaluate((0, 1), 1)
-    rule = RateSpec("bad", (1,), 0, lambda window, d: -1 if window[0] else float("nan"))
-    with pytest.raises(ValueError, match="negative rate"):
-        rule.evaluate((1, 1, 0), 1)
-    with pytest.raises(ValueError, match="not finite"):
-        rule.evaluate((0, 1, 0), 1)
+    # whichever reader is the first to read a window, the rule's value is
+    # refused with the same message; on the 3-site ring (a, b, c) the jump
+    # 1 -> 2 reads the window (a, b, c) itself
+    for first in (
+        lambda spec, eta: spec.evaluate(eta, 1),
+        lambda spec, eta: rate(spec, eta, 1, 2),
+        lambda spec, eta: coupling_table(spec, eta, eta, "attractive"),
+    ):
+        rule = RateSpec("bad", (1,), 0, lambda window, d: -1 if window[0] else float("nan"))
+        with pytest.raises(ValueError, match=r"^negative rate -1 for offset 1, window \(1, 1, 0\)$"):
+            first(rule, (1, 1, 0))
+        with pytest.raises(ValueError, match=r"^rate is not finite for offset 1, window \(0, 1, 0\)$"):
+            first(rule, (0, 1, 0))
     # an offset the spec does not have is named with the spec
     with pytest.raises(ValueError, match=r"offset 3 is not a jump offset of traffic2\(alpha=1, beta=2\)"):
         traffic2(1, 2).evaluate((0, 0, 0, 1, 0, 0, 0), 3)
+    # a site that is not the int 0 or 1 is refused, and named, before any
+    # table read: 0.0, 1.0 and True equal 0 or 1 and hash alike
+    for bad in (0.0, 1.0, True, 0.5):
+        with pytest.raises(ValueError, match=r"^site 3 holds %r;" % (bad,)):
+            traffic2(1, 2).evaluate((0, 0, 1, bad, 0), 2)
+        with pytest.raises(ValueError, match=r"^site 1 holds %r;" % (bad,)):
+            rate(traffic2(1, 2), (1, bad, 0, 0, 0), 0, 2)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda spec: rate(spec, (1, 0.0, 0, 0, 0), 0, 2),
+        lambda spec: spec.evaluate((0, 0, 1, 0.0, 0), 2),
+    ],
+    ids=["rate", "evaluate"],
+)
+def test_a_float_site_leaves_the_exact_verdict(read):
+    # both reads are of the window (0, 0, 1, 0, 0) of offset 2, with site
+    # x + 1 as 0.0: stored, the float rate 1.00000000000001 would sit under
+    # the integer window's key and turn the exact scan into a float one,
+    # whose tolerance passes the 1e-14 excess
+    spec = traffic2(0, 1 + F(1, 10**14))
+    with pytest.raises(ValueError, match="holds 0.0"):
+        read(spec)
+    assert spec._tables == {1: {}, 2: {}}
+    assert is_monotone(spec).monotone is False
+
+
+def test_each_window_runs_the_rule_once():
+    # every reader goes through one memo: on one spec the rule runs at most
+    # once per (offset, window), whichever reader asks first
+    calls = collections.Counter()
+
+    def rule(window, d):
+        calls[d, window] += 1
+        # traffic2(1, 1/2), a monotone point
+        return 1 if d == 1 else window[3] + F(1, 2) * (1 - window[3])
+
+    spec = RateSpec("counted", (1, 2), 0, rule)
+    eta = (1, 1, 0, 1, 0, 0)
+    assert spec.evaluate((0, 0, 1, 1, 0), 2) == 1
+    assert rate(spec, eta, 0, 2) == 1  # the same window
+    assert rate(spec, eta, 1, 3) == F(1, 2)
+    is_monotone(spec)
+    for kind in ("increasing", "attractive", "strict"):
+        coupling_table(spec, (1, 0, 0, 1, 0, 0), eta, kind)
+    single_generator(spec, 6, 3)
+    simulate_single(spec, eta, 5.0, seed=3)
+    assert calls and max(calls.values()) == 1
+    assert len(calls) == sum(len(table) for table in spec._tables.values())
 
 
 @pytest.mark.parametrize(
